@@ -1,10 +1,14 @@
 """Frozen joint vision-language encoder backends.
 
 The rest of the pipeline only needs four operations from a backend:
-encode a class prompt (with a style vector injected at the style token's
-position), encode a style-only prompt, encode an image, and look up a
-word's token embedding.  Backends are immutable after construction; no
-operation mutates them.
+encode a batch of class prompts (every class name crossed with every
+style vector, each injected at the style token's position), encode a
+batch of style-only prompts, encode an image, and look up a word's token
+embedding.  Text encoding is batched because the trainer re-encodes all
+M*K (class, style) prompts every epoch; ``text_encode`` and
+``style_text_encode`` are single-prompt conveniences over the batched
+methods.  Backends are immutable after construction; no operation
+mutates them.
 
 Two backends live here:
 
@@ -25,11 +29,12 @@ from __future__ import annotations
 import abc
 import hashlib
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_DTYPE, STYLE_PLACEHOLDER, l2_normalize
+from .core import DEFAULT_DTYPE, STYLE_PLACEHOLDER, ZERO_NORM_EPS, l2_normalize
 
 STYLE_ONLY_PATTERN = f"{STYLE_PLACEHOLDER}-like style"
 
@@ -38,18 +43,12 @@ REAL_BACKEND_JOINT_DIMS = {"resnet50": 1024, "vit-b16": 512, "vit-l14": 768}
 REAL_BACKEND_TOKEN_DIM = 512
 
 
-class EncodeError(ValueError):
-    """Raised when a prompt or image cannot be encoded."""
-
-
 class ImageDecodeError(ValueError):
     """Raised for malformed image records."""
 
 
 class EncoderBackend(abc.ABC):
     """Frozen text/image encoder pair sharing one joint embedding space."""
-
-    capabilities: frozenset[str] = frozenset({"text", "image", "token_lookup"})
 
     @property
     @abc.abstractmethod
@@ -62,14 +61,32 @@ class EncoderBackend(abc.ABC):
         """D: dimensionality of the token word-embedding space."""
 
     @abc.abstractmethod
+    def encode_prompts(
+        self, pattern: str, class_names: Sequence[str], styles: np.ndarray | None
+    ) -> np.ndarray:
+        """Encode every (class, style) prompt: an (M, K, C) array.
+
+        ``styles`` is (K, D); row i is injected at the style token of the
+        prompt for column i.  It is ``None`` for a pattern with no style
+        slot, which gives K=1.  Raises ``ValueError`` when a style slot
+        has no styles or the rows are not D long.
+        """
+
+    @abc.abstractmethod
+    def encode_style_prompts(self, styles: np.ndarray) -> np.ndarray:
+        """Encode the style-only prompt for each (K, D) style row: (K, C)."""
+
     def text_encode(
         self, pattern: str, class_name: str, style: np.ndarray | None = None
     ) -> np.ndarray:
-        """Encode a filled prompt, injecting ``style`` at the style token."""
+        """Encode one filled prompt, injecting ``style`` at the style token."""
+        return self.encode_prompts(
+            pattern, (class_name,), None if style is None else np.asarray(style)[None]
+        )[0, 0]
 
-    @abc.abstractmethod
     def style_text_encode(self, style: np.ndarray) -> np.ndarray:
         """Encode the style-only prompt for one style vector."""
+        return self.encode_style_prompts(np.asarray(style)[None])[0]
 
     @abc.abstractmethod
     def image_encode(self, image) -> np.ndarray:
@@ -202,41 +219,38 @@ class ToyBackend(EncoderBackend):
         pert = pert_rng.standard_normal(C) * scale
         return (base + self.PERTURBATION * pert).astype(DEFAULT_DTYPE)
 
-    def _check_style(self, style: np.ndarray) -> np.ndarray:
-        style = np.asarray(style)
-        if style.shape != (self.spec.dim_token,):
-            raise ValueError(
-                f"style vector length {style.shape} != D={self.spec.dim_token}"
-            )
-        return style
+    def _style_terms(self, styles: np.ndarray) -> np.ndarray:
+        """(K, C) projections of the direction-normalized style rows.
 
-    def text_encode(
-        self, pattern: str, class_name: str, style: np.ndarray | None = None
-    ) -> np.ndarray:
-        if not class_name or class_name != class_name.strip():
-            raise EncodeError(f"invalid class name {class_name!r}")
-        feature = self._content_vector("text:" + pattern, class_name)
-        if STYLE_PLACEHOLDER in pattern:
-            if style is None:
-                raise ValueError("pattern has a style slot but no style was given")
-            feature = feature + self._style_term(style)
-        return (self.spec.output_gain * l2_normalize(feature)).astype(DEFAULT_DTYPE)
-
-    def _style_term(self, style: np.ndarray) -> np.ndarray:
-        """Projection of a (direction-normalized) style into the joint space.
-
-        A zero style vector contributes nothing rather than erroring,
-        so the style path can be switched off in tests.
+        A zero style row contributes nothing rather than erroring, so
+        the style path can be switched off in tests.
         """
-        style = self._check_style(style).astype(np.float64)
-        norm = float(np.linalg.norm(style))
-        if norm < 1e-12:
-            return np.zeros(self.spec.dim_joint, dtype=DEFAULT_DTYPE)
-        return (self.spec.style_strength * (self._V @ (style / norm))).astype(DEFAULT_DTYPE)
+        styles = np.asarray(styles, dtype=DEFAULT_DTYPE)
+        if styles.ndim != 2 or styles.shape[1] != self.spec.dim_token:
+            raise ValueError(f"styles shape {styles.shape} != (K, D={self.spec.dim_token})")
+        norms = np.linalg.norm(styles, axis=1, keepdims=True)
+        unit = np.divide(styles, norms, out=np.zeros_like(styles), where=norms >= ZERO_NORM_EPS)
+        return self.spec.style_strength * (unit @ self._V.T)
 
-    def style_text_encode(self, style: np.ndarray) -> np.ndarray:
-        feature = self._style_prompt_base + self._style_term(style)
-        return (self.spec.output_gain * l2_normalize(feature)).astype(DEFAULT_DTYPE)
+    def encode_prompts(
+        self, pattern: str, class_names: Sequence[str], styles: np.ndarray | None
+    ) -> np.ndarray:
+        C = self.spec.dim_joint
+        if STYLE_PLACEHOLDER in pattern:
+            if styles is None:
+                raise ValueError("pattern has a style slot but no styles were given")
+            terms = self._style_terms(styles)
+        else:
+            terms = np.zeros((1 if styles is None else len(styles), C), dtype=DEFAULT_DTYPE)
+        out = np.empty((len(class_names), len(terms), C), dtype=DEFAULT_DTYPE)
+        for m, name in enumerate(class_names):
+            feature = self._content_vector("text:" + pattern, name) + terms
+            out[m] = self.spec.output_gain * l2_normalize(feature)
+        return out
+
+    def encode_style_prompts(self, styles: np.ndarray) -> np.ndarray:
+        feature = self._style_prompt_base + self._style_terms(styles)
+        return self.spec.output_gain * l2_normalize(feature)
 
     def image_encode(self, image) -> np.ndarray:
         if not isinstance(image, ToyImage):
@@ -301,8 +315,9 @@ class ToyBackend(EncoderBackend):
 class RealBackendAdapter(EncoderBackend):
     """Contract for wrapping a pretrained joint encoder.
 
-    Subclasses load frozen weights from ``weights_path`` and must expose
-    the four encode operations with the variant's joint dim and token
+    Subclasses load frozen weights from ``weights_path`` and must
+    implement the batched prompt encoders, ``image_encode`` and
+    ``token_embedding_lookup`` with the variant's joint dim and token
     dim 512.  Image inputs follow the standard preprocessing contract:
     RGB, resized to 224x224, per-channel normalization with the
     pretrained model's published mean/std.

@@ -77,6 +77,9 @@ class TaskDefinition:
             raise ValueError("class names must be unique")
         if any(not n for n in names):
             raise ValueError("class names must be non-empty")
+        padded = [n for n in names if n != n.strip()]
+        if padded:
+            raise ValueError(f"class names must not start or end with whitespace: {padded}")
 
     @property
     def num_classes(self) -> int:

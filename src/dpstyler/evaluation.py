@@ -98,12 +98,7 @@ def zeroshot_predict(
         raise ValueError(f"prompt_style must be one of {sorted(ZEROSHOT_PATTERNS)}")
     pattern = ZEROSHOT_PATTERNS[prompt_style]
     emb = l2_normalize(np.asarray(image_embedding))
-    text = np.stack(
-        [
-            l2_normalize(backend.text_encode(pattern, name, None))
-            for name in task.class_names
-        ]
-    )
+    text = l2_normalize(backend.encode_prompts(pattern, task.class_names, None)[:, 0])
     return int(np.argmax(text @ emb))
 
 

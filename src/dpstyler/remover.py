@@ -48,12 +48,8 @@ def remover_init(dim: int, ratio: int, rng: np.random.Generator) -> StyleRemover
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # The tanh form cannot overflow, so it needs no branch on the sign.
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def remover_forward(v: np.ndarray, params: StyleRemoverParams) -> np.ndarray:

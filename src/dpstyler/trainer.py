@@ -4,7 +4,7 @@ Each epoch: refresh the style bank, re-encode the K style prompts (the
 domain probe) and all M*K class-prompt features, then run SGD with
 momentum over shuffled batches, updating only the removal gate and the
 classifier head.  The encoder is frozen, so every (class, style) pair is
-encoded exactly once per epoch and cached.
+encoded exactly once per epoch, in one batched backend call, and cached.
 
 A full run is a deterministic function of (task, backend seed, config),
 and the resulting checkpoint round-trips bit-exactly through the binary
@@ -35,6 +35,11 @@ from .styles import (
 
 CHECKPOINT_MAGIC = b"DPSTYLR1"
 CHECKPOINT_VERSION = 1
+# Header keys that ``load_checkpoint`` reads without a default.
+_HEADER_FIELDS = (
+    "arrays", "dim_joint", "dim_token", "ratio", "num_classes", "template_id",
+    "template_pattern", "class_names", "backend_tag", "seed",
+)
 
 # RNG stream tags under the master seed.
 _STREAM_REMOVER_INIT = 10
@@ -152,24 +157,21 @@ def _encode_epoch_features(
     bank: StyleBank,
     template: PromptTemplate,
 ) -> np.ndarray:
-    """Every (class, style) prompt feature for one epoch.
+    """Every (class, style) prompt feature for one epoch, as (M, K, C).
 
     Features stay at their raw encoder scale: the losses are cosine-based
     and normalize internally, while the removal gate sees (and should see)
     the encoder's native magnitudes.
     """
-    M, K, C = task.num_classes, bank.num_styles, backend.dim_joint
-    feats = np.empty((M, K, C), dtype=DEFAULT_DTYPE)
-    for m, name in enumerate(task.class_names):
-        for i in range(K):
-            feats[m, i] = backend.text_encode(template.pattern, name, bank.styles[i])
+    feats = backend.encode_prompts(template.pattern, task.class_names, bank.styles)
+    expected = (task.num_classes, bank.num_styles, backend.dim_joint)
+    if feats.shape != expected:
+        raise ValueError(f"encode_prompts returned shape {feats.shape}, expected {expected}")
     return feats
 
 
 def encode_probe(backend: EncoderBackend, bank: StyleBank) -> DomainProbe:
-    rows = np.stack(
-        [l2_normalize(backend.style_text_encode(s)) for s in bank.styles]
-    ).astype(DEFAULT_DTYPE)
+    rows = l2_normalize(backend.encode_style_prompts(bank.styles)).astype(DEFAULT_DTYPE)
     return DomainProbe(style_text_features=rows)
 
 
@@ -209,14 +211,15 @@ def train_one_model(
         probe = encode_probe(backend, bank)
         feats = _encode_epoch_features(backend, task, bank, template)
 
-        order = build_prompt_set(task, bank, config.seed, epoch)
-        targets_all = np.array([m for m, _ in order])
-        features_all = np.stack([feats[m, i] for m, i in order])
+        order = np.array(build_prompt_set(task, bank, config.seed, epoch))
+        targets_all = order[:, 0]
+        flat = targets_all * bank.num_styles + order[:, 1]
+        flat_feats = feats.reshape(-1, C)
 
         sum_u = sum_c = 0.0
         n_samples = len(order)
         for batch_idx, start_idx in enumerate(range(0, n_samples, config.batch_size)):
-            v = features_all[start_idx : start_idx + config.batch_size]
+            v = flat_feats[flat[start_idx : start_idx + config.batch_size]]
             y = targets_all[start_idx : start_idx + config.batch_size]
             removed = remover_forward(v, remover)
             if not np.all(np.isfinite(removed)):
@@ -242,6 +245,9 @@ def train_one_model(
             weight = len(y)
             sum_u += breakdown.loss_uncertainty * weight
             sum_c += breakdown.loss_classification * weight
+        # Free this epoch's (M, K, C) features before the next epoch
+        # encodes its own, so two never coexist.
+        del feats, flat_feats
 
         mean_u, mean_c = sum_u / n_samples, sum_c / n_samples
         metrics.append(
@@ -327,21 +333,32 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(blob[len(CHECKPOINT_MAGIC) + 4 : body_start].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is a JSON {type(header).__name__}, not an object")
     version = header.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported format version {version!r} (expected {CHECKPOINT_VERSION})"
         )
+    missing = [key for key in _HEADER_FIELDS if key not in header]
+    if missing:
+        raise CheckpointError(f"{path}: header lacks {missing}")
 
+    if not isinstance(header["arrays"], list):
+        raise CheckpointError(f"{path}: header 'arrays' is not a list")
     arrays: dict[str, np.ndarray] = {}
     for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
+        try:
+            name, offset = str(entry["name"]), int(entry["offset"])
+            shape = tuple(int(d) for d in entry["shape"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: malformed array entry {entry!r}") from exc
         nbytes = int(np.prod(shape)) * 4
-        start = body_start + entry["offset"]
+        start = body_start + offset
         chunk = blob[start : start + nbytes]
         if len(chunk) != nbytes:
-            raise CheckpointError(f"{path}: truncated array {entry['name']!r}")
-        arrays[entry["name"]] = np.frombuffer(chunk, dtype="<f4").reshape(shape).copy()
+            raise CheckpointError(f"{path}: truncated array {name!r}")
+        arrays[name] = np.frombuffer(chunk, dtype="<f4").reshape(shape).copy()
 
     C, ratio = header["dim_joint"], header["ratio"]
     hidden = C // ratio

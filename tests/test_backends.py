@@ -83,6 +83,79 @@ class TestStyleTextEncode:
                 assert float(feats[i] @ feats[j]) < 1 - 1e-4
 
 
+def _rel_err(a, b):
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+class TestBatchedEncode:
+    """The batched methods against per-prompt calls and a float64 reference."""
+
+    def _styles(self, rng, K=5):
+        styles = rng.standard_normal((K, 32)).astype(np.float32)
+        styles[2] = 0.0
+        return styles
+
+    def test_encode_prompts_matches_text_encode(self, backend, rng):
+        styles = self._styles(rng)
+        feats = backend.encode_prompts(TEMPLATE, NAMES, styles)
+        assert feats.shape == (len(NAMES), len(styles), 64)
+        assert feats.dtype == np.float32
+        for m, name in enumerate(NAMES):
+            for i, style in enumerate(styles):
+                assert _rel_err(feats[m, i], backend.text_encode(TEMPLATE, name, style)) < 1e-6
+
+    def test_encode_prompts_matches_float64_reference(self, backend, rng):
+        # l2(content(class, template) + strength * V @ l2(style)) * gain,
+        # one prompt at a time in float64.
+        styles = self._styles(rng)
+        feats = backend.encode_prompts(TEMPLATE, NAMES, styles)
+        V = backend._V.astype(np.float64)
+        for m, name in enumerate(NAMES):
+            content = backend._content_vector("text:" + TEMPLATE, name).astype(np.float64)
+            for i, style in enumerate(styles.astype(np.float64)):
+                norm = np.linalg.norm(style)
+                term = V @ (style / norm) if norm > 0 else 0.0
+                feature = content + backend.spec.style_strength * term
+                want = backend.spec.output_gain * feature / np.linalg.norm(feature)
+                assert _rel_err(feats[m, i], want) < 1e-6
+
+    def test_encode_style_prompts_matches_style_text_encode(self, backend, rng):
+        styles = self._styles(rng)
+        feats = backend.encode_style_prompts(styles)
+        assert feats.shape == (len(styles), 64)
+        assert feats.dtype == np.float32
+        for i, style in enumerate(styles):
+            assert _rel_err(feats[i], backend.style_text_encode(style)) < 1e-6
+
+    def test_zero_style_row_adds_nothing(self, backend, rng):
+        styles = self._styles(rng)
+        feats = backend.encode_prompts(TEMPLATE, NAMES, styles)
+        gain = backend.spec.output_gain
+        for m, name in enumerate(NAMES):
+            content = backend._content_vector("text:" + TEMPLATE, name)
+            assert _rel_err(feats[m, 2], gain * l2_normalize(content)) < 1e-6
+        base = backend._style_prompt_base
+        assert _rel_err(backend.encode_style_prompts(styles)[2], gain * l2_normalize(base)) < 1e-6
+
+    def test_no_style_slot_gives_one_column(self, backend):
+        feats = backend.encode_prompts("a photo of a [class]", NAMES, None)
+        assert feats.shape == (len(NAMES), 1, 64)
+        for m, name in enumerate(NAMES):
+            np.testing.assert_array_equal(
+                feats[m, 0], backend.text_encode("a photo of a [class]", name, None)
+            )
+
+    def test_none_styles_for_style_slot(self, backend):
+        with pytest.raises(ValueError):
+            backend.encode_prompts(TEMPLATE, NAMES, None)
+
+    def test_style_dim_mismatch(self, backend, rng):
+        with pytest.raises(ValueError):
+            backend.encode_prompts(TEMPLATE, NAMES, rng.standard_normal((4, 31)))
+        with pytest.raises(ValueError):
+            backend.encode_style_prompts(rng.standard_normal((4, 31)))
+
+
 class TestTokenLookup:
     def test_deterministic_and_distinct(self, backend):
         a = backend.token_embedding_lookup("white")

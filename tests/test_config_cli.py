@@ -199,3 +199,18 @@ class TestCliErrors:
             "export-embeddings", "--config", str(cfg_path),
             "--out-file", str(tmp_path / "no" / "dir" / "x.csv"),
         ]) == 2
+
+    def test_padded_class_name_exits_2(self, workspace, tmp_path):
+        cfg_path, _, _ = workspace
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(cfg_path.read_text().replace("[cat, dog, fish]", '["cat ", dog, fish]'))
+        with pytest.raises(ConfigError, match="whitespace"):
+            load_run_config(bad)
+        assert main(["train", "--config", str(bad)]) == 2
+
+    def test_non_object_checkpoint_header_exits_2(self, workspace, tmp_path):
+        cfg_path, _, _ = workspace
+        header = b"[1,2]"
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(b"DPSTYLR1" + len(header).to_bytes(4, "little") + header)
+        assert main(["eval", "--config", str(cfg_path), str(ckpt)]) == 2

@@ -110,6 +110,11 @@ class TestTaskDefinition:
         with pytest.raises(ValueError):
             TaskDefinition(("cat", ""))
 
+    @pytest.mark.parametrize("name", ["cat ", " cat", "cat\n", "\tcat"])
+    def test_padded_name_rejected(self, name):
+        with pytest.raises(ValueError, match="whitespace"):
+            TaskDefinition((name, "dog"))
+
 
 class TestPromptTemplate:
     def test_valid_pattern(self):

@@ -140,8 +140,10 @@ class TestZeroshot:
         names = ("cat", "dog")
         b = ToyBackend(ToyBackendSpec(), names)
         task = TaskDefinition(names)
-        const = np.ones(64, dtype=np.float32)
-        monkeypatch.setattr(b, "text_encode", lambda *a, **k: const)
+        monkeypatch.setattr(
+            b, "encode_prompts",
+            lambda pattern, class_names, styles: np.ones((len(class_names), 1, 64), np.float32),
+        )
         emb = np.full(64, 0.5)
         assert zeroshot_predict(emb, b, task, "C") == 0
 

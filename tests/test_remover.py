@@ -4,6 +4,7 @@ import pytest
 
 from dpstyler.remover import (
     StyleRemoverParams,
+    _sigmoid as remover_sigmoid,
     remover_backward,
     remover_forward,
     remover_init,
@@ -80,6 +81,18 @@ class TestForward:
         p = remover_init(16, 4, rng)
         with pytest.raises(ValueError):
             remover_forward(rng.standard_normal(15), p)
+
+
+class TestSigmoid:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_logistic_without_overflow(self, dtype):
+        x = np.concatenate([np.linspace(-40, 40, 801), [-1e4, 1e4]]).astype(dtype)
+        with np.errstate(over="raise", invalid="raise"):
+            got = remover_sigmoid(x)
+        # 1 / (1 + e^-x) in float64, via logaddexp so it cannot overflow.
+        want = np.exp(-np.logaddexp(0.0, -x.astype(np.float64)))
+        assert got.dtype == dtype
+        np.testing.assert_allclose(got, want, rtol=0, atol=4 * np.finfo(dtype).eps)
 
 
 class TestBackward:

@@ -148,12 +148,20 @@ class TestTrainOneModel:
 
     def test_divergence_raises(self, task, templates):
         class NaNBackend(ToyBackend):
-            def text_encode(self, pattern, class_name, style=None):
-                out = super().text_encode(pattern, class_name, style)
-                return out * np.nan
+            def encode_prompts(self, pattern, class_names, styles):
+                return super().encode_prompts(pattern, class_names, styles) * np.nan
 
         backend = NaNBackend(ToyBackendSpec(), task.class_names)
         with pytest.raises(TrainingDivergedError):
+            train_one_model(task, backend, templates[0], e2e_train_config(epochs=1))
+
+    def test_wrong_feature_shape_rejected(self, task, templates):
+        class ShortBackend(ToyBackend):
+            def encode_prompts(self, pattern, class_names, styles):
+                return super().encode_prompts(pattern, class_names, styles)[:, :-1]
+
+        backend = ShortBackend(ToyBackendSpec(), task.class_names)
+        with pytest.raises(ValueError, match="shape"):
             train_one_model(task, backend, templates[0], e2e_train_config(epochs=1))
 
 
@@ -214,13 +222,62 @@ class TestCheckpointPersistence:
     def test_unknown_version(self, trained_models, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(trained_models[0].checkpoint, path)
-        blob = path.read_bytes()
-        header_len = int.from_bytes(blob[8:12], "little")
-        header = json.loads(blob[12 : 12 + header_len])
-        header["format_version"] = 999
-        new_header = json.dumps(header).encode()
-        path.write_bytes(
-            blob[:8] + len(new_header).to_bytes(4, "little") + new_header + blob[12 + header_len :]
-        )
+        _edit_header(path, lambda h: h.update(format_version=999))
         with pytest.raises(CheckpointError, match="999"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            {"format_version": 1, "dim_joint": 64},  # no "arrays"
+            [1, 2],  # not an object
+            "checkpoint",
+        ],
+        ids=["no-arrays", "list", "string"],
+    )
+    def test_malformed_header_is_typed(self, trained_models, tmp_path, header):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(trained_models[0].checkpoint, path)
+        _write_header(path, header)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: h.pop("dim_joint"),
+            lambda h: h.pop("class_names"),
+            lambda h: h.pop("seed"),
+            lambda h: h.update(arrays=5),
+            lambda h: h["arrays"][0].pop("shape"),
+            lambda h: h["arrays"][0].update(offset="start"),
+            lambda h: h["arrays"].__setitem__(0, "W1"),
+        ],
+        ids=["no-dim_joint", "no-class_names", "no-seed", "arrays-not-list",
+             "entry-no-shape", "entry-bad-offset", "entry-not-object"],
+    )
+    def test_incomplete_header_is_typed(self, trained_models, tmp_path, edit):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(trained_models[0].checkpoint, path)
+        _edit_header(path, edit)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+
+def _read_header(path):
+    blob = path.read_bytes()
+    return json.loads(blob[12 : 12 + int.from_bytes(blob[8:12], "little")])
+
+
+def _write_header(path, header):
+    """Replace a checkpoint's JSON header, keeping its arrays."""
+    blob = path.read_bytes()
+    body = blob[12 + int.from_bytes(blob[8:12], "little") :]
+    new_header = json.dumps(header).encode()
+    path.write_bytes(blob[:8] + len(new_header).to_bytes(4, "little") + new_header + body)
+
+
+def _edit_header(path, edit):
+    header = _read_header(path)
+    edit(header)
+    _write_header(path, header)

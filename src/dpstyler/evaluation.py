@@ -73,18 +73,12 @@ def predict_scores(image_embedding: np.ndarray, member: Checkpoint) -> np.ndarra
 
 def ensemble_predict(image_embedding: np.ndarray, bundle: EnsembleBundle) -> int:
     """Fused class prediction; ties go to the lowest class then member index."""
-    score_rows = [predict_scores(image_embedding, m) for m in bundle.members]
+    scores = np.stack([predict_scores(image_embedding, m) for m in bundle.members])
     if bundle.fusion == "average":
-        mean = np.mean(score_rows, axis=0)
-        return int(np.argmax(mean))
-    best_class, best_score = None, None
-    for member_idx, scores in enumerate(score_rows):
-        for class_idx, score in enumerate(scores):
-            if best_score is None or score > best_score:
-                best_score, best_class = score, class_idx
-            elif score == best_score and class_idx < best_class:
-                best_class = class_idx
-    return int(best_class)
+        return int(np.argmax(scores.mean(axis=0)))
+    # argmax over the class-major flattening: the first maximum has the
+    # lowest class, then the lowest member.
+    return int(np.argmax(scores.T.ravel())) // len(scores)
 
 
 def zeroshot_predict(

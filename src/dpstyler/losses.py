@@ -68,7 +68,7 @@ class ArcFaceConfig:
 
 @dataclass(frozen=True)
 class DomainProbe:
-    """Text features of the K current style prompts, one row per style."""
+    """Text features of the K current style prompts, one row per style, unit-normed here."""
 
     style_text_features: np.ndarray  # (K, C)
 
@@ -76,7 +76,7 @@ class DomainProbe:
         feats = np.asarray(self.style_text_features)
         if feats.ndim != 2 or feats.shape[0] < 1:
             raise ValueError("probe must be a non-empty (K, C) array")
-        object.__setattr__(self, "style_text_features", feats)
+        object.__setattr__(self, "style_text_features", l2_normalize(feats))
 
     @property
     def num_styles(self) -> int:
@@ -188,20 +188,17 @@ def loss_gradients(
     FN = F / norms
 
     # Domain uncertainty part.
-    TN = l2_normalize(probe.style_text_features.astype(F.dtype))
+    TN = probe.style_text_features.astype(F.dtype, copy=False)
     Z = FN @ TN.T  # (B, K)
     P = softmax(Z)
     logP = np.log(P)
     LU_per = np.sum(P * logP, axis=1)  # (B,)
     dLU_dZ = P * (logP - LU_per[:, None])
-    # d z_j / d f = (t_j - z_j fn) / ||f||
-    dLU_dF = (dLU_dZ @ TN - np.sum(dLU_dZ * Z, axis=1, keepdims=True) * FN) / norms
 
-    # ArcFace part.
-    W = head.weights.astype(F.dtype)
-    wnorms = np.linalg.norm(W, axis=1, keepdims=True)
-    WN = W / wnorms
-    cos_raw = FN @ WN.T  # (B, M)
+    # ArcFace part.  Head-row norms are folded into (B, M) arrays; no unit-row head is built.
+    W = head.weights.astype(F.dtype, copy=False)
+    wnorms = np.sqrt(np.einsum("ij,ij->i", W, W))  # (M,)
+    cos_raw = (FN @ W.T) / wnorms  # (B, M)
     cos_c = np.clip(cos_raw, -1.0 + COS_CLAMP, 1.0 - COS_CLAMP)
     clamp_mask = (cos_raw > -1.0 + COS_CLAMP) & (cos_raw < 1.0 - COS_CLAMP)
 
@@ -224,12 +221,17 @@ def loss_gradients(
     dlogit_dcos[rows, targets] = config.scale * (cos_m + cy / sin_y * sin_m)
     G = dL_dlogits * dlogit_dcos * clamp_mask  # (B, M), d L_C / d cos_raw
 
-    dLC_dF = (G @ WN - np.sum(G * cos_raw, axis=1, keepdims=True) * FN) / norms
-    # d cos_raw[b, j] / d W_j = (fn_b - cos_raw[b, j] wn_j) / ||W_j||
-    dLC_dW = (G.T @ FN - np.sum(G * cos_raw, axis=0)[:, None] * WN) / wnorms
-
-    d_features = (dLU_dF + dLC_dF) / B
-    d_head = dLC_dW / B
+    # d z_k / d f = (t_k - z_k fn) / ||f||;  d cos_j / d f = (W_j / ||W_j|| - cos_j fn) / ||f||.
+    # The mean's 1/B and the norms scale the (B, K) and (B, M) operands, not (B, C) results.
+    G_w = G / (wnorms * B)  # (B, M)
+    inv_f = 1.0 / norms  # (B, 1)
+    radial = np.sum(dLU_dZ * Z, axis=1, keepdims=True) + np.sum(G * cos_raw, axis=1)[:, None]
+    d_features = (dLU_dZ * (inv_f / B)) @ TN
+    d_features += (G_w * inv_f) @ W
+    d_features -= (radial * (inv_f / B)) * FN
+    # d cos[b, j] / d W_j = (fn_b - cos[b, j] W_j / ||W_j||) / ||W_j||
+    d_head = G_w.T @ FN
+    d_head -= (np.sum(G_w * cos_raw, axis=0) / wnorms)[:, None] * W
     return LossBreakdown(
         loss_uncertainty=float(LU_per.mean()),
         loss_classification=float(LC_per.mean()),

@@ -57,45 +57,43 @@ def remover_forward(v: np.ndarray, params: StyleRemoverParams) -> np.ndarray:
 
     Accepts a single vector (C,) or a batch (B, C).
     """
+    return remover_forward_cached(v, params)[0]
+
+
+def remover_forward_cached(v: np.ndarray, params: StyleRemoverParams) -> tuple[np.ndarray, tuple]:
+    """R(v) and the cache (v, relu(v W1), gate) that ``remover_weight_grads`` reuses."""
     v = np.asarray(v)
     if v.shape[-1] != params.dim:
         raise ValueError(f"feature dim {v.shape[-1]} != remover dim {params.dim}")
     hidden = np.maximum(v @ params.W1, 0)
     gate = _sigmoid(hidden @ params.W2)
-    return v + gate * v
+    return v + gate * v, (v, hidden, gate)
+
+
+def remover_weight_grads(
+    cache: tuple, params: StyleRemoverParams, upstream: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d_pre, d_W1, d_W2) of sum(upstream * R(v)), from a (B, C) forward cache.
+
+    d_pre, at the first layer's pre-activation, is all ``remover_backward``
+    needs for d_v, which training skips (the encoder is frozen).  relu'(0) = 0.
+    """
+    v, hidden, gate = cache
+    d_s = upstream * v * gate * (1.0 - gate)
+    d_W2 = hidden.T @ d_s
+    d_pre = (d_s @ params.W2.T) * (hidden > 0)
+    return d_pre, v.T @ d_pre, d_W2
 
 
 def remover_backward(
     v: np.ndarray, params: StyleRemoverParams, upstream: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of sum(upstream * R(v)) w.r.t. (v, W1, W2).
-
-    relu'(0) is taken as 0.  Shapes follow the inputs; batched rows are
-    summed into the weight gradients.
-    """
+    """Gradients of sum(upstream * R(v)) w.r.t. (v, W1, W2); shapes follow the inputs."""
     v = np.asarray(v)
     upstream = np.asarray(upstream)
     if v.shape != upstream.shape:
         raise ValueError(f"upstream shape {upstream.shape} != input shape {v.shape}")
-    if v.shape[-1] != params.dim:
-        raise ValueError(f"feature dim {v.shape[-1]} != remover dim {params.dim}")
-    squeeze = v.ndim == 1
-    v2 = v[None, :] if squeeze else v
-    up2 = upstream[None, :] if squeeze else upstream
-
-    pre = v2 @ params.W1
-    hidden = np.maximum(pre, 0)
-    s = hidden @ params.W2
-    gate = _sigmoid(s)
-
-    d_gate = up2 * v2
-    d_s = d_gate * gate * (1.0 - gate)
-    d_W2 = hidden.T @ d_s
-    d_hidden = d_s @ params.W2.T
-    d_pre = d_hidden * (pre > 0)
-    d_W1 = v2.T @ d_pre
-    d_v = up2 * (1.0 + gate) + d_pre @ params.W1.T
-
-    if squeeze:
-        d_v = d_v[0]
-    return d_v, d_W1, d_W2
+    _, cache = remover_forward_cached(np.atleast_2d(v), params)
+    d_pre, d_W1, d_W2 = remover_weight_grads(cache, params, np.atleast_2d(upstream))
+    d_v = upstream * (1.0 + cache[2]) + d_pre @ params.W1.T  # cache[2] is the gate
+    return (d_v[0] if v.ndim == 1 else d_v), d_W1, d_W2

@@ -14,6 +14,7 @@ format documented at ``save_checkpoint``.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import time
 from dataclasses import dataclass, field
@@ -21,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backends import EncoderBackend
-from .core import DEFAULT_DTYPE, PromptTemplate, TaskDefinition, l2_normalize
+from .core import DEFAULT_DTYPE, PromptTemplate, TaskDefinition
 from .losses import ArcFaceConfig, ClassifierHead, DomainProbe, head_init, loss_gradients
-from .remover import StyleRemoverParams, remover_backward, remover_forward, remover_init
+from .remover import StyleRemoverParams, remover_forward_cached, remover_init, remover_weight_grads
 from .styles import (
     PredefinedLexicon,
     StyleBank,
@@ -144,11 +145,13 @@ def sgd_step(
     momentum: float,
     velocity: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Classical momentum: v <- mu*v - lr*g; p <- p + v."""
+    """Classical momentum, in place: v <- mu*v - lr*g; p <- p + v.  Returns (p, v)."""
     if param.shape != grad.shape or param.shape != velocity.shape:
         raise ValueError("param, grad, and velocity shapes must match")
-    velocity = momentum * velocity - learning_rate * grad
-    return param + velocity, velocity
+    velocity *= momentum
+    velocity -= learning_rate * grad
+    param += velocity
+    return param, velocity
 
 
 def _encode_epoch_features(
@@ -171,7 +174,7 @@ def _encode_epoch_features(
 
 
 def encode_probe(backend: EncoderBackend, bank: StyleBank) -> DomainProbe:
-    rows = l2_normalize(backend.encode_style_prompts(bank.styles)).astype(DEFAULT_DTYPE)
+    rows = backend.encode_style_prompts(bank.styles).astype(DEFAULT_DTYPE, copy=False)
     return DomainProbe(style_text_features=rows)
 
 
@@ -221,7 +224,7 @@ def train_one_model(
         for batch_idx, start_idx in enumerate(range(0, n_samples, config.batch_size)):
             v = flat_feats[flat[start_idx : start_idx + config.batch_size]]
             y = targets_all[start_idx : start_idx + config.batch_size]
-            removed = remover_forward(v, remover)
+            removed, cache = remover_forward_cached(v, remover)
             if not np.all(np.isfinite(removed)):
                 raise TrainingDivergedError(epoch, batch_idx, float("nan"), float("nan"))
             breakdown = loss_gradients(removed, probe, head, y, config.arcface)
@@ -232,16 +235,12 @@ def train_one_model(
                 raise TrainingDivergedError(
                     epoch, batch_idx, breakdown.loss_uncertainty, breakdown.loss_classification
                 )
-            _, d_w1, d_w2 = remover_backward(v, remover, breakdown.d_features)
-            remover.W1, vel_w1 = sgd_step(
-                remover.W1, d_w1, config.learning_rate, config.momentum, vel_w1
-            )
-            remover.W2, vel_w2 = sgd_step(
-                remover.W2, d_w2, config.learning_rate, config.momentum, vel_w2
-            )
-            head.weights, vel_head = sgd_step(
-                head.weights, breakdown.d_head, config.learning_rate, config.momentum, vel_head
-            )
+            _, d_w1, d_w2 = remover_weight_grads(cache, remover, breakdown.d_features)
+            for param, grad, vel in (
+                (remover.W1, d_w1, vel_w1), (remover.W2, d_w2, vel_w2),
+                (head.weights, breakdown.d_head, vel_head),
+            ):
+                sgd_step(param, grad, config.learning_rate, config.momentum, vel)
             weight = len(y)
             sum_u += breakdown.loss_uncertainty * weight
             sum_c += breakdown.loss_classification * weight
@@ -344,6 +343,12 @@ def load_checkpoint(path) -> Checkpoint:
     if missing:
         raise CheckpointError(f"{path}: header lacks {missing}")
 
+    for key in ("dim_joint", "dim_token", "ratio", "num_classes"):
+        if type(header[key]) is not int or header[key] < 1:
+            raise CheckpointError(f"{path}: header {key!r} is {header[key]!r}, not a positive int")
+    names = header["class_names"]
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise CheckpointError(f"{path}: header 'class_names' is not a list of strings")
     if not isinstance(header["arrays"], list):
         raise CheckpointError(f"{path}: header 'arrays' is not a list")
     arrays: dict[str, np.ndarray] = {}
@@ -353,11 +358,13 @@ def load_checkpoint(path) -> Checkpoint:
             shape = tuple(int(d) for d in entry["shape"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"{path}: malformed array entry {entry!r}") from exc
-        nbytes = int(np.prod(shape)) * 4
+        nbytes = math.prod(shape) * 4
         start = body_start + offset
+        if offset < 0 or min(shape, default=0) < 0 or start + nbytes > len(blob):
+            raise CheckpointError(
+                f"{path}: array {name!r} (shape {shape}, offset {offset}) lies outside the body"
+            )
         chunk = blob[start : start + nbytes]
-        if len(chunk) != nbytes:
-            raise CheckpointError(f"{path}: truncated array {name!r}")
         arrays[name] = np.frombuffer(chunk, dtype="<f4").reshape(shape).copy()
 
     C, ratio = header["dim_joint"], header["ratio"]

@@ -214,3 +214,26 @@ class TestCliErrors:
         ckpt = tmp_path / "bad.ckpt"
         ckpt.write_bytes(b"DPSTYLR1" + len(header).to_bytes(4, "little") + header)
         assert main(["eval", "--config", str(cfg_path), str(ckpt)]) == 2
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: h.update(ratio="4"),
+            lambda h: h.update(class_names=3),
+            lambda h: h["arrays"][0].update(offset=-40),
+        ],
+        ids=["ratio-str", "class_names-int", "negative-offset"],
+    )
+    def test_bad_checkpoint_value_exits_2(self, workspace, capsys, edit):
+        cfg_path, _, out = workspace
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        ckpt = sorted(out.glob("*.ckpt"))[0]
+        blob = ckpt.read_bytes()
+        end = 12 + int.from_bytes(blob[8:12], "little")
+        header = json.loads(blob[12:end])
+        edit(header)
+        new_header = json.dumps(header).encode()
+        ckpt.write_bytes(blob[:8] + len(new_header).to_bytes(4, "little") + new_header + blob[end:])
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg_path), str(ckpt)]) == 2
+        assert "Traceback" not in capsys.readouterr().err

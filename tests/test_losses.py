@@ -228,3 +228,33 @@ class TestLossGradients:
         features, probe, head, targets = self._random_instance(rng)
         with pytest.raises(ValueError):
             loss_gradients(features[:, :4], probe, head, targets, cfg)
+
+    def test_raw_probe_equals_prenormalized_probe(self, rng):
+        cfg = ArcFaceConfig(5.0, 0.5)
+        features, probe, head, targets = self._random_instance(rng, B=5, C=8, K=4, M=3)
+        raw = rng.standard_normal((4, 8)) * rng.uniform(0.1, 10.0, size=(4, 1))
+        a = loss_gradients(features, DomainProbe(style_text_features=raw), head, targets, cfg)
+        b = loss_gradients(
+            features, DomainProbe(style_text_features=l2_normalize(raw)), head, targets, cfg
+        )
+        assert a.loss_uncertainty == pytest.approx(b.loss_uncertainty, abs=1e-12)
+        assert a.loss_classification == pytest.approx(b.loss_classification, abs=1e-12)
+        np.testing.assert_allclose(a.d_features, b.d_features, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(a.d_head, b.d_head, rtol=0, atol=1e-12)
+
+    def test_inputs_left_unchanged(self, rng):
+        features, probe, head, targets = self._random_instance(rng, B=6)
+        before = (features.copy(), probe.style_text_features.copy(), head.weights.copy())
+        loss_gradients(features, probe, head, targets, ArcFaceConfig(5.0, 0.5))
+        for was, now in zip(before, (features, probe.style_text_features, head.weights)):
+            np.testing.assert_array_equal(was, now)
+
+    def test_float32_in_float32_out(self, rng):
+        features, _, _, targets = self._random_instance(rng, B=6)
+        probe = DomainProbe(style_text_features=rng.standard_normal((4, 8)).astype(np.float32))
+        head = head_init(3, 8, rng)
+        out = loss_gradients(
+            features.astype(np.float32), probe, head, targets, ArcFaceConfig(5.0, 0.5)
+        )
+        assert out.d_features.dtype == np.float32
+        assert out.d_head.dtype == np.float32

@@ -6,10 +6,12 @@ import pytest
 
 from dpstyler.backends import ToyBackend, ToyBackendSpec
 from dpstyler.core import PromptTemplate, TaskDefinition, l2_normalize
-from dpstyler.losses import softmax
-from dpstyler.remover import remover_forward
+from dpstyler.losses import head_init, loss_gradients, softmax
+from dpstyler.remover import remover_backward, remover_forward, remover_init
 from dpstyler.styles import StyleGenConfig, initial_bank, refresh_bank
 from dpstyler.trainer import (
+    _STREAM_HEAD_INIT,
+    _STREAM_REMOVER_INIT,
     CheckpointError,
     TrainConfig,
     TrainingDivergedError,
@@ -75,6 +77,15 @@ class TestSgdStep:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             sgd_step(np.zeros(2), np.zeros(3), 0.1, 0.9, np.zeros(2))
+
+    def test_updates_given_arrays_in_place(self, rng):
+        param, grad, vel = (rng.standard_normal((3, 4)).astype(np.float32) for _ in range(3))
+        expected_vel = 0.9 * vel - 0.01 * grad
+        expected_param = param + expected_vel
+        p, v = sgd_step(param, grad, 0.01, 0.9, vel)
+        assert p is param and v is vel
+        np.testing.assert_array_equal(param, expected_param)
+        np.testing.assert_array_equal(vel, expected_vel)
 
 
 class TestTrainOneModel:
@@ -163,6 +174,45 @@ class TestTrainOneModel:
         backend = ShortBackend(ToyBackendSpec(), task.class_names)
         with pytest.raises(ValueError, match="shape"):
             train_one_model(task, backend, templates[0], e2e_train_config(epochs=1))
+
+
+class TestFusedTrainingStep:
+    def test_matches_reference_loop(self, task, templates, e2e_backend):
+        # Two epochs of 40 prompts in batches of 16: the trainer's one-pass
+        # gate and in-place SGD against the public forward, loss and
+        # backward functions with out-of-place momentum.
+        cfg = TrainConfig(
+            epochs=2, batch_size=16, seed=5,
+            style_gen=StyleGenConfig(num_styles=8, strategy="random", seed=5),
+        )
+        got = train_one_model(task, e2e_backend, templates[0], cfg).checkpoint
+
+        def stream(tag):
+            return np.random.default_rng(np.random.SeedSequence([cfg.seed, tag]))
+
+        C = e2e_backend.dim_joint
+        remover = remover_init(C, cfg.ratio, stream(_STREAM_REMOVER_INIT))
+        head = head_init(task.num_classes, C, stream(_STREAM_HEAD_INIT))
+        params = [remover.W1, remover.W2, head.weights]
+        velocities = [np.zeros_like(p) for p in params]
+        bank = initial_bank(cfg.style_gen, e2e_backend.dim_token)
+        for epoch in range(cfg.epochs):
+            bank = refresh_bank(bank, cfg.style_gen, epoch)
+            probe = encode_probe(e2e_backend, bank)
+            feats = e2e_backend.encode_prompts(templates[0].pattern, task.class_names, bank.styles)
+            order = build_prompt_set(task, bank, cfg.seed, epoch)
+            for start in range(0, len(order), cfg.batch_size):
+                batch = order[start : start + cfg.batch_size]
+                v = np.stack([feats[m, i] for m, i in batch])
+                y = np.array([m for m, _ in batch])
+                remover.W1, remover.W2, head.weights = params
+                out = loss_gradients(remover_forward(v, remover), probe, head, y, cfg.arcface)
+                _, d_w1, d_w2 = remover_backward(v, remover, out.d_features)
+                for j, grad in enumerate((d_w1, d_w2, out.d_head)):
+                    velocities[j] = cfg.momentum * velocities[j] - cfg.learning_rate * grad
+                    params[j] = params[j] + velocities[j]
+        for trained, reference in zip((got.remover.W1, got.remover.W2, got.head.weights), params):
+            np.testing.assert_allclose(trained, reference, rtol=0, atol=1e-6)
 
 
 class TestDomainUncertaintyEffect:
@@ -261,6 +311,45 @@ class TestCheckpointPersistence:
         save_checkpoint(trained_models[0].checkpoint, path)
         _edit_header(path, edit)
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("ratio", "4"),
+            ("ratio", True),
+            ("ratio", 1000),
+            ("dim_joint", 0),
+            ("dim_token", 2.5),
+            ("num_classes", -5),
+            ("class_names", 3),
+            ("class_names", [1, 2, 3, 4, 5]),
+        ],
+        ids=["ratio-str", "ratio-bool", "ratio-collapses-bottleneck", "dim_joint-zero",
+             "dim_token-float", "num_classes-negative", "class_names-int",
+             "class_names-not-str"],
+    )
+    def test_bad_header_value_is_typed(self, trained_models, tmp_path, key, value):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(trained_models[0].checkpoint, path)
+        _edit_header(path, lambda h: h.update({key: value}))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: h["arrays"][0].update(offset=-40),
+            lambda h: h["arrays"][0].update(shape=[-d for d in h["arrays"][0]["shape"]]),
+            lambda h: h["arrays"][2].update(offset=h["arrays"][2]["offset"] + 4),
+        ],
+        ids=["negative-offset", "negative-dims", "past-the-end"],
+    )
+    def test_array_outside_body_is_typed(self, trained_models, tmp_path, edit):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(trained_models[0].checkpoint, path)
+        _edit_header(path, edit)
+        with pytest.raises(CheckpointError, match="outside the body"):
             load_checkpoint(path)
 
 

@@ -1,14 +1,13 @@
 """Frozen joint vision-language encoder backends.
 
-The rest of the pipeline only needs four operations from a backend:
-encode a batch of class prompts (every class name crossed with every
-style vector, each injected at the style token's position), encode a
-batch of style-only prompts, encode an image, and look up a word's token
-embedding.  Text encoding is batched because the trainer re-encodes all
-M*K (class, style) prompts every epoch; ``text_encode`` and
-``style_text_encode`` are single-prompt conveniences over the batched
-methods.  Backends are immutable after construction; no operation
-mutates them.
+The pipeline needs five operations from a backend: encode a batch of
+class prompts (every class name crossed with every style vector, each
+injected at the style token's position), encode a batch of style-only
+prompts, load an image file, encode a batch of loaded images, and look
+up a word's token embedding.  Training re-encodes all M*K prompts every
+epoch and evaluation encodes images a chunk at a time; ``text_encode``,
+``style_text_encode`` and ``image_encode`` are single-item conveniences
+over the batched methods.  Backends are immutable after construction.
 
 Two backends live here:
 
@@ -89,17 +88,31 @@ class EncoderBackend(abc.ABC):
         return self.encode_style_prompts(np.asarray(style)[None])[0]
 
     @abc.abstractmethod
+    def load_image(self, path):
+        """Decode an image file; raises ``ImageDecodeError`` if it cannot be encoded."""
+
+    @abc.abstractmethod
+    def encode_images(self, images: Sequence) -> np.ndarray:
+        """Encode loaded images into the joint space: (N, C), or (0, C) for none."""
+
     def image_encode(self, image) -> np.ndarray:
-        """Encode a decoded image into the joint space."""
+        """Encode one loaded image into the joint space."""
+        return self.encode_images([image])[0]
 
     @abc.abstractmethod
     def token_embedding_lookup(self, word: str) -> np.ndarray:
         """Embedding-table row for a single-token word."""
 
 
-def _digest_ints(*parts: str) -> list[int]:
-    h = hashlib.sha256("\x1f".join(parts).encode("utf-8")).digest()
-    return [int.from_bytes(h[i : i + 8], "little") for i in range(0, 32, 8)]
+def _hashed_rng(seed: int, data: bytes) -> np.random.Generator:
+    """A generator seeded by ``seed`` and the four 64-bit words of SHA-256(``data``)."""
+    h = hashlib.sha256(data).digest()
+    words = [int.from_bytes(h[i : i + 8], "little") for i in range(0, 32, 8)]
+    return np.random.default_rng(np.random.SeedSequence([seed, *words]))
+
+
+def _tagged_rng(seed: int, *parts: str) -> np.random.Generator:
+    return _hashed_rng(seed, "\x1f".join(parts).encode("utf-8"))
 
 
 @dataclass(frozen=True)
@@ -181,9 +194,7 @@ class ToyBackend(EncoderBackend):
             )
         C, D = spec.dim_joint, spec.dim_token
         scale = 1.0 / np.sqrt(C)
-        rng = np.random.default_rng(
-            np.random.SeedSequence([spec.seed, *_digest_ints("style-subspace")])
-        )
+        rng = _tagged_rng(spec.seed, "style-subspace")
         # Shared style subspace between text and image modalities.  Style
         # feeds only the upper half of the channels (content stays dense
         # over all of them), so style information is channel-coded and a
@@ -192,9 +203,7 @@ class ToyBackend(EncoderBackend):
         V = np.zeros((C, D))
         V[block:] = rng.standard_normal((C - block, D)) / np.sqrt(C - block)
         self._V = V.astype(DEFAULT_DTYPE)
-        rng = np.random.default_rng(
-            np.random.SeedSequence([spec.seed, *_digest_ints("style-prompt-base")])
-        )
+        rng = _tagged_rng(spec.seed, "style-prompt-base")
         self._style_prompt_base = (rng.standard_normal(C) * scale).astype(DEFAULT_DTYPE)
 
     @property
@@ -209,13 +218,9 @@ class ToyBackend(EncoderBackend):
         """Base per-class vector plus a small context-specific perturbation."""
         C = self.spec.dim_joint
         scale = 1.0 / np.sqrt(C)
-        base_rng = np.random.default_rng(
-            np.random.SeedSequence([self.spec.seed, *_digest_ints("content", class_name)])
-        )
+        base_rng = _tagged_rng(self.spec.seed, "content", class_name)
         base = base_rng.standard_normal(C) * scale
-        pert_rng = np.random.default_rng(
-            np.random.SeedSequence([self.spec.seed, *_digest_ints("pert", tag, class_name)])
-        )
+        pert_rng = _tagged_rng(self.spec.seed, "pert", tag, class_name)
         pert = pert_rng.standard_normal(C) * scale
         return (base + self.PERTURBATION * pert).astype(DEFAULT_DTYPE)
 
@@ -252,7 +257,7 @@ class ToyBackend(EncoderBackend):
         feature = self._style_prompt_base + self._style_terms(styles)
         return self.spec.output_gain * l2_normalize(feature)
 
-    def image_encode(self, image) -> np.ndarray:
+    def _checked(self, image) -> ToyImage:
         if not isinstance(image, ToyImage):
             raise ImageDecodeError(f"toy backend cannot decode {type(image).__name__}")
         if not 0 <= image.class_index < len(self.class_names):
@@ -260,30 +265,32 @@ class ToyBackend(EncoderBackend):
                 f"class index {image.class_index} outside task with "
                 f"{len(self.class_names)} classes"
             )
-        nuisance = np.asarray(image.nuisance, dtype=DEFAULT_DTYPE)
-        if nuisance.shape != (self.spec.dim_token,):
+        if np.shape(image.nuisance) != (self.spec.dim_token,):
             raise ImageDecodeError(
-                f"nuisance length {nuisance.shape} != D={self.spec.dim_token}"
+                f"nuisance length {np.shape(image.nuisance)} != D={self.spec.dim_token}"
             )
-        class_name = self.class_names[image.class_index]
-        feature = image.content_strength * self._content_vector("image", class_name).astype(
-            np.float64
-        )
-        nuisance_norm = float(np.linalg.norm(nuisance))
-        if nuisance_norm > 1e-12:
-            feature = feature + self.spec.style_strength * (
-                self._V @ (nuisance / nuisance_norm)
-            )
+        return image
+
+    def load_image(self, path) -> ToyImage:
+        return self._checked(toy_image_load(path))
+
+    def encode_images(self, images) -> np.ndarray:
+        images = [self._checked(image) for image in images]
+        C = self.spec.dim_joint
+        if not images:
+            return np.empty((0, C), dtype=DEFAULT_DTYPE)
+        names = {image.class_index: self.class_names[image.class_index] for image in images}
+        content = {i: self._content_vector("image", n).astype(np.float64) for i, n in names.items()}
+        feature = np.array([im.content_strength * content[im.class_index] for im in images])
+        nuisance = np.array([image.nuisance for image in images], dtype=DEFAULT_DTYPE)
+        norms = np.linalg.norm(nuisance, axis=1, keepdims=True)
+        unit = np.divide(nuisance, norms, out=np.zeros_like(nuisance), where=norms > 1e-12)
+        feature += self.spec.style_strength * (unit @ self._V.T)
         if self.spec.noise_level > 0:
-            digest = hashlib.sha256(
-                nuisance.tobytes() + image.class_index.to_bytes(4, "little")
-            ).digest()
-            seed_ints = [int.from_bytes(digest[i : i + 8], "little") for i in range(0, 32, 8)]
-            rng = np.random.default_rng(np.random.SeedSequence([self.spec.seed, *seed_ints]))
-            noise = rng.standard_normal(self.spec.dim_joint) * (
-                self.spec.noise_level / np.sqrt(self.spec.dim_joint)
-            )
-            feature = feature + noise
+            for row, nuis, image in zip(feature, nuisance, images):
+                data = nuis.tobytes() + image.class_index.to_bytes(4, "little")
+                rng = _hashed_rng(self.spec.seed, data)
+                row += rng.standard_normal(C) * (self.spec.noise_level / np.sqrt(C))
         return (self.spec.output_gain * l2_normalize(feature)).astype(DEFAULT_DTYPE)
 
     def style_preimage(self, target: np.ndarray) -> np.ndarray:
@@ -306,9 +313,7 @@ class ToyBackend(EncoderBackend):
     def token_embedding_lookup(self, word: str) -> np.ndarray:
         if not word or len(word.split()) != 1:
             raise ValueError(f"lexicon words must be single tokens, got {word!r}")
-        rng = np.random.default_rng(
-            np.random.SeedSequence([self.spec.seed, *_digest_ints("token", word)])
-        )
+        rng = _tagged_rng(self.spec.seed, "token", word)
         return rng.standard_normal(self.spec.dim_token).astype(DEFAULT_DTYPE)
 
 
@@ -316,11 +321,11 @@ class RealBackendAdapter(EncoderBackend):
     """Contract for wrapping a pretrained joint encoder.
 
     Subclasses load frozen weights from ``weights_path`` and must
-    implement the batched prompt encoders, ``image_encode`` and
-    ``token_embedding_lookup`` with the variant's joint dim and token
-    dim 512.  Image inputs follow the standard preprocessing contract:
-    RGB, resized to 224x224, per-channel normalization with the
-    pretrained model's published mean/std.
+    implement the batched prompt encoders, ``load_image``,
+    ``encode_images`` and ``token_embedding_lookup`` with the variant's
+    joint dim and token dim 512.  ``load_image`` follows the standard
+    preprocessing contract: RGB, resized to 224x224, per-channel
+    normalization with the pretrained model's published mean/std.
     """
 
     def __init__(self, variant: str, weights_path: str):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backends import EncoderBackend, ImageDecodeError, ToyBackend, toy_image_load
+from .backends import EncoderBackend, ImageDecodeError
 from .core import TaskDefinition, l2_normalize
 from .remover import remover_forward
 from .trainer import Checkpoint
@@ -28,6 +28,9 @@ from .trainer import Checkpoint
 ZEROSHOT_PATTERNS = {"C": "[class]", "PC": "a photo of a [class]"}
 
 FUSION_MODES = ("max", "average")
+
+# Records per encode_images call in an evaluation or export pass; bounds its memory.
+_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -65,10 +68,10 @@ def predict_scores(image_embedding: np.ndarray, member: Checkpoint) -> np.ndarra
     emb = np.asarray(image_embedding)
     if emb.shape != (member.dim_joint,):
         raise ValueError(f"embedding shape {emb.shape} != (C={member.dim_joint},)")
-    removed = remover_forward(emb, member.remover)
-    rn = l2_normalize(removed)
-    wn = l2_normalize(member.head.weights)
-    return wn @ rn
+    rn = l2_normalize(remover_forward(emb, member.remover))
+    W = member.head.weights
+    # Head-row norms scale the (M,) result; no unit-row (M, C) head is built.
+    return (W @ rn) / np.sqrt(np.einsum("mc,mc->m", W, W))
 
 
 def ensemble_predict(image_embedding: np.ndarray, bundle: EnsembleBundle) -> int:
@@ -208,13 +211,18 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def _default_loader(backend: EncoderBackend):
-    if isinstance(backend, ToyBackend):
-        return toy_image_load
-    loader = getattr(backend, "load_image", None)
-    if loader is None:
-        raise ValueError(f"{type(backend).__name__} provides no image loader")
-    return loader
+def _encoded_chunks(manifest: DatasetManifest, backend: EncoderBackend):
+    """Per chunk of the sorted entries: (decoded entries, their (n, C) embeddings, failures)."""
+    entries = sorted(manifest.entries)
+    for start in range(0, len(entries), _CHUNK):
+        chunk, kept, images = entries[start : start + _CHUNK], [], []
+        for entry in chunk:
+            try:
+                images.append(backend.load_image(entry[0]))
+            except (ImageDecodeError, OSError):
+                continue
+            kept.append(entry)
+        yield kept, backend.encode_images(images), len(chunk) - len(kept)
 
 
 def evaluate(
@@ -222,7 +230,6 @@ def evaluate(
     backend: EncoderBackend,
     task: TaskDefinition,
     predict_fn,
-    loader=None,
     config_fingerprint: str = "",
     seed: int | None = None,
     predictor_name: str = "",
@@ -235,22 +242,16 @@ def evaluate(
     their scoring requires it.
     """
     manifest.validate_against(task)
-    load = loader or _default_loader(backend)
     class_index = {name: i for i, name in enumerate(task.class_names)}
     correct: dict[str, int] = {}
     total: dict[str, int] = {}
     errors = 0
-    for path, domain, cls in sorted(manifest.entries):
-        try:
-            image = load(path)
-            embedding = backend.image_encode(image)
-        except (ImageDecodeError, OSError):
-            errors += 1
-            continue
-        predicted = predict_fn(embedding)
-        total[domain] = total.get(domain, 0) + 1
-        if predicted == class_index[cls]:
-            correct[domain] = correct.get(domain, 0) + 1
+    for kept, embeddings, failed in _encoded_chunks(manifest, backend):
+        errors += failed
+        for (_, domain, cls), embedding in zip(kept, embeddings):
+            total[domain] = total.get(domain, 0) + 1
+            if predict_fn(embedding) == class_index[cls]:
+                correct[domain] = correct.get(domain, 0) + 1
     if not total:
         raise ValueError("no image in the manifest could be decoded")
     per_domain = {
@@ -272,14 +273,12 @@ def export_embeddings(
     backend: EncoderBackend,
     checkpoint: Checkpoint | None,
     path,
-    loader=None,
 ) -> int:
     """Write per-image raw (and optionally removed) embeddings as CSV.
 
     Returns the number of rows written; decode failures are skipped.
     Floats use 9 significant digits.
     """
-    load = loader or _default_loader(backend)
     C = backend.dim_joint
     columns = ["path", "domain", "class"] + [f"raw_{i}" for i in range(C)]
     if checkpoint is not None:
@@ -289,18 +288,12 @@ def export_embeddings(
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(columns)
-            for img_path, domain, cls in sorted(manifest.entries):
-                try:
-                    image = load(img_path)
-                    raw = backend.image_encode(image)
-                except (ImageDecodeError, OSError):
-                    continue
-                row = [img_path, domain, cls] + [f"{x:.9g}" for x in raw]
-                if checkpoint is not None:
-                    removed = remover_forward(raw, checkpoint.remover)
-                    row += [f"{x:.9g}" for x in removed]
-                writer.writerow(row)
-                rows += 1
+            for kept, emb, _ in _encoded_chunks(manifest, backend):
+                if checkpoint is not None:  # one gate call per chunk
+                    emb = np.hstack([emb, remover_forward(emb, checkpoint.remover)])
+                for entry, values in zip(kept, emb):
+                    writer.writerow([*entry, *(f"{x:.9g}" for x in values)])
+                rows += len(kept)
     except OSError as exc:
         raise OSError(f"failed writing embeddings to {path}: {exc}") from exc
     return rows

@@ -352,20 +352,29 @@ def load_checkpoint(path) -> Checkpoint:
     if not isinstance(header["arrays"], list):
         raise CheckpointError(f"{path}: header 'arrays' is not a list")
     arrays: dict[str, np.ndarray] = {}
+    end = 0  # where the previous array ended; save_checkpoint packs them back to back
     for entry in header["arrays"]:
         try:
-            name, offset = str(entry["name"]), int(entry["offset"])
-            shape = tuple(int(d) for d in entry["shape"])
-        except (KeyError, TypeError, ValueError) as exc:
+            name, offset, shape = entry["name"], entry["offset"], tuple(entry["shape"])
+        except (KeyError, TypeError) as exc:
             raise CheckpointError(f"{path}: malformed array entry {entry!r}") from exc
+        if name not in ("W1", "W2", "head") or name in arrays:
+            raise CheckpointError(f"{path}: unexpected or repeated array {name!r}")
+        if any(type(n) is not int for n in (offset, *shape)):
+            raise CheckpointError(f"{path}: malformed array entry {entry!r}")
         nbytes = math.prod(shape) * 4
         start = body_start + offset
         if offset < 0 or min(shape, default=0) < 0 or start + nbytes > len(blob):
             raise CheckpointError(
                 f"{path}: array {name!r} (shape {shape}, offset {offset}) lies outside the body"
             )
-        chunk = blob[start : start + nbytes]
-        arrays[name] = np.frombuffer(chunk, dtype="<f4").reshape(shape).copy()
+        if offset != end:
+            raise CheckpointError(f"{path}: array {name!r} starts at {offset}, not at {end}")
+        end = offset + nbytes
+        values = np.frombuffer(blob[start : start + nbytes], dtype="<f4").reshape(shape)
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"{path}: array {name!r} holds NaN or inf")
+        arrays[name] = values.copy()
 
     C, ratio = header["dim_joint"], header["ratio"]
     hidden = C // ratio

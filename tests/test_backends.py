@@ -1,4 +1,6 @@
 """The deterministic toy encoder pair and its synthetic-image format."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,97 @@ class TestImageEncode:
     def test_non_toy_input(self, backend):
         with pytest.raises(ImageDecodeError):
             backend.image_encode("not an image")
+
+
+class TestEncodeImages:
+    """The batched image encoder against per-image calls and a float64 reference."""
+
+    def _images(self, rng, n=9):
+        images = [
+            ToyImage(i % len(NAMES), rng.standard_normal(32), float(rng.uniform(0.5, 1.0)))
+            for i in range(n)
+        ]
+        images[4] = ToyImage(1, np.zeros(32))  # no style term
+        return images
+
+    def _reference(self, backend, image):
+        # The per-image formula in float64: l2(strength * content_img(class)
+        # + strength_style * V @ l2(nuisance) + noise) * gain, where the
+        # noise is seeded by the float32 nuisance bytes and the class index.
+        spec, C = backend.spec, backend.spec.dim_joint
+        nuisance = np.asarray(image.nuisance, dtype=np.float32)
+        feature = image.content_strength * backend.class_content_direction(
+            NAMES[image.class_index]
+        ).astype(np.float64)
+        norm = np.linalg.norm(nuisance.astype(np.float64))
+        if norm > 0:
+            feature += spec.style_strength * (
+                backend._V.astype(np.float64) @ (nuisance.astype(np.float64) / norm)
+            )
+        digest = hashlib.sha256(
+            nuisance.tobytes() + image.class_index.to_bytes(4, "little")
+        ).digest()
+        words = [int.from_bytes(digest[i : i + 8], "little") for i in range(0, 32, 8)]
+        rng = np.random.default_rng(np.random.SeedSequence([spec.seed, *words]))
+        feature += rng.standard_normal(C) * (spec.noise_level / np.sqrt(C))
+        return spec.output_gain * feature / np.linalg.norm(feature)
+
+    def test_matches_image_encode(self, backend, rng):
+        images = self._images(rng)
+        feats = backend.encode_images(images)
+        assert feats.shape == (len(images), 64)
+        assert feats.dtype == np.float32
+        for feat, image in zip(feats, images):
+            assert _rel_err(feat, backend.image_encode(image)) < 1e-6
+
+    def test_matches_float64_reference(self, backend, rng):
+        images = self._images(rng)
+        for feat, image in zip(backend.encode_images(images), images):
+            assert _rel_err(feat, self._reference(backend, image)) < 1e-6
+
+    def test_independent_of_batch_mates(self, backend, rng):
+        images = self._images(rng)
+        others = self._images(np.random.default_rng(1), n=5)
+        alone = backend.encode_images(images[:1])[0]
+        first = backend.encode_images(images)[0]
+        last = backend.encode_images(others + images[:1])[-1]
+        assert _rel_err(first, alone) < 1e-6
+        assert _rel_err(last, alone) < 1e-6
+
+    def test_empty_batch(self, backend):
+        feats = backend.encode_images([])
+        assert feats.shape == (0, 64)
+        assert feats.dtype == np.float32
+
+    def test_bad_image_in_batch(self, backend, rng):
+        images = self._images(rng) + [ToyImage(7, rng.standard_normal(32))]
+        with pytest.raises(ImageDecodeError):
+            backend.encode_images(images)
+
+
+class TestLoadImage:
+    def test_round_trip(self, backend, tmp_path, rng):
+        img = ToyImage(1, rng.standard_normal(32).astype(np.float32), content_strength=0.6)
+        toy_image_save(img, tmp_path / "img.json")
+        np.testing.assert_array_equal(
+            backend.image_encode(backend.load_image(tmp_path / "img.json")),
+            backend.image_encode(img),
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"class_index": 0, "nuisance": [0.5, 0.25]}',
+            '{"class_index": 3, "nuisance": [%s]}' % ", ".join(["0.5"] * 32),
+            '{"class_index": 0, "nuisance": [0.5, 0.2',
+        ],
+        ids=["short-nuisance", "class-index-out-of-range", "truncated-json"],
+    )
+    def test_unencodable_record_is_a_decode_error(self, backend, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ImageDecodeError):
+            backend.load_image(path)
 
 
 class TestToyImageFormat:

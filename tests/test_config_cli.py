@@ -1,6 +1,7 @@
 """Run-config parsing and the command-line workflow end to end."""
 import csv
 import json
+import struct
 
 import pytest
 
@@ -234,6 +235,25 @@ class TestCliErrors:
         edit(header)
         new_header = json.dumps(header).encode()
         ckpt.write_bytes(blob[:8] + len(new_header).to_bytes(4, "little") + new_header + blob[end:])
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg_path), str(ckpt)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["W1-offset-1", "W1-first-nan"])
+    def test_misplaced_or_non_finite_array_exits_2(self, workspace, capsys, case):
+        cfg_path, _, out = workspace
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        ckpt = sorted(out.glob("*.ckpt"))[0]
+        blob = bytearray(ckpt.read_bytes())
+        end = 12 + int.from_bytes(blob[8:12], "little")
+        if case == "W1-offset-1":
+            header = json.loads(blob[12:end])
+            header["arrays"][0]["offset"] = 1
+            new_header = json.dumps(header).encode()
+            blob[8:end] = len(new_header).to_bytes(4, "little") + new_header
+        else:  # W1 is the first array of the body
+            blob[end : end + 4] = struct.pack("<f", float("nan"))
+        ckpt.write_bytes(bytes(blob))
         capsys.readouterr()
         assert main(["eval", "--config", str(cfg_path), str(ckpt)]) == 2
         assert "Traceback" not in capsys.readouterr().err

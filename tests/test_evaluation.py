@@ -4,9 +4,17 @@ import csv
 import numpy as np
 import pytest
 
-from dpstyler.backends import ToyBackend, ToyBackendSpec, ToyImage, toy_image_save
+from dpstyler.backends import (
+    ImageDecodeError,
+    ToyBackend,
+    ToyBackendSpec,
+    ToyImage,
+    toy_image_load,
+    toy_image_save,
+)
 from dpstyler.core import TaskDefinition, l2_normalize
 from dpstyler.evaluation import (
+    _CHUNK,
     DatasetManifest,
     EnsembleBundle,
     ensemble_predict,
@@ -74,6 +82,27 @@ class TestPredictScores:
         ckpt = _checkpoint(rng.standard_normal((3, 8)))
         with pytest.raises(ValueError):
             predict_scores(rng.standard_normal(7), ckpt)
+
+    def test_norm_fold_matches_unit_head_float64(self, rng):
+        # Rows of very different norms, so an unfolded row norm would show.
+        w = rng.standard_normal((6, 8)) * np.array([[1e-3], [1], [10], [1e3], [0.5], [7]])
+        p = StyleRemoverParams(
+            W1=rng.standard_normal((8, 2)), W2=rng.standard_normal((2, 8)), ratio=4
+        )
+        ckpt = Checkpoint(
+            remover=p, head=ClassifierHead(weights=w), template_id="tpl-test",
+            template_pattern="a [class] in a S* style",
+            class_names=tuple(f"c{i}" for i in range(6)), backend_tag="toy",
+            dim_joint=8, dim_token=32, seed=0,
+        )
+        before = w.copy()
+        emb = rng.standard_normal(8)
+        scores = predict_scores(emb, ckpt)
+        expected = l2_normalize(w) @ l2_normalize(remover_forward(emb, p))
+        assert scores.dtype == np.float64
+        np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-12)
+        assert ckpt.head.weights is w
+        np.testing.assert_array_equal(w, before)
 
 
 class TestEnsemblePredict:
@@ -237,6 +266,70 @@ class TestEvaluate:
         flipped = DatasetManifest(entries=tuple(reversed(manifest.entries)))
         fn = lambda e: zeroshot_predict(e, b, task, "PC")
         assert evaluate(manifest, b, task, fn).to_dict() == evaluate(flipped, b, task, fn).to_dict()
+
+    def test_chunked_pass_matches_per_image_loop(self, tmp_path, monkeypatch):
+        # More than two chunks, with malformed records on both sides of
+        # each chunk boundary: cut-off JSON, a short nuisance and a class
+        # index outside the task.
+        names = ("cat", "dog", "fish")
+        b = ToyBackend(ToyBackendSpec(), names)
+        task = TaskDefinition(names)
+        rng = np.random.default_rng(3)
+        n = 2 * _CHUNK + 20
+        bad = {_CHUNK - 1: "cut", _CHUNK: "short", 2 * _CHUNK - 1: "class", 2 * _CHUNK + 1: "cut"}
+        for i in range(n):
+            domain = ("art", "photo", "sketch")[i % 3]
+            path = tmp_path / domain / names[i % 3] / f"{i:04d}.json"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            toy_image_save(ToyImage(i % 3, rng.standard_normal(32)), path)
+        manifest = load_manifest(tmp_path)
+        entries = sorted(manifest.entries)
+        for i, kind in bad.items():
+            path = entries[i][0]
+            if kind == "cut":
+                with open(path) as fh:
+                    text = fh.read()
+                with open(path, "w") as fh:
+                    fh.write(text[: len(text) // 2])
+            else:
+                image = toy_image_load(path)
+                if kind == "short":
+                    image = ToyImage(image.class_index, image.nuisance[:-1])
+                else:
+                    image = ToyImage(len(names), image.nuisance)
+                toy_image_save(image, path)
+
+        def predictor(e):
+            return int(np.argmax(e[:3]))
+
+        # Reference: one record at a time through the single-image calls.
+        correct, total, errors = {}, {}, 0
+        for path, domain, cls in entries:
+            try:
+                embedding = b.image_encode(toy_image_load(path))
+            except ImageDecodeError:
+                errors += 1
+                continue
+            total[domain] = total.get(domain, 0) + 1
+            correct[domain] = correct.get(domain, 0) + (predictor(embedding) == names.index(cls))
+        assert errors == len(bad)
+
+        calls = {"encode_images": 0}
+        encode_images = b.encode_images
+
+        def counting(images):
+            calls["encode_images"] += 1
+            return encode_images(images)
+
+        def forbidden(image):
+            raise AssertionError("evaluate encodes one image at a time")
+
+        monkeypatch.setattr(b, "encode_images", counting)
+        monkeypatch.setattr(b, "image_encode", forbidden)
+        report = evaluate(manifest, b, task, predictor)
+        assert report.decode_errors == len(bad)
+        assert report.per_domain_counts == {d: (correct[d], total[d]) for d in total}
+        assert calls["encode_images"] == -(-n // _CHUNK)
 
     def test_table_renders(self, tmp_path):
         b, task, manifest = self._setup(tmp_path)

@@ -352,6 +352,51 @@ class TestCheckpointPersistence:
         with pytest.raises(CheckpointError, match="outside the body"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda h: h["arrays"][0].update(offset=1), "starts at 1, not at 0"),
+            (lambda h: h["arrays"][1].update(offset=0), "starts at 0, not at"),
+            (lambda h: h["arrays"][2].update(offset=h["arrays"][2]["offset"] - 4), "not at"),
+            (lambda h: h["arrays"][0].update(offset=2.7), "malformed array entry"),
+            (lambda h: h["arrays"][0].update(offset=0.0), "malformed array entry"),
+            (lambda h: h["arrays"][0].update(offset=False), "malformed array entry"),
+            (lambda h: h["arrays"][0].update(shape=[float(d) for d in h["arrays"][0]["shape"]]),
+             "malformed array entry"),
+            (lambda h: h["arrays"][1].update(name="W1"), "repeated array 'W1'"),
+            (lambda h: h["arrays"].append(dict(h["arrays"][2])), "repeated array 'head'"),
+            (lambda h: h["arrays"][2].update(name="bias"), "unexpected or repeated array 'bias'"),
+        ],
+        ids=["W1-offset-1", "W2-overlaps-W1", "head-overlaps-W2", "offset-float",
+             "offset-integral-float", "offset-bool", "shape-floats", "W1-twice", "head-twice",
+             "unknown-name"],
+    )
+    def test_array_not_where_saved_is_typed(self, trained_models, tmp_path, edit, match):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(trained_models[0].checkpoint, path)
+        _edit_header(path, edit)
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "array, index, value",
+        [("W1", 0, np.nan), ("W2", 5, np.inf), ("head", -1, -np.inf)],
+        ids=["W1-first-nan", "W2-inf", "head-last-neg-inf"],
+    )
+    def test_non_finite_weight_is_typed(self, trained_models, tmp_path, array, index, value):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(trained_models[0].checkpoint, path)
+        header = _read_header(path)
+        entry = next(e for e in header["arrays"] if e["name"] == array)
+        count = int(np.prod(entry["shape"]))
+        at = 12 + int.from_bytes(path.read_bytes()[8:12], "little") + entry["offset"]
+        at += 4 * (index % count)
+        blob = bytearray(path.read_bytes())
+        blob[at : at + 4] = np.float32(value).tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match=f"array '{array}' holds NaN or inf"):
+            load_checkpoint(path)
+
 
 def _read_header(path):
     blob = path.read_bytes()

@@ -6,7 +6,7 @@ heads onto the image encoder and fuses one model per prompt template.
 """
 
 from .core import PromptTemplate, TaskDefinition, cosine_similarity, l2_normalize, softmax
-from .backends import EncoderBackend, RealBackendAdapter, ToyBackend, ToyBackendSpec
+from .backends import EncoderBackend, ToyBackend, ToyBackendSpec
 from .losses import ArcFaceConfig, ClassifierHead, DomainProbe
 from .styles import StyleBank, StyleGenConfig
 from .trainer import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint, train_one_model
@@ -22,7 +22,6 @@ __all__ = [
     "EncoderBackend",
     "EnsembleBundle",
     "PromptTemplate",
-    "RealBackendAdapter",
     "StyleBank",
     "StyleGenConfig",
     "TaskDefinition",

@@ -9,18 +9,17 @@ epoch and evaluation encodes images a chunk at a time; ``text_encode``,
 ``style_text_encode`` and ``image_encode`` are single-item conveniences
 over the batched methods.  Backends are immutable after construction.
 
-Two backends live here:
+``ToyBackend`` is a seeded linear construction for desk-scale tests.
+Text features are ``l2(content(class, template) + V @ l2(style))`` and
+image features ``l2(content_img(class) + V @ l2(nuisance) + noise)``,
+where the content maps share a common per-class base vector and the
+style subspace ``V`` is shared between modalities.  This gives the
+removal gate a real style signal to suppress while keeping classes
+linearly separable.
 
-- ``ToyBackend``: a seeded linear construction for desk-scale tests.
-  Text features are ``l2(content(class, template) + V @ l2(style))`` and
-  image features ``l2(content_img(class) + V @ l2(nuisance) + noise)``,
-  where the content maps share a common per-class base vector and the
-  style subspace ``V`` is shared between modalities.  This gives the
-  removal gate a real style signal to suppress while keeping classes
-  linearly separable.
-- ``RealBackendAdapter``: the contract a pretrained-encoder wrapper must
-  satisfy (joint dim per model variant, token dim 512, weights loaded
-  from an external path).  No pretrained weights ship with the package.
+No pretrained weights ship with the package: a pretrained encoder is
+wrapped by subclassing ``EncoderBackend`` (see the README's integration
+recipe).
 """
 
 from __future__ import annotations
@@ -28,18 +27,13 @@ from __future__ import annotations
 import abc
 import hashlib
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import DEFAULT_DTYPE, STYLE_PLACEHOLDER, ZERO_NORM_EPS, l2_normalize
-
-STYLE_ONLY_PATTERN = f"{STYLE_PLACEHOLDER}-like style"
-
-# Joint embedding dims of the supported pretrained variants; token dim is 512.
-REAL_BACKEND_JOINT_DIMS = {"resnet50": 1024, "vit-b16": 512, "vit-l14": 768}
-REAL_BACKEND_TOKEN_DIM = 512
 
 
 class ImageDecodeError(ValueError):
@@ -159,6 +153,9 @@ def toy_image_load(path) -> ToyImage:
         raise ImageDecodeError(f"malformed toy image {path}: {exc}") from exc
     if nuisance.ndim != 1:
         raise ImageDecodeError(f"malformed toy image {path}: nuisance must be 1-D")
+    # json.load accepts NaN and Infinity, which the encoder cannot take.
+    if not (np.isfinite(nuisance).all() and math.isfinite(strength)):
+        raise ImageDecodeError(f"malformed toy image {path}: non-finite value")
     return ToyImage(class_index=idx, nuisance=nuisance, content_strength=strength)
 
 
@@ -316,30 +313,3 @@ class ToyBackend(EncoderBackend):
         rng = _tagged_rng(self.spec.seed, "token", word)
         return rng.standard_normal(self.spec.dim_token).astype(DEFAULT_DTYPE)
 
-
-class RealBackendAdapter(EncoderBackend):
-    """Contract for wrapping a pretrained joint encoder.
-
-    Subclasses load frozen weights from ``weights_path`` and must
-    implement the batched prompt encoders, ``load_image``,
-    ``encode_images`` and ``token_embedding_lookup`` with the variant's
-    joint dim and token dim 512.  ``load_image`` follows the standard
-    preprocessing contract: RGB, resized to 224x224, per-channel
-    normalization with the pretrained model's published mean/std.
-    """
-
-    def __init__(self, variant: str, weights_path: str):
-        if variant not in REAL_BACKEND_JOINT_DIMS:
-            raise ValueError(
-                f"unknown variant {variant!r}; expected one of {sorted(REAL_BACKEND_JOINT_DIMS)}"
-            )
-        self.variant = variant
-        self.weights_path = weights_path
-
-    @property
-    def dim_joint(self) -> int:
-        return REAL_BACKEND_JOINT_DIMS[self.variant]
-
-    @property
-    def dim_token(self) -> int:
-        return REAL_BACKEND_TOKEN_DIM

@@ -23,14 +23,12 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from importlib import resources
-
-import numpy as np
 
 from .backends import EncoderBackend, ToyBackend, ToyBackendSpec
 from .core import PromptTemplate, TaskDefinition
+from .evaluation import FUSION_MODES
 from .losses import ArcFaceConfig
-from .styles import PredefinedLexicon, StyleGenConfig, load_lexicon_words
+from .styles import PredefinedLexicon, StyleGenConfig, load_lexicon
 from .trainer import TrainConfig
 
 DEFAULT_TEMPLATES = (
@@ -38,8 +36,6 @@ DEFAULT_TEMPLATES = (
     "a S* style of a [class]",
     "a photo of a [class] with S* like style",
 )
-
-WEIGHTS_ENV_VAR = "DPSTYLER_BACKEND_WEIGHTS"
 
 
 class ConfigError(ValueError):
@@ -49,9 +45,7 @@ class ConfigError(ValueError):
 @dataclass
 class RunConfig:
     backend_variant: str
-    backend_spec: ToyBackendSpec | None
-    external_variant: str | None
-    external_weights: str | None
+    backend_spec: ToyBackendSpec
     task: TaskDefinition
     train: TrainConfig
     templates: tuple[PromptTemplate, ...]
@@ -68,31 +62,10 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()[:8]
 
     def build_backend(self) -> EncoderBackend:
-        if self.backend_variant == "toy":
-            return ToyBackend(self.backend_spec, self.task.class_names)
-        raise ConfigError(
-            "backend variant 'external' is an adapter contract only: provide a "
-            "RealBackendAdapter subclass wrapping the pretrained weights at "
-            f"{self.external_weights or '<unset weights path>'}"
-        )
+        return ToyBackend(self.backend_spec, self.task.class_names)
 
     def build_lexicon(self, backend: EncoderBackend) -> PredefinedLexicon:
-        path = self.lexicon_path
-        if path is None:
-            ref = resources.files("dpstyler").joinpath("data/lexicon.txt")
-            with resources.as_file(ref) as p:
-                words = load_lexicon_words(p)
-        else:
-            if not os.path.exists(path):
-                raise ConfigError(f"lexicon file not found: {path}")
-            words = load_lexicon_words(path)
-        expected = self.train.style_gen.lexicon_size
-        if len(words) != expected:
-            raise ConfigError(
-                f"lexicon has {len(words)} words but config expects {expected}"
-            )
-        vectors = np.stack([backend.token_embedding_lookup(w) for w in words])
-        return PredefinedLexicon(labels=tuple(words), vectors=vectors)
+        return load_lexicon(backend, self.lexicon_path)
 
 
 def _section(doc: dict, name: str) -> dict:
@@ -125,45 +98,43 @@ def load_run_config(path, seed_override: int | None = None, out_override: str | 
     styles_sec = _section(doc, "styles")
     eval_sec = _section(doc, "eval")
 
-    seed = int(train_sec.get("seed", doc.get("seed", 0)))
+    try:
+        seed = int(train_sec.get("seed", doc.get("seed", 0)))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid seed: {exc}") from exc
     if seed_override is not None:
         seed = seed_override
 
     variant = backend_sec.get("variant", "toy")
-    if variant not in ("toy", "external"):
-        raise ConfigError(f"backend.variant must be 'toy' or 'external', got {variant!r}")
+    if variant != "toy":
+        raise ConfigError(f"backend.variant must be 'toy', got {variant!r}")
 
     class_names = task_sec.get("class_names")
     if not class_names:
         raise ConfigError("task.class_names is required")
+    if not isinstance(class_names, list):
+        raise ConfigError("task.class_names must be a list")
     try:
         task = TaskDefinition(class_names=tuple(str(n) for n in class_names))
     except ValueError as exc:
         raise ConfigError(f"invalid task: {exc}") from exc
 
-    backend_spec = None
-    external_variant = external_weights = None
-    if variant == "toy":
-        try:
-            backend_spec = ToyBackendSpec(
-                dim_joint=int(backend_sec.get("dim_joint", 64)),
-                dim_token=int(backend_sec.get("dim_token", 32)),
-                max_classes=int(backend_sec.get("max_classes", 16)),
-                noise_level=float(backend_sec.get("noise_level", 0.1)),
-                seed=int(backend_sec.get("seed", seed)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid backend section: {exc}") from exc
-    else:
-        external_variant = backend_sec.get("model", "resnet50")
-        external_weights = os.environ.get(WEIGHTS_ENV_VAR) or backend_sec.get("weights_path")
+    try:
+        backend_spec = ToyBackendSpec(
+            dim_joint=int(backend_sec.get("dim_joint", 64)),
+            dim_token=int(backend_sec.get("dim_token", 32)),
+            max_classes=int(backend_sec.get("max_classes", 16)),
+            noise_level=float(backend_sec.get("noise_level", 0.1)),
+            seed=int(backend_sec.get("seed", seed)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid backend section: {exc}") from exc
 
     try:
         style_gen = StyleGenConfig(
             num_styles=int(styles_sec.get("num_styles", 80)),
             strategy=str(styles_sec.get("strategy", "random_mix")),
             alpha=float(styles_sec.get("alpha", 0.1)),
-            lexicon_size=int(styles_sec.get("lexicon_size", 8)),
             gaussian_std=float(styles_sec.get("gaussian_std", 0.02)),
             seed=seed,
         )
@@ -184,6 +155,8 @@ def load_run_config(path, seed_override: int | None = None, out_override: str | 
         raise ConfigError(f"invalid train/styles section: {exc}") from exc
 
     patterns = doc.get("templates") or list(DEFAULT_TEMPLATES)
+    if not isinstance(patterns, list):
+        raise ConfigError("templates must be a list of patterns")
     try:
         templates = tuple(PromptTemplate.from_pattern(str(p)) for p in patterns)
     except ValueError as exc:
@@ -192,8 +165,8 @@ def load_run_config(path, seed_override: int | None = None, out_override: str | 
     fusion = str(eval_sec.get("fusion", "max"))
     if fusion_override is not None:
         fusion = fusion_override
-    if fusion not in ("max", "average"):
-        raise ConfigError(f"fusion must be 'max' or 'average', got {fusion!r}")
+    if fusion not in FUSION_MODES:
+        raise ConfigError(f"fusion must be one of {FUSION_MODES}, got {fusion!r}")
 
     lexicon_path = styles_sec.get("lexicon")
     manifest = eval_sec.get("manifest")
@@ -216,7 +189,6 @@ def load_run_config(path, seed_override: int | None = None, out_override: str | 
         "styles": {
             "strategy": style_gen.strategy,
             "alpha": style_gen.alpha,
-            "lexicon_size": style_gen.lexicon_size,
             "gaussian_std": style_gen.gaussian_std,
             "lexicon": lexicon_path,
         },
@@ -227,8 +199,6 @@ def load_run_config(path, seed_override: int | None = None, out_override: str | 
     return RunConfig(
         backend_variant=variant,
         backend_spec=backend_spec,
-        external_variant=external_variant,
-        external_weights=external_weights,
         task=task,
         train=train,
         templates=templates,

@@ -21,6 +21,7 @@ same (config, seed, epoch) always yields a bit-identical bank.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from importlib import resources
 
 import numpy as np
 
@@ -71,7 +72,6 @@ class StyleGenConfig:
     num_styles: int = 80
     strategy: str = "random_mix"
     alpha: float = 0.1
-    lexicon_size: int = 8
     gaussian_std: float = 0.02
     seed: int = 0
 
@@ -236,12 +236,12 @@ def initial_bank(config: StyleGenConfig, dim: int, lexicon: PredefinedLexicon | 
     return StyleBank(styles=styles, epoch_of_last_refresh=-1, method_of_last_refresh="initial")
 
 
-def default_lexicon(backend) -> PredefinedLexicon:
-    """The packaged 8-adjective lexicon, embedded via the backend's token table."""
-    from importlib import resources
-
-    ref = resources.files("dpstyler").joinpath("data/lexicon.txt")
-    with resources.as_file(ref) as path:
+def load_lexicon(backend, path=None) -> PredefinedLexicon:
+    """The word list at ``path`` (the packaged one if None), embedded via the backend."""
+    if path is None:
+        with resources.as_file(resources.files("dpstyler") / "data/lexicon.txt") as packaged:
+            words = load_lexicon_words(packaged)
+    else:
         words = load_lexicon_words(path)
     vectors = np.stack([backend.token_embedding_lookup(w) for w in words])
     return PredefinedLexicon(labels=tuple(words), vectors=vectors)

@@ -22,15 +22,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backends import EncoderBackend
-from .core import DEFAULT_DTYPE, PromptTemplate, TaskDefinition
+from .core import DEFAULT_DTYPE, DegenerateEmbeddingError, PromptTemplate, TaskDefinition
 from .losses import ArcFaceConfig, ClassifierHead, DomainProbe, head_init, loss_gradients
 from .remover import StyleRemoverParams, remover_forward_cached, remover_init, remover_weight_grads
 from .styles import (
     PredefinedLexicon,
     StyleBank,
     StyleGenConfig,
-    default_lexicon,
     initial_bank,
+    load_lexicon,
     refresh_bank,
 )
 
@@ -190,7 +190,7 @@ def train_one_model(
     """Train remover + head for one prompt template; returns the checkpoint."""
     C, D = backend.dim_joint, backend.dim_token
     if config.style_gen.strategy in ("stylemix", "random_mix") and lexicon is None:
-        lexicon = default_lexicon(backend)
+        lexicon = load_lexicon(backend)
     remover = remover_init(
         C,
         config.ratio,
@@ -330,7 +330,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: truncated header")
     try:
         header = json.loads(blob[len(CHECKPOINT_MAGIC) + 4 : body_start].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: header is a JSON {type(header).__name__}, not an object")
@@ -346,6 +346,11 @@ def load_checkpoint(path) -> Checkpoint:
     for key in ("dim_joint", "dim_token", "ratio", "num_classes"):
         if type(header[key]) is not int or header[key] < 1:
             raise CheckpointError(f"{path}: header {key!r} is {header[key]!r}, not a positive int")
+    for key in ("template_id", "template_pattern", "backend_tag"):
+        if not isinstance(header[key], str):
+            raise CheckpointError(f"{path}: header {key!r} is {header[key]!r}, not a string")
+    if type(header["seed"]) is not int:
+        raise CheckpointError(f"{path}: header 'seed' is {header['seed']!r}, not an int")
     names = header["class_names"]
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise CheckpointError(f"{path}: header 'class_names' is not a list of strings")
@@ -390,10 +395,14 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: head shape {head_w.shape} inconsistent")
     if len(header["class_names"]) != header["num_classes"]:
         raise CheckpointError(f"{path}: class-name count != num_classes")
+    try:
+        head = ClassifierHead(weights=head_w)
+    except DegenerateEmbeddingError as exc:
+        raise CheckpointError(f"{path}: head has a zero row") from exc
 
     return Checkpoint(
         remover=StyleRemoverParams(W1=W1, W2=W2, ratio=ratio),
-        head=ClassifierHead(weights=head_w),
+        head=head,
         template_id=header["template_id"],
         template_pattern=header["template_pattern"],
         class_names=tuple(header["class_names"]),

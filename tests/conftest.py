@@ -6,8 +6,12 @@ ensemble is session-scoped because several suites assert against it.
 """
 from __future__ import annotations
 
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from dpstyler.backends import ToyBackend, ToyBackendSpec
 from dpstyler.config import DEFAULT_TEMPLATES
@@ -15,6 +19,16 @@ from dpstyler.core import PromptTemplate, TaskDefinition
 from dpstyler.styles import StyleGenConfig
 from dpstyler.toydata import make_toy_dataset
 from dpstyler.trainer import TrainConfig, train_one_model
+
+# Property tests run a fixed, derandomized example set with no example
+# database, so the suite is reproducible.  Hypothesis's other caches go
+# to a temporary directory that is removed at exit, not to ./.hypothesis.
+settings.register_profile(
+    "dpstyler", derandomize=True, database=None, deadline=None, max_examples=150
+)
+settings.load_profile("dpstyler")
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="dpstyler-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 E2E_CLASS_NAMES = ("dog", "elephant", "giraffe", "guitar", "horse")
 E2E_BACKEND_SPEC = ToyBackendSpec(

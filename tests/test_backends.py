@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from dpstyler.backends import (
-    REAL_BACKEND_JOINT_DIMS,
-    REAL_BACKEND_TOKEN_DIM,
     ImageDecodeError,
     ToyBackend,
     ToyBackendSpec,
@@ -294,6 +292,21 @@ class TestLoadImage:
         with pytest.raises(ImageDecodeError):
             backend.load_image(path)
 
+    @pytest.mark.parametrize(
+        "nuisance_head, strength",
+        [("NaN", "1.0"), ("Infinity", "1.0"), ("0.5", "NaN")],
+        ids=["nan-nuisance", "inf-nuisance", "nan-content-strength"],
+    )
+    def test_non_finite_record_is_a_decode_error(self, backend, tmp_path, nuisance_head, strength):
+        # json.load accepts NaN and Infinity; the encoder must not.
+        nuisance = ", ".join([nuisance_head] + ["0.5"] * 31)
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"class_index": 0, "nuisance": [%s], "content_strength": %s}' % (nuisance, strength)
+        )
+        with pytest.raises(ImageDecodeError, match="non-finite"):
+            backend.load_image(path)
+
 
 class TestToyImageFormat:
     def test_round_trip(self, tmp_path, rng):
@@ -356,7 +369,3 @@ class TestJointSpaceStructure:
         names = tuple(f"c{i}" for i in range(17))
         with pytest.raises(ValueError):
             ToyBackend(ToyBackendSpec(max_classes=16), names)
-
-    def test_real_backend_dimension_table(self):
-        assert REAL_BACKEND_JOINT_DIMS == {"resnet50": 1024, "vit-b16": 512, "vit-l14": 768}
-        assert REAL_BACKEND_TOKEN_DIM == 512

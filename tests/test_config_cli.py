@@ -91,15 +91,16 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             load_run_config(p)
 
-    def test_external_backend_is_contract_only(self, tmp_path):
+    def test_external_backend_is_contract_only(self, tmp_path, capsys):
         p = tmp_path / "ext.yaml"
         p.write_text(
             "backend: {variant: external, external_variant: resnet50}\n"
             "task: {class_names: [a, b]}\n"
         )
-        rc = load_run_config(p)
-        with pytest.raises(ConfigError):
-            rc.build_backend()
+        with pytest.raises(ConfigError, match="variant"):
+            load_run_config(p)
+        assert main(["info", "--config", str(p)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestCliWorkflow:
@@ -162,6 +163,17 @@ class TestCliWorkflow:
         assert "removed_0" not in raw_header
         assert "removed_0" in both_header
 
+    def test_stylemix_with_a_three_word_lexicon(self, workspace, tmp_path):
+        cfg_path, _, out = workspace
+        lex = tmp_path / "lex.txt"
+        lex.write_text("white\nsketchy\nbright\n")
+        run = tmp_path / "stylemix.yaml"
+        run.write_text(cfg_path.read_text().replace(
+            "strategy: random_mix", f"strategy: stylemix\n  lexicon: {lex}"
+        ))
+        assert main(["train", "--config", str(run)]) == 0
+        assert len(list(out.glob("*.ckpt"))) == 3
+
     def test_info(self, workspace, capsys):
         cfg_path, _, _ = workspace
         assert main(["info", "--config", str(cfg_path)]) == 0
@@ -193,6 +205,24 @@ class TestCliErrors:
         bad = tmp_path / "bad.yaml"
         bad.write_text(doc)
         assert main(["train", "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            "task: {class_names: [a, b]}\ntrain: {seed: null}\n",
+            "task: {class_names: [a, b]}\nseed: [1]\n",
+            "task: {class_names: 5}\n",
+            "task: {class_names: [a, b]}\ntemplates: 5\n",
+        ],
+        ids=["train-seed-null", "seed-list", "class_names-int", "templates-int"],
+    )
+    def test_malformed_config_value_exits_2(self, tmp_path, capsys, doc):
+        p = tmp_path / "bad.yaml"
+        p.write_text(doc)
+        with pytest.raises(ConfigError):
+            load_run_config(p)
+        assert main(["info", "--config", str(p)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_export_to_missing_directory_exits_2(self, workspace, tmp_path):
         cfg_path, _, _ = workspace

@@ -261,6 +261,30 @@ class TestEvaluate:
         assert report.decode_errors == 1
         assert report.per_domain_counts["art"][1] == 3
 
+    def test_non_finite_records_are_decode_errors(self, tmp_path):
+        b, task, manifest = self._setup(tmp_path)
+        good = ", ".join(["0.5"] * 32)
+        for rel, nuisance, strength in [
+            ("art/cat/0.json", "NaN, " + good[5:], "1.0"),
+            ("art/dog/1.json", "Infinity, " + good[5:], "1.0"),
+            ("photo/cat/1.json", good, "NaN"),
+        ]:
+            (tmp_path / rel).write_text(
+                '{"class_index": 0, "nuisance": [%s], "content_strength": %s}'
+                % (nuisance, strength)
+            )
+        seen = []
+
+        def predictor(e):
+            seen.append(e)
+            return zeroshot_predict(e, b, task, "PC")
+
+        report = evaluate(manifest, b, task, predictor)
+        assert report.decode_errors == 3
+        assert report.per_domain_counts["art"][1] == 2
+        assert report.per_domain_counts["photo"][1] == 3
+        assert len(seen) == 5 and all(np.isfinite(e).all() for e in seen)
+
     def test_row_order_invariance(self, tmp_path):
         b, task, manifest = self._setup(tmp_path)
         flipped = DatasetManifest(entries=tuple(reversed(manifest.entries)))

@@ -8,9 +8,9 @@ from dpstyler.backends import ToyBackend, ToyBackendSpec
 from dpstyler.styles import (
     PredefinedLexicon,
     StyleGenConfig,
-    default_lexicon,
     gaussian_style,
     initial_bank,
+    load_lexicon,
     load_lexicon_words,
     random_style,
     refresh_bank,
@@ -198,10 +198,20 @@ class TestLexicon:
 
     def test_default_lexicon_has_eight_single_token_words(self, task):
         backend = ToyBackend(ToyBackendSpec(), task.class_names)
-        lex = default_lexicon(backend)
+        lex = load_lexicon(backend)
         assert len(lex) == 8
         assert lex.vectors.shape == (8, backend.dim_token)
         assert all(" " not in w for w in lex.labels)
+
+    def test_user_lexicon_keeps_file_order_at_any_size(self, task, tmp_path):
+        backend = ToyBackend(ToyBackendSpec(), task.class_names)
+        p = tmp_path / "lex.txt"
+        p.write_text("sketchy\n# comment\nwhite\ncartoon\n")
+        lex = load_lexicon(backend, p)
+        assert lex.labels == ("sketchy", "white", "cartoon")
+        np.testing.assert_array_equal(
+            lex.vectors, np.stack([backend.token_embedding_lookup(w) for w in lex.labels])
+        )
 
     def test_duplicate_labels_rejected(self, rng):
         with pytest.raises(ValueError):

@@ -324,10 +324,17 @@ class TestCheckpointPersistence:
             ("num_classes", -5),
             ("class_names", 3),
             ("class_names", [1, 2, 3, 4, 5]),
+            ("template_id", 5),
+            ("template_pattern", None),
+            ("backend_tag", [1]),
+            ("seed", "x"),
+            ("seed", True),
+            ("seed", 1.0),
         ],
         ids=["ratio-str", "ratio-bool", "ratio-collapses-bottleneck", "dim_joint-zero",
              "dim_token-float", "num_classes-negative", "class_names-int",
-             "class_names-not-str"],
+             "class_names-not-str", "template_id-int", "template_pattern-null",
+             "backend_tag-list", "seed-str", "seed-bool", "seed-float"],
     )
     def test_bad_header_value_is_typed(self, trained_models, tmp_path, key, value):
         path = tmp_path / "model.ckpt"
@@ -395,6 +402,19 @@ class TestCheckpointPersistence:
         blob[at : at + 4] = np.float32(value).tobytes()
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match=f"array '{array}' holds NaN or inf"):
+            load_checkpoint(path)
+
+    def test_zero_head_row_is_typed(self, trained_models, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(trained_models[0].checkpoint, path)
+        header = _read_header(path)
+        entry = next(e for e in header["arrays"] if e["name"] == "head")
+        row = 4 * entry["shape"][1]
+        at = 12 + int.from_bytes(path.read_bytes()[8:12], "little") + entry["offset"] + row
+        blob = bytearray(path.read_bytes())
+        blob[at : at + row] = bytes(row)  # the second class's row, all +0.0
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="zero row"):
             load_checkpoint(path)
 
 

@@ -7,7 +7,9 @@ prompts, load an image file, encode a batch of loaded images, and look
 up a word's token embedding.  Training re-encodes all M*K prompts every
 epoch and evaluation encodes images a chunk at a time; ``text_encode``,
 ``style_text_encode`` and ``image_encode`` are single-item conveniences
-over the batched methods.  Backends are immutable after construction.
+over the batched methods.  Backends are immutable after construction;
+``ToyBackend`` fills a memo of read-only content vectors as classes are
+first encoded, which changes no output.
 
 ``ToyBackend`` is a seeded linear construction for desk-scale tests.
 Text features are ``l2(content(class, template) + V @ l2(style))`` and
@@ -174,9 +176,10 @@ def toy_image_save(image: ToyImage, path) -> None:
 class ToyBackend(EncoderBackend):
     """Deterministic linear test double for the frozen encoder pair.
 
-    All frozen matrices are regenerated on demand from (spec, seed) via
-    hashed seed sequences, so identically-configured backends produce
-    bit-identical features across processes.
+    All frozen matrices derive from (spec, seed) via hashed seed
+    sequences, so identically-configured backends produce bit-identical
+    features across processes.  Each (tag, class) content vector is
+    built at first use and kept read-only for the backend's lifetime.
     """
 
     # Relative weight of per-template / per-modality content perturbations.
@@ -202,6 +205,7 @@ class ToyBackend(EncoderBackend):
         self._V = V.astype(DEFAULT_DTYPE)
         rng = _tagged_rng(spec.seed, "style-prompt-base")
         self._style_prompt_base = (rng.standard_normal(C) * scale).astype(DEFAULT_DTYPE)
+        self._content: dict[tuple[str, str], np.ndarray] = {}
 
     @property
     def dim_joint(self) -> int:
@@ -212,14 +216,23 @@ class ToyBackend(EncoderBackend):
         return self.spec.dim_token
 
     def _content_vector(self, tag: str, class_name: str) -> np.ndarray:
-        """Base per-class vector plus a small context-specific perturbation."""
-        C = self.spec.dim_joint
-        scale = 1.0 / np.sqrt(C)
-        base_rng = _tagged_rng(self.spec.seed, "content", class_name)
-        base = base_rng.standard_normal(C) * scale
-        pert_rng = _tagged_rng(self.spec.seed, "pert", tag, class_name)
-        pert = pert_rng.standard_normal(C) * scale
-        return (base + self.PERTURBATION * pert).astype(DEFAULT_DTYPE)
+        """Base per-class vector plus a small context-specific perturbation.
+
+        Memoized per (tag, class) and read-only, so no caller can change
+        what a later encode sees.
+        """
+        vector = self._content.get((tag, class_name))
+        if vector is None:
+            C = self.spec.dim_joint
+            scale = 1.0 / np.sqrt(C)
+            base_rng = _tagged_rng(self.spec.seed, "content", class_name)
+            base = base_rng.standard_normal(C) * scale
+            pert_rng = _tagged_rng(self.spec.seed, "pert", tag, class_name)
+            pert = pert_rng.standard_normal(C) * scale
+            vector = (base + self.PERTURBATION * pert).astype(DEFAULT_DTYPE)
+            vector.flags.writeable = False
+            self._content[(tag, class_name)] = vector
+        return vector
 
     def _style_terms(self, styles: np.ndarray) -> np.ndarray:
         """(K, C) projections of the direction-normalized style rows.
@@ -304,7 +317,7 @@ class ToyBackend(EncoderBackend):
         return sol.astype(DEFAULT_DTYPE)
 
     def class_content_direction(self, class_name: str) -> np.ndarray:
-        """The image-modality content vector for a class (test-data hook)."""
+        """The image-modality content vector for a class, read-only (test-data hook)."""
         return self._content_vector("image", class_name)
 
     def token_embedding_lookup(self, word: str) -> np.ndarray:

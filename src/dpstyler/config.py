@@ -171,6 +171,14 @@ def load_run_config(path, seed_override: int | None = None, out_override: str | 
     lexicon_path = styles_sec.get("lexicon")
     manifest = eval_sec.get("manifest")
     output_dir = out_override or doc.get("output_dir", ".")
+    # A non-string path would reach open() or os.makedirs(): an int opens
+    # that file descriptor (0 is stdin), anything else is a TypeError.
+    # The two optional paths may be null; output_dir may not.
+    for key, value, optional in (("styles.lexicon", lexicon_path, True),
+                                 ("eval.manifest", manifest, True),
+                                 ("output_dir", output_dir, False)):
+        if not (isinstance(value, str) or (optional and value is None)):
+            raise ConfigError(f"{key} must be a path string, got {value!r}")
 
     merged = {
         "backend": backend_sec | {"variant": variant},

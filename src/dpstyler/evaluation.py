@@ -69,9 +69,9 @@ def predict_scores(image_embedding: np.ndarray, member: Checkpoint) -> np.ndarra
     if emb.shape != (member.dim_joint,):
         raise ValueError(f"embedding shape {emb.shape} != (C={member.dim_joint},)")
     rn = l2_normalize(remover_forward(emb, member.remover))
-    W = member.head.weights
-    # Head-row norms scale the (M,) result; no unit-row (M, C) head is built.
-    return (W @ rn) / np.sqrt(np.einsum("mc,mc->m", W, W))
+    # The member's cached head-row norms scale the (M,) result; no unit-row
+    # (M, C) head is built.
+    return (member.head.weights @ rn) / member.head_row_norms
 
 
 def ensemble_predict(image_embedding: np.ndarray, bundle: EnsembleBundle) -> int:

@@ -13,6 +13,7 @@ format documented at ``save_checkpoint``.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
@@ -90,6 +91,13 @@ class TrainConfig:
 
 @dataclass
 class Checkpoint:
+    """One trained (remover, head) pair with its provenance.
+
+    The head is frozen once the checkpoint is scored: ``head_row_norms``
+    is computed at first use and kept, so do not write to
+    ``head.weights`` in place after that.
+    """
+
     remover: StyleRemoverParams
     head: ClassifierHead
     template_id: str
@@ -100,6 +108,14 @@ class Checkpoint:
     backend_tag: str
     seed: int
     config_snapshot: dict = field(default_factory=dict)
+
+    @functools.cached_property
+    def head_row_norms(self) -> np.ndarray:
+        """(M,) Euclidean norms of the head rows, read-only."""
+        W = self.head.weights
+        norms = np.sqrt(np.einsum("mc,mc->m", W, W))
+        norms.flags.writeable = False
+        return norms
 
 
 @dataclass
@@ -395,20 +411,25 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: head shape {head_w.shape} inconsistent")
     if len(header["class_names"]) != header["num_classes"]:
         raise CheckpointError(f"{path}: class-name count != num_classes")
-    try:
-        head = ClassifierHead(weights=head_w)
-    except DegenerateEmbeddingError as exc:
-        raise CheckpointError(f"{path}: head has a zero row") from exc
-
-    return Checkpoint(
-        remover=StyleRemoverParams(W1=W1, W2=W2, ratio=ratio),
-        head=head,
-        template_id=header["template_id"],
-        template_pattern=header["template_pattern"],
-        class_names=tuple(header["class_names"]),
-        dim_joint=C,
-        dim_token=header["dim_token"],
-        backend_tag=header["backend_tag"],
-        seed=header["seed"],
-        config_snapshot=header.get("config", {}),
-    )
+    # Finite rows near the float32 limit overflow their norm: typed below.
+    with np.errstate(over="ignore"):
+        try:
+            head = ClassifierHead(weights=head_w)
+        except DegenerateEmbeddingError as exc:
+            raise CheckpointError(f"{path}: head has a zero row") from exc
+        checkpoint = Checkpoint(
+            remover=StyleRemoverParams(W1=W1, W2=W2, ratio=ratio),
+            head=head,
+            template_id=header["template_id"],
+            template_pattern=header["template_pattern"],
+            class_names=tuple(header["class_names"]),
+            dim_joint=C,
+            dim_token=header["dim_token"],
+            backend_tag=header["backend_tag"],
+            seed=header["seed"],
+            config_snapshot=header.get("config", {}),
+        )
+        norms = checkpoint.head_row_norms
+    if not np.isfinite(norms).all():
+        raise CheckpointError(f"{path}: head row norm overflows float32")
+    return checkpoint

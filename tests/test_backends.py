@@ -156,6 +156,42 @@ class TestBatchedEncode:
             backend.encode_style_prompts(rng.standard_normal((4, 31)))
 
 
+class TestContentCache:
+    """Memoized content vectors change no output and cannot be written through."""
+
+    def _encode(self, backend):
+        rng = np.random.default_rng(5)
+        styles = rng.standard_normal((4, 32)).astype(np.float32)
+        images = [ToyImage(i % len(NAMES), rng.standard_normal(32), 0.8) for i in range(6)]
+        return [
+            backend.encode_prompts(TEMPLATE, NAMES, styles),
+            backend.encode_prompts("a photo of a [class]", NAMES, None),
+            backend.encode_images(images),
+        ]
+
+    def test_cold_and_warm_cache_bitwise_equal(self):
+        first = ToyBackend(ToyBackendSpec(), NAMES)
+        cold = self._encode(first)
+        warm = self._encode(first)
+        # A second backend with the same spec, its cache filled in another order.
+        second = ToyBackend(ToyBackendSpec(), NAMES)
+        second.encode_images([ToyImage(2, np.ones(32)), ToyImage(0, np.ones(32))])
+        second.encode_prompts(TEMPLATE, NAMES[::-1], np.ones((1, 32)))
+        other = self._encode(second)
+        for a, b, c in zip(cold, warm, other):
+            assert a.dtype == b.dtype == c.dtype == np.float32
+            assert a.tobytes() == b.tobytes() == c.tobytes()
+
+    def test_content_direction_is_read_only(self, backend):
+        direction = backend.class_content_direction("cat")
+        before = direction.copy()
+        with pytest.raises(ValueError):
+            direction += 1.0
+        with pytest.raises(ValueError):
+            direction[0] = 0.0
+        np.testing.assert_array_equal(backend.class_content_direction("cat"), before)
+
+
 class TestTokenLookup:
     def test_deterministic_and_distinct(self, backend):
         a = backend.token_embedding_lookup("white")

@@ -98,8 +98,6 @@ def test_one_header_value_replaced(valid_blob, key, value):
     )
 
 
-# Patched floats near the float32 limit overflow the head-row norm.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @given(data=st.data())
 def test_body_bytes_overwritten(valid_blob, data):
     path, blob = valid_blob

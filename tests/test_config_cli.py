@@ -224,6 +224,26 @@ class TestCliErrors:
         assert main(["info", "--config", str(p)]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            "output_dir: 5\n",
+            "output_dir: null\n",
+            "styles: {lexicon: 5}\n",
+            "styles: {strategy: stylemix, lexicon: 0}\n",
+            "eval: {manifest: [data]}\n",
+        ],
+        ids=["output_dir-int", "output_dir-null", "lexicon-int", "lexicon-stdin",
+             "manifest-list"],
+    )
+    def test_non_string_path_exits_2(self, tmp_path, capsys, doc):
+        p = tmp_path / "bad.yaml"
+        p.write_text("task: {class_names: [a, b]}\ntrain: {epochs: 1}\n" + doc)
+        with pytest.raises(ConfigError, match="must be a path string"):
+            load_run_config(p)
+        assert main(["train", "--config", str(p)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_export_to_missing_directory_exits_2(self, workspace, tmp_path):
         cfg_path, _, _ = workspace
         assert main([

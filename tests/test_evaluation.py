@@ -15,6 +15,7 @@ from dpstyler.backends import (
 from dpstyler.core import TaskDefinition, l2_normalize
 from dpstyler.evaluation import (
     _CHUNK,
+    ZEROSHOT_PATTERNS,
     DatasetManifest,
     EnsembleBundle,
     ensemble_predict,
@@ -31,8 +32,8 @@ from dpstyler.remover import StyleRemoverParams, remover_forward
 from dpstyler.trainer import Checkpoint
 
 
-def _checkpoint(weights, C=None, remover=None, rng=None):
-    weights = np.asarray(weights, dtype=np.float32)
+def _checkpoint(weights, C=None, remover=None, rng=None, dtype=np.float32):
+    weights = np.asarray(weights, dtype=dtype)
     M, C = weights.shape
     if remover is None:
         remover = StyleRemoverParams(
@@ -103,6 +104,22 @@ class TestPredictScores:
         np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-12)
         assert ckpt.head.weights is w
         np.testing.assert_array_equal(w, before)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cached_norms_equal_the_row_norm_expression(self, rng, dtype):
+        W = rng.standard_normal((6, 8)) * np.array([[1e-3], [1], [10], [1e3], [0.5], [7]])
+        p = StyleRemoverParams(
+            W1=rng.standard_normal((8, 2)).astype(dtype),
+            W2=rng.standard_normal((2, 8)).astype(dtype), ratio=4,
+        )
+        ckpt = _checkpoint(W, remover=p, dtype=dtype)
+        W = ckpt.head.weights
+        emb = rng.standard_normal(8).astype(dtype)
+        want = (W @ l2_normalize(remover_forward(emb, p))) / np.sqrt(np.einsum("mc,mc->m", W, W))
+        for _ in range(2):  # the first call fills the norm cache, the second reads it
+            got = predict_scores(emb, ckpt)
+            assert got.dtype == dtype
+            assert np.array_equal(got, want)
 
 
 class TestEnsemblePredict:
@@ -360,6 +377,55 @@ class TestEvaluate:
         report = evaluate(manifest, b, task, lambda e: zeroshot_predict(e, b, task, "PC"))
         text = report.table()
         assert "average" in text and "art" in text
+
+
+class TestFrozenStateReuse:
+    """Head-row norms and toy content vectors are computed once, not per image."""
+
+    NAMES = ("cat", "dog", "fish")
+
+    def _setup(self, tmp_path):
+        b = ToyBackend(ToyBackendSpec(), self.NAMES)
+        _write_toy_tree(tmp_path, b, self.NAMES)
+        rng = np.random.default_rng(4)
+        members = tuple(_checkpoint(rng.standard_normal((3, 64))) for _ in range(3))
+        return b, TaskDefinition(self.NAMES), load_manifest(tmp_path), EnsembleBundle(members)
+
+    def test_head_row_norms_cached_per_member(self, tmp_path):
+        b, task, manifest, bundle = self._setup(tmp_path)
+        assert not any("head_row_norms" in m.__dict__ for m in bundle.members)
+        fn = lambda e: ensemble_predict(e, bundle)
+        first = evaluate(manifest, b, task, fn)
+        cached = [m.__dict__["head_row_norms"] for m in bundle.members]
+        assert not any(c.flags.writeable for c in cached)
+        second = evaluate(manifest, b, task, fn)
+        assert all(m.__dict__["head_row_norms"] is c for m, c in zip(bundle.members, cached))
+        assert first.to_dict() == second.to_dict()
+
+    def test_content_vectors_built_once_per_class(self, tmp_path, monkeypatch):
+        import dpstyler.backends as backends
+
+        b, task, manifest, bundle = self._setup(tmp_path)
+        bases, perturbations = [], []
+        tagged_rng = backends._tagged_rng
+
+        def counting(seed, *parts):
+            if parts[0] == "content":
+                bases.append(parts[1:])
+            elif parts[0] == "pert":
+                perturbations.append(parts[1:])
+            return tagged_rng(seed, *parts)
+
+        monkeypatch.setattr(backends, "_tagged_rng", counting)
+        for _ in range(2):
+            evaluate(manifest, b, task, lambda e: ensemble_predict(e, bundle))
+        evaluate(manifest, b, task, lambda e: zeroshot_predict(e, b, task, "PC"))
+        # 12 images and 3 passes, yet one image vector per class and one
+        # text vector per class for the zero-shot prompts.
+        text = "text:" + ZEROSHOT_PATTERNS["PC"]
+        want = [(tag, name) for tag in ("image", text) for name in self.NAMES]
+        assert sorted(perturbations) == sorted(want)
+        assert sorted(bases) == sorted((name,) for _, name in want)
 
 
 class TestExportEmbeddings:

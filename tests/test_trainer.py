@@ -1,5 +1,6 @@
 """Training loop, SGD updates, and binary checkpoint persistence."""
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -407,15 +408,30 @@ class TestCheckpointPersistence:
     def test_zero_head_row_is_typed(self, trained_models, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(trained_models[0].checkpoint, path)
-        header = _read_header(path)
-        entry = next(e for e in header["arrays"] if e["name"] == "head")
-        row = 4 * entry["shape"][1]
-        at = 12 + int.from_bytes(path.read_bytes()[8:12], "little") + entry["offset"] + row
-        blob = bytearray(path.read_bytes())
-        blob[at : at + row] = bytes(row)  # the second class's row, all +0.0
-        path.write_bytes(bytes(blob))
+        _set_second_head_row(path, 0.0)
         with pytest.raises(CheckpointError, match="zero row"):
             load_checkpoint(path)
+
+    def test_overflowing_head_row_is_typed(self, trained_models, tmp_path):
+        # Finite float32 values whose squares overflow: the row norm would
+        # be inf, and predict_scores would score that class NaN.
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(trained_models[0].checkpoint, path)
+        _set_second_head_row(path, 3e38)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(CheckpointError, match="head row norm overflows"):
+                load_checkpoint(path)
+
+
+def _set_second_head_row(path, value):
+    """Overwrite every float of the second class's head row with ``value``."""
+    entry = next(e for e in _read_header(path)["arrays"] if e["name"] == "head")
+    row = np.full(entry["shape"][1], value, dtype="<f4").tobytes()
+    blob = bytearray(path.read_bytes())
+    at = 12 + int.from_bytes(blob[8:12], "little") + entry["offset"] + len(row)
+    blob[at : at + len(row)] = row
+    path.write_bytes(bytes(blob))
 
 
 def _read_header(path):

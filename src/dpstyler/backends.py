@@ -151,7 +151,9 @@ def toy_image_load(path) -> ToyImage:
         idx = int(record["class_index"])
         nuisance = np.asarray(record["nuisance"], dtype=DEFAULT_DTYPE)
         strength = float(record.get("content_strength", 1.0))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    # OverflowError: an integer or float beyond float range (class_index
+    # 1e400); RecursionError: JSON nested deeper than the decoder's limit.
+    except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise ImageDecodeError(f"malformed toy image {path}: {exc}") from exc
     if nuisance.ndim != 1:
         raise ImageDecodeError(f"malformed toy image {path}: nuisance must be 1-D")
@@ -198,7 +200,10 @@ class ToyBackend(EncoderBackend):
         # Shared style subspace between text and image modalities.  Style
         # feeds only the upper half of the channels (content stays dense
         # over all of them), so style information is channel-coded and a
-        # per-channel gate has something real to suppress.
+        # per-channel gate has something real to suppress.  Built in float64
+        # and cast: a float32 build is bitwise the same, but frees no 4 MB
+        # block during set-up, so glibc's dynamic mmap threshold stays lower
+        # and training maps each epoch's 2-4 MB feature buffer afresh.
         block = C // 2
         V = np.zeros((C, D))
         V[block:] = rng.standard_normal((C - block, D)) / np.sqrt(C - block)

@@ -19,6 +19,7 @@ import os
 import sys
 
 from .config import ConfigError, RunConfig, load_run_config
+from .core import atomic_write
 from .evaluation import (
     FUSION_MODES,
     EnsembleBundle,
@@ -76,7 +77,7 @@ def cmd_train(args) -> int:
         stem = f"{template.id}-{cfg.fingerprint}"
         ckpt_path = os.path.join(cfg.output_dir, f"{stem}.ckpt")
         save_checkpoint(result.checkpoint, ckpt_path)
-        with open(os.path.join(cfg.output_dir, f"{stem}.metrics.jsonl"), "w") as fh:
+        with atomic_write(os.path.join(cfg.output_dir, f"{stem}.metrics.jsonl")) as fh:
             for row in result.metrics:
                 fh.write(row.to_json() + "\n")
         final = result.metrics[-1]
@@ -160,7 +161,7 @@ def cmd_info(args) -> int:
 def _write_report(cfg: RunConfig, report, tag: str) -> None:
     os.makedirs(cfg.output_dir, exist_ok=True)
     path = os.path.join(cfg.output_dir, f"report-{tag}-{cfg.fingerprint}.json")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2)
 
 

@@ -8,10 +8,14 @@ here are the only linear-algebra surface the rest of the package uses.
 Default precision is float32; callers that need tighter arithmetic
 (e.g. the finite-difference gradient checks) pass float64 arrays and the
 functions compute in the input dtype.
+
+``atomic_write`` is the one way the package writes an output file.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +28,36 @@ DEFAULT_DTYPE = np.float32
 
 class DegenerateEmbeddingError(ValueError):
     """Raised when a vector that must carry direction is (numerically) zero."""
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w", **open_kwargs):
+    """Open a new file beside ``path`` and, if the block completes, move it onto ``path``.
+
+    Readers see either the previous file or the complete new one, never
+    a partial write; on an exception the previous file is left as it was
+    and the temporary file is removed.  There is no fsync: this guards
+    against a failed or interrupted writer, not against a power loss.
+    A symlink is written through (its target is replaced, not the link),
+    and an existing non-regular file, such as a pipe or ``/dev/stdout``,
+    cannot be replaced and is written in place.
+    """
+    path = os.fspath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode, **open_kwargs) as fh:
+            yield fh
+        return
+    path = os.path.realpath(path)
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, mode.replace("w", "x"), **open_kwargs)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:

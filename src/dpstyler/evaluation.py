@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backends import EncoderBackend, ImageDecodeError
-from .core import TaskDefinition, l2_normalize
+from .core import TaskDefinition, atomic_write, l2_normalize
 from .remover import remover_forward
 from .trainer import Checkpoint
 
@@ -127,20 +127,19 @@ class DatasetManifest:
             raise ValueError(f"manifest labels not in task: {sorted(unknown)}")
 
 
+def _subdirectories(path) -> list[os.DirEntry]:
+    """Entries of ``path`` that are directories (symlinks followed), sorted by name."""
+    with os.scandir(path) as it:
+        return sorted((e for e in it if e.is_dir()), key=lambda e: e.name)
+
+
 def manifest_from_directory(root) -> DatasetManifest:
     """Discover root/domain/class/image-file, sorted deterministically."""
-    root = os.fspath(root)
     entries = []
-    for domain in sorted(os.listdir(root)):
-        domain_dir = os.path.join(root, domain)
-        if not os.path.isdir(domain_dir):
-            continue
-        for cls in sorted(os.listdir(domain_dir)):
-            cls_dir = os.path.join(domain_dir, cls)
-            if not os.path.isdir(cls_dir):
-                continue
-            for name in sorted(os.listdir(cls_dir)):
-                entries.append((os.path.join(cls_dir, name), domain, cls))
+    for domain in _subdirectories(os.fspath(root)):
+        for cls in _subdirectories(domain.path):
+            for name in sorted(os.listdir(cls.path)):
+                entries.append((os.path.join(cls.path, name), domain.name, cls.name))
     return DatasetManifest(entries=tuple(entries))
 
 
@@ -153,18 +152,21 @@ def manifest_from_csv(path) -> DatasetManifest:
     entries = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["path", "domain", "class"]:
-            raise ValueError(f"{path}: manifest header must be 'path,domain,class'")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}: malformed manifest row {row!r}")
-            p, domain, cls = (c.strip() for c in row)
-            if not os.path.isabs(p):
-                p = os.path.join(base, p)
-            entries.append((p, domain, cls))
+        try:
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header] != ["path", "domain", "class"]:
+                raise ValueError(f"{path}: manifest header must be 'path,domain,class'")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != 3:
+                    raise ValueError(f"{path}: malformed manifest row {row!r}")
+                p, domain, cls = (c.strip() for c in row)
+                if not os.path.isabs(p):
+                    p = os.path.join(base, p)
+                entries.append((p, domain, cls))
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise ValueError(f"{path}: unreadable manifest at line {reader.line_num}: {exc}") from exc
     entries.sort()
     return DatasetManifest(entries=tuple(entries))
 
@@ -285,7 +287,7 @@ def export_embeddings(
         columns += [f"removed_{i}" for i in range(C)]
     rows = 0
     try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(columns)
             for kept, emb, _ in _encoded_chunks(manifest, backend):

@@ -28,7 +28,12 @@ COS_CLAMP = 1e-7
 
 @dataclass
 class ClassifierHead:
-    """One weight row per class; cosine similarity is taken against rows."""
+    """One weight row per class; cosine similarity is taken against rows.
+
+    A zero row has no direction: the code that divides by the row norms
+    (``loss_gradients``, ``Checkpoint.head_row_norms``) rejects it with
+    ``DegenerateEmbeddingError`` where it computes them.
+    """
 
     weights: np.ndarray  # (M, C)
 
@@ -36,8 +41,6 @@ class ClassifierHead:
         w = np.asarray(self.weights)
         if w.ndim != 2:
             raise ValueError("head weights must be (M, C)")
-        if np.any(np.linalg.norm(w, axis=1) < 1e-12):
-            raise DegenerateEmbeddingError("head rows must be nonzero")
         self.weights = w
 
     @property
@@ -198,6 +201,8 @@ def loss_gradients(
     # ArcFace part.  Head-row norms are folded into (B, M) arrays; no unit-row head is built.
     W = head.weights.astype(F.dtype, copy=False)
     wnorms = np.sqrt(np.einsum("ij,ij->i", W, W))  # (M,)
+    if np.any(wnorms < 1e-12):
+        raise DegenerateEmbeddingError("zero-norm head row")
     cos_raw = (FN @ W.T) / wnorms  # (B, M)
     cos_c = np.clip(cos_raw, -1.0 + COS_CLAMP, 1.0 - COS_CLAMP)
     clamp_mask = (cos_raw > -1.0 + COS_CLAMP) & (cos_raw < 1.0 - COS_CLAMP)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import struct
 import time
 from dataclasses import dataclass, field
@@ -23,7 +24,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backends import EncoderBackend
-from .core import DEFAULT_DTYPE, DegenerateEmbeddingError, PromptTemplate, TaskDefinition
+from .core import (
+    DEFAULT_DTYPE,
+    ZERO_NORM_EPS,
+    DegenerateEmbeddingError,
+    PromptTemplate,
+    TaskDefinition,
+    atomic_write,
+)
 from .losses import ArcFaceConfig, ClassifierHead, DomainProbe, head_init, loss_gradients
 from .remover import StyleRemoverParams, remover_forward_cached, remover_init, remover_weight_grads
 from .styles import (
@@ -111,9 +119,15 @@ class Checkpoint:
 
     @functools.cached_property
     def head_row_norms(self) -> np.ndarray:
-        """(M,) Euclidean norms of the head rows, read-only."""
+        """(M,) Euclidean norms of the head rows, read-only.
+
+        Raises ``DegenerateEmbeddingError`` for a zero row, which
+        ``predict_scores`` would divide by.
+        """
         W = self.head.weights
         norms = np.sqrt(np.einsum("mc,mc->m", W, W))
+        if np.any(norms < ZERO_NORM_EPS):
+            raise DegenerateEmbeddingError("head rows must be nonzero")
         norms.flags.writeable = False
         return norms
 
@@ -324,7 +338,7 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
         "arrays": manifest,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(header_bytes)))
         fh.write(header_bytes)
@@ -333,19 +347,67 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read and validate a checkpoint written by ``save_checkpoint``."""
+    """Read and validate a checkpoint written by ``save_checkpoint``.
+
+    Each array is read from the file straight into its own aligned,
+    writable float32 array, with no intermediate copy of the body.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(CHECKPOINT_MAGIC) + 4:
-        raise CheckpointError(f"{path}: truncated file")
-    if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
-    (header_len,) = struct.unpack_from("<I", blob, len(CHECKPOINT_MAGIC))
-    body_start = len(CHECKPOINT_MAGIC) + 4 + header_len
-    if len(blob) < body_start:
-        raise CheckpointError(f"{path}: truncated header")
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(len(CHECKPOINT_MAGIC) + 4)
+        if len(prefix) < len(CHECKPOINT_MAGIC) + 4:
+            raise CheckpointError(f"{path}: truncated file")
+        if prefix[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+            raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
+        (header_len,) = struct.unpack_from("<I", prefix, len(CHECKPOINT_MAGIC))
+        body_start = len(prefix) + header_len
+        if size < body_start:
+            raise CheckpointError(f"{path}: truncated header")
+        header = _read_header(path, fh.read(header_len))
+        arrays = _read_arrays(path, fh, header["arrays"], size - body_start)
+
+    C, ratio = header["dim_joint"], header["ratio"]
+    hidden = C // ratio
     try:
-        header = json.loads(blob[len(CHECKPOINT_MAGIC) + 4 : body_start].decode("utf-8"))
+        W1, W2, head_w = arrays["W1"], arrays["W2"], arrays["head"]
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: missing array {exc}") from exc
+    if W1.shape != (C, hidden) or W2.shape != (hidden, C):
+        raise CheckpointError(
+            f"{path}: gate shapes {W1.shape}/{W2.shape} inconsistent with C={C}, r={ratio}"
+        )
+    if head_w.shape != (header["num_classes"], C):
+        raise CheckpointError(f"{path}: head shape {head_w.shape} inconsistent")
+    if len(header["class_names"]) != header["num_classes"]:
+        raise CheckpointError(f"{path}: class-name count != num_classes")
+    checkpoint = Checkpoint(
+        remover=StyleRemoverParams(W1=W1, W2=W2, ratio=ratio),
+        head=ClassifierHead(weights=head_w),
+        template_id=header["template_id"],
+        template_pattern=header["template_pattern"],
+        class_names=tuple(header["class_names"]),
+        dim_joint=C,
+        dim_token=header["dim_token"],
+        backend_tag=header["backend_tag"],
+        seed=header["seed"],
+        config_snapshot=header.get("config", {}),
+    )
+    # The scoring norms are computed here, once, and checked: finite rows
+    # near the float32 limit overflow their norm.
+    try:
+        with np.errstate(over="ignore"):
+            norms = checkpoint.head_row_norms
+    except DegenerateEmbeddingError as exc:
+        raise CheckpointError(f"{path}: head has a zero row") from exc
+    if not np.isfinite(norms).all():
+        raise CheckpointError(f"{path}: head row norm overflows float32")
+    return checkpoint
+
+
+def _read_header(path, blob: bytes) -> dict:
+    """Decode and type-check the JSON header of a checkpoint."""
+    try:
+        header = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
     if not isinstance(header, dict):
@@ -372,9 +434,14 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: header 'class_names' is not a list of strings")
     if not isinstance(header["arrays"], list):
         raise CheckpointError(f"{path}: header 'arrays' is not a list")
+    return header
+
+
+def _read_arrays(path, fh, manifest: list, body_len: int) -> dict[str, np.ndarray]:
+    """Read the manifest's arrays from ``fh``, positioned at the start of the body."""
     arrays: dict[str, np.ndarray] = {}
     end = 0  # where the previous array ended; save_checkpoint packs them back to back
-    for entry in header["arrays"]:
+    for entry in manifest:
         try:
             name, offset, shape = entry["name"], entry["offset"], tuple(entry["shape"])
         except (KeyError, TypeError) as exc:
@@ -384,52 +451,18 @@ def load_checkpoint(path) -> Checkpoint:
         if any(type(n) is not int for n in (offset, *shape)):
             raise CheckpointError(f"{path}: malformed array entry {entry!r}")
         nbytes = math.prod(shape) * 4
-        start = body_start + offset
-        if offset < 0 or min(shape, default=0) < 0 or start + nbytes > len(blob):
+        if offset < 0 or min(shape, default=0) < 0 or offset + nbytes > body_len:
             raise CheckpointError(
                 f"{path}: array {name!r} (shape {shape}, offset {offset}) lies outside the body"
             )
         if offset != end:
             raise CheckpointError(f"{path}: array {name!r} starts at {offset}, not at {end}")
         end = offset + nbytes
-        values = np.frombuffer(blob[start : start + nbytes], dtype="<f4").reshape(shape)
+        # The arrays are contiguous, so the file position is already at this one.
+        values = np.empty(shape, dtype="<f4")
+        if fh.readinto(values) != nbytes:
+            raise CheckpointError(f"{path}: array {name!r} is truncated")
         if not np.isfinite(values).all():
             raise CheckpointError(f"{path}: array {name!r} holds NaN or inf")
-        arrays[name] = values.copy()
-
-    C, ratio = header["dim_joint"], header["ratio"]
-    hidden = C // ratio
-    try:
-        W1, W2, head_w = arrays["W1"], arrays["W2"], arrays["head"]
-    except KeyError as exc:
-        raise CheckpointError(f"{path}: missing array {exc}") from exc
-    if W1.shape != (C, hidden) or W2.shape != (hidden, C):
-        raise CheckpointError(
-            f"{path}: gate shapes {W1.shape}/{W2.shape} inconsistent with C={C}, r={ratio}"
-        )
-    if head_w.shape != (header["num_classes"], C):
-        raise CheckpointError(f"{path}: head shape {head_w.shape} inconsistent")
-    if len(header["class_names"]) != header["num_classes"]:
-        raise CheckpointError(f"{path}: class-name count != num_classes")
-    # Finite rows near the float32 limit overflow their norm: typed below.
-    with np.errstate(over="ignore"):
-        try:
-            head = ClassifierHead(weights=head_w)
-        except DegenerateEmbeddingError as exc:
-            raise CheckpointError(f"{path}: head has a zero row") from exc
-        checkpoint = Checkpoint(
-            remover=StyleRemoverParams(W1=W1, W2=W2, ratio=ratio),
-            head=head,
-            template_id=header["template_id"],
-            template_pattern=header["template_pattern"],
-            class_names=tuple(header["class_names"]),
-            dim_joint=C,
-            dim_token=header["dim_token"],
-            backend_tag=header["backend_tag"],
-            seed=header["seed"],
-            config_snapshot=header.get("config", {}),
-        )
-        norms = checkpoint.head_row_norms
-    if not np.isfinite(norms).all():
-        raise CheckpointError(f"{path}: head row norm overflows float32")
-    return checkpoint
+        arrays[name] = values
+    return arrays

@@ -1,8 +1,11 @@
 """The deterministic toy encoder pair and its synthetic-image format."""
 import hashlib
+import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from dpstyler.backends import (
     ImageDecodeError,
@@ -342,6 +345,52 @@ class TestLoadImage:
         )
         with pytest.raises(ImageDecodeError, match="non-finite"):
             backend.load_image(path)
+
+
+# A small alphabet keeps Hypothesis from building full-Unicode tables.
+_keys = st.sampled_from(["class_index", "nuisance", "content_strength"]) | st.text("abc", max_size=3)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text("0.5e-x", max_size=6),
+    lambda inner: st.lists(inner, max_size=34) | st.dictionaries(_keys, inner, max_size=4),
+    max_leaves=40,
+)
+
+
+def _decodes_or_typed_error(path):
+    try:
+        assert isinstance(toy_image_load(path), ToyImage)
+    except ImageDecodeError:
+        pass
+
+
+class TestToyImageFuzz:
+    """Any file content gives a ``ToyImage`` or an ``ImageDecodeError``."""
+
+    @given(data=st.binary(max_size=200))
+    def test_arbitrary_bytes(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz-bytes.json"
+        path.write_bytes(data)
+        _decodes_or_typed_error(path)
+
+    @given(record=_json_values)
+    @example(record={"class_index": 10**400, "nuisance": [0.5]})
+    @example(record={"class_index": 0, "nuisance": [10**400]})
+    @example(record={"class_index": 0, "nuisance": [0.5], "content_strength": 10**400})
+    def test_arbitrary_json_record(self, tmp_path_factory, record):
+        path = tmp_path_factory.getbasetemp() / "fuzz-record.json"
+        path.write_text(json.dumps(record))
+        _decodes_or_typed_error(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"class_index": 1e400, "nuisance": [0.5]}', "[" * 100_000],
+        ids=["class-index-overflow", "deep-nesting"],
+    )
+    def test_escaping_errors_are_decode_errors(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ImageDecodeError):
+            toy_image_load(path)
 
 
 class TestToyImageFormat:

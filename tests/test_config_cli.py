@@ -4,6 +4,7 @@ import json
 import struct
 
 import pytest
+import yaml
 
 from dpstyler.cli import main
 from dpstyler.config import ConfigError, load_run_config
@@ -98,6 +99,86 @@ class TestRunConfig:
             "task: {class_names: [a, b]}\n"
         )
         with pytest.raises(ConfigError, match="variant"):
+            load_run_config(p)
+        assert main(["info", "--config", str(p)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+
+def _perfbench_shaped_config(classes: int = 345) -> str:
+    """A DomainNet-shaped config as ``yaml.safe_dump`` writes it: one line per class."""
+    syllables = [c + v for c in "bdfgklmnprstvz" for v in "aeiou"]
+    names = [syllables[i % 70] + syllables[i // 70] + "x" for i in range(classes)]
+    return yaml.safe_dump({
+        "backend": {"variant": "toy", "dim_joint": 1024, "dim_token": 512,
+                    "max_classes": classes, "seed": 1540794701},
+        "task": {"class_names": names},
+        "train": {"epochs": 1, "batch_size": 128, "seed": 77},
+        "styles": {"num_styles": 80, "strategy": "random_mix"},
+        "templates": ["a [class] in a S* style"],
+        "eval": {"fusion": "max", "manifest": "data"},
+    }, sort_keys=True)
+
+
+# Every valid config document the suite writes, with its placeholders filled.
+LOADER_CONFIGS = {
+    "small": SMALL_CONFIG.format(manifest="/data/set", out="/tmp/out"),
+    "stylemix": SMALL_CONFIG.format(manifest="/data/set", out="/tmp/out").replace(
+        "strategy: random_mix", "strategy: stylemix\n  lexicon: /data/lex.txt"),
+    "flow-style": "backend: {variant: toy}\ntask: {class_names: [a, b]}\n"
+                  "templates: ['a [class] in a S* style', 'a S* style of a [class]']\n",
+    "top-level-seed": "task: {class_names: [a, b]}\nseed: 12\ntrain: {epochs: 1}\n",
+    "perfbench-345": _perfbench_shaped_config(),
+}
+
+
+class TestYamlLoaders:
+    """libyaml's loader (when PyYAML has it) and the pure-Python one agree."""
+
+    @staticmethod
+    def _without_libyaml(monkeypatch):
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+
+    @pytest.mark.parametrize("name", sorted(LOADER_CONFIGS))
+    def test_same_raw_and_fingerprint(self, tmp_path, monkeypatch, name):
+        p = tmp_path / "run.yaml"
+        p.write_text(LOADER_CONFIGS[name])
+        fast = load_run_config(p)
+        self._without_libyaml(monkeypatch)
+        slow = load_run_config(p)
+        assert fast.raw == slow.raw
+        assert fast.fingerprint == slow.fingerprint
+        assert fast.task == slow.task and fast.templates == slow.templates
+
+    def test_libyaml_used_when_available(self, tmp_path, monkeypatch):
+        seen = []
+        real_load = yaml.load
+
+        def spy(stream, Loader):
+            seen.append(Loader)
+            return real_load(stream, Loader=Loader)
+
+        monkeypatch.setattr(yaml, "load", spy)
+        p = tmp_path / "run.yaml"
+        p.write_text(LOADER_CONFIGS["small"])
+        preferred = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+        load_run_config(p)
+        self._without_libyaml(monkeypatch)
+        load_run_config(p)
+        assert seen == [preferred, yaml.SafeLoader]
+
+    @pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure-python"])
+    @pytest.mark.parametrize(
+        "doc",
+        ["task: {class_names: [a, b]\n", "task:\n  class_names: [a\n   - b\n", "a: b: c\n",
+         "task: !!python/object:os.system {}\n", "\t- tab\n"],
+        ids=["unclosed-flow", "bad-indent", "nested-mapping", "unsafe-tag", "tab"],
+    )
+    def test_malformed_yaml_exits_2(self, tmp_path, monkeypatch, capsys, libyaml, doc):
+        if not libyaml:
+            self._without_libyaml(monkeypatch)
+        p = tmp_path / "bad.yaml"
+        p.write_text(doc)
+        with pytest.raises(ConfigError, match="cannot parse"):
             load_run_config(p)
         assert main(["info", "--config", str(p)]) == 2
         assert "Traceback" not in capsys.readouterr().err
@@ -243,6 +324,16 @@ class TestCliErrors:
             load_run_config(p)
         assert main(["train", "--config", str(p)]) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_oversized_csv_manifest_field_exits_2(self, workspace, tmp_path, capsys):
+        cfg_path, _, _ = workspace
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("path,domain,class\n" + "x" * 131_073 + ",art,cat\n")
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(SMALL_CONFIG.format(manifest=manifest, out=tmp_path / "out"))
+        assert main(["zeroshot", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "m.csv" in err and "Traceback" not in err
 
     def test_export_to_missing_directory_exits_2(self, workspace, tmp_path):
         cfg_path, _, _ = workspace

@@ -1,4 +1,7 @@
-"""Hypersphere arithmetic and shared prompt/task types."""
+"""Hypersphere arithmetic, shared prompt/task types and atomic file writes."""
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from dpstyler.core import (
     DegenerateEmbeddingError,
     PromptTemplate,
     TaskDefinition,
+    atomic_write,
     cosine_similarity,
     l2_normalize,
     softmax,
@@ -144,3 +148,62 @@ class TestPromptTemplate:
     def test_invalid_patterns(self, pattern):
         with pytest.raises(ValueError):
             PromptTemplate.from_pattern(pattern)
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("mode, payload", [("w", "new text\n"), ("wb", b"\x00new bytes")])
+    def test_replaces_on_success(self, tmp_path, mode, payload):
+        path = tmp_path / "out"
+        path.write_bytes(b"old")
+        with atomic_write(path, mode) as fh:
+            fh.write(payload)
+            assert path.read_bytes() == b"old"  # not visible until the block ends
+        assert path.read_bytes() == (payload.encode() if mode == "w" else payload)
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    @pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
+    @pytest.mark.parametrize("previous", [b"previous \xff bytes", None], ids=["replace", "create"])
+    def test_exception_mid_write_leaves_previous_file(self, tmp_path, exc, previous):
+        path = tmp_path / "out"
+        if previous is not None:
+            path.write_bytes(previous)
+        with pytest.raises(exc):
+            with atomic_write(path, "wb") as fh:
+                fh.write(b"partial")
+                fh.flush()
+                raise exc("mid-write")
+        if previous is None:
+            assert not path.exists()
+        else:
+            assert path.read_bytes() == previous
+        assert [p.name for p in tmp_path.iterdir()] == ([] if previous is None else ["out"])
+
+    def test_symlink_is_written_through(self, tmp_path):
+        target = tmp_path / "target"
+        target.write_text("old")
+        link = tmp_path / "link"
+        link.symlink_to(target)
+        with atomic_write(link) as fh:
+            fh.write("new")
+        assert link.is_symlink() and target.read_text() == "new"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "target"]
+
+    def test_non_regular_file_is_written_in_place(self, tmp_path):
+        # A FIFO cannot be replaced by a rename; its reader must get the data.
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        with atomic_write(fifo, "wb") as fh:
+            fh.write(b"through the pipe")
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert got == [b"through the pipe"]
+        assert fifo.is_fifo()
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+    def test_missing_directory_is_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            with atomic_write(tmp_path / "no" / "out"):
+                pass

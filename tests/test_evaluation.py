@@ -1,8 +1,11 @@
 """Ensemble fusion, zero-shot baselines, manifests, and evaluation reports."""
 import csv
+import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from dpstyler.backends import (
     ImageDecodeError,
@@ -12,7 +15,7 @@ from dpstyler.backends import (
     toy_image_load,
     toy_image_save,
 )
-from dpstyler.core import TaskDefinition, l2_normalize
+from dpstyler.core import DegenerateEmbeddingError, TaskDefinition, l2_normalize
 from dpstyler.evaluation import (
     _CHUNK,
     ZEROSHOT_PATTERNS,
@@ -122,6 +125,12 @@ class TestPredictScores:
             assert np.array_equal(got, want)
 
 
+    def test_zero_head_row_rejected(self):
+        ckpt = _checkpoint(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        with pytest.raises(DegenerateEmbeddingError, match="nonzero"):
+            predict_scores(np.array([1.0, 0.5]), ckpt)
+
+
 class TestEnsemblePredict:
     def _patched(self, monkeypatch, score_rows):
         import dpstyler.evaluation as ev
@@ -220,6 +229,32 @@ class TestManifests:
         assert m.domains == ("art", "photo")
         assert m.class_names == ("cat", "dog")
 
+    def test_directory_walk_matches_listdir_reference(self, tmp_path):
+        names = ("cat", "dog", "eel")
+        _write_toy_tree(tmp_path, ToyBackend(ToyBackendSpec(), names), names[:2])
+        (tmp_path / "README.txt").write_text("stray file at the root")
+        (tmp_path / "art" / "notes.md").write_text("stray file at the domain level")
+        (tmp_path / "photo" / "eel").mkdir()  # an empty class directory
+        (tmp_path / "photo" / "dog" / "nested").mkdir()  # listed, as any class-dir entry
+
+        def reference(root):
+            entries = []
+            for domain in sorted(os.listdir(root)):
+                domain_dir = os.path.join(root, domain)
+                if not os.path.isdir(domain_dir):
+                    continue
+                for cls in sorted(os.listdir(domain_dir)):
+                    cls_dir = os.path.join(domain_dir, cls)
+                    if not os.path.isdir(cls_dir):
+                        continue
+                    for name in sorted(os.listdir(cls_dir)):
+                        entries.append((os.path.join(cls_dir, name), domain, cls))
+            return tuple(entries)
+
+        for root in (str(tmp_path), str(tmp_path) + os.sep, tmp_path):
+            assert manifest_from_directory(root).entries == reference(os.fspath(root))
+        assert len(manifest_from_directory(tmp_path).entries) == 9
+
     def test_csv_manifest(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("path,domain,class\n/a/x.json,art,cat\n/a/y.json,photo,dog\n")
@@ -232,6 +267,12 @@ class TestManifests:
         with pytest.raises(ValueError):
             manifest_from_csv(p)
 
+    def test_csv_field_over_the_size_limit(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text("path,domain,class\n" + '"' + "x" * (csv.field_size_limit() + 1) + '",a,b\n')
+        with pytest.raises(ValueError, match="m.csv: unreadable manifest at line 2"):
+            manifest_from_csv(p)
+
     def test_load_manifest_dispatch(self, tmp_path):
         names = ("cat", "dog")
         b = ToyBackend(ToyBackendSpec(), names)
@@ -241,6 +282,22 @@ class TestManifests:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             DatasetManifest(entries=())
+
+
+class TestCsvManifestFuzz:
+    """Any manifest text gives a ``DatasetManifest`` or a ``ValueError``."""
+
+    @given(text=st.text('pathdomincls,"\n\r \x00/', max_size=120)
+           | st.text('ab,"\n\r \x00/', max_size=120).map("path,domain,class\n".__add__))
+    @example(text='path,domain,class\n"unterminated,a,b')
+    def test_arbitrary_text(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        try:
+            assert isinstance(manifest_from_csv(path), DatasetManifest)
+        except ValueError:
+            pass
 
 
 class TestEvaluate:
@@ -464,6 +521,32 @@ class TestExportEmbeddings:
                 np.testing.assert_allclose(
                     removed, remover_forward(raw, ckpt.remover), atol=1e-5
                 )
+
+    def test_failure_mid_write_keeps_previous_file(self, tmp_path):
+        names = ("cat", "dog")
+        b = ToyBackend(ToyBackendSpec(), names)
+        _write_toy_tree(tmp_path / "data", b, names, per=_CHUNK)  # several chunks
+        manifest = load_manifest(tmp_path / "data")
+        out = tmp_path / "out"
+        out.mkdir()
+        target = out / "emb.csv"
+        target.write_text("previous export\n")
+
+        class FailsOnSecondChunk(ToyBackend):
+            calls = 0
+
+            def encode_images(self, images):
+                self.calls += 1
+                if self.calls == 2:
+                    raise ImageDecodeError("encoder failed mid-pass")
+                return super().encode_images(images)
+
+        with pytest.raises(ImageDecodeError):
+            export_embeddings(manifest, FailsOnSecondChunk(ToyBackendSpec(), names), None, target)
+        assert target.read_text() == "previous export\n"
+        assert [p.name for p in out.iterdir()] == ["emb.csv"]
+        assert export_embeddings(manifest, b, None, target) == 4 * _CHUNK
+        assert len(target.read_text().splitlines()) == 4 * _CHUNK + 1
 
     def test_io_error(self, tmp_path):
         names = ("cat", "dog")

@@ -3,7 +3,7 @@ batched analytic gradients that drive training."""
 import numpy as np
 import pytest
 
-from dpstyler.core import l2_normalize, softmax
+from dpstyler.core import DegenerateEmbeddingError, l2_normalize, softmax
 from dpstyler.losses import (
     ArcFaceConfig,
     ClassifierHead,
@@ -222,6 +222,13 @@ class TestLossGradients:
         b = loss_gradients(features[perm], probe, head, targets[perm], cfg)
         np.testing.assert_allclose(a.d_features[perm], b.d_features, atol=1e-6)
         np.testing.assert_allclose(a.d_head, b.d_head, atol=1e-6)
+
+    def test_zero_head_row_rejected(self, rng):
+        probe = DomainProbe(style_text_features=rng.standard_normal((3, 4)))
+        head = ClassifierHead(weights=np.vstack([rng.standard_normal(4), np.zeros(4)]))
+        with pytest.raises(DegenerateEmbeddingError, match="head row"):
+            loss_gradients(rng.standard_normal((2, 4)), probe, head, np.array([0, 1]),
+                           ArcFaceConfig())
 
     def test_shape_mismatch(self, rng):
         cfg = ArcFaceConfig()

@@ -253,6 +253,44 @@ class TestCheckpointPersistence:
         assert back.template_id == ckpt.template_id
         assert back.class_names == ckpt.class_names
 
+    def test_loaded_arrays_are_separate_aligned_copies(self, trained_models, tmp_path):
+        ckpt = trained_models[0].checkpoint
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, path)
+        back = load_checkpoint(path)
+        loaded = [back.remover.W1, back.remover.W2, back.head.weights]
+        saved = [ckpt.remover.W1, ckpt.remover.W2, ckpt.head.weights]
+        for got, want in zip(loaded, saved):
+            assert got.dtype == np.dtype("<f4") and got.shape == want.shape
+            assert got.tobytes() == np.ascontiguousarray(want, dtype="<f4").tobytes()
+            assert got.flags.c_contiguous and got.flags.aligned and got.flags.writeable
+            assert got.flags.owndata
+        for i, a in enumerate(loaded):
+            for b in loaded[i + 1 :]:
+                assert not np.shares_memory(a, b)
+        # The scoring norms were computed and checked at load, and cached.
+        norms = vars(back)["head_row_norms"]
+        W = back.head.weights
+        assert np.array_equal(norms, np.sqrt(np.einsum("mc,mc->m", W, W)))
+        assert not norms.flags.writeable
+
+    def test_save_failing_mid_write_keeps_previous_file(self, trained_models, tmp_path,
+                                                        monkeypatch):
+        import dpstyler.trainer as trainer
+
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(trained_models[0].checkpoint, path)
+        before = path.read_bytes()
+
+        def boom(*args):  # called after the magic bytes are written
+            raise OSError("disk full")
+
+        monkeypatch.setattr(trainer.struct, "pack", boom)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(trained_models[1].checkpoint, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
     def test_truncated_file(self, trained_models, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(trained_models[0].checkpoint, path)

@@ -128,6 +128,12 @@ class ToyBackendSpec:
     output_gain: float = 32.0
     seed: int = 0
 
+    def __post_init__(self):
+        if self.dim_joint < 1 or self.dim_token < 1:
+            raise ValueError("dim_joint and dim_token must be >= 1")
+        if self.noise_level < 0:
+            raise ValueError("noise_level must be >= 0")
+
 
 @dataclass(frozen=True)
 class ToyImage:
@@ -148,11 +154,17 @@ def toy_image_load(path) -> ToyImage:
     try:
         with open(path, encoding="utf-8") as fh:
             record = json.load(fh)
-        idx = int(record["class_index"])
-        nuisance = np.asarray(record["nuisance"], dtype=DEFAULT_DTYPE)
-        strength = float(record.get("content_strength", 1.0))
-    # OverflowError: an integer or float beyond float range (class_index
-    # 1e400); RecursionError: JSON nested deeper than the decoder's limit.
+        idx, strength = record["class_index"], record.get("content_strength", 1.0)
+        nuisance = np.asarray(record["nuisance"])
+        # Exact types, so a bool, a float index or a numeric string is not
+        # coerced; one dtype check covers every nuisance element.
+        if type(idx) is not int or type(strength) not in (int, float) \
+                or nuisance.dtype.kind not in "iuf":
+            raise TypeError("class_index must be an integer, nuisance and content_strength numbers")
+        nuisance = nuisance.astype(DEFAULT_DTYPE)
+        strength = float(strength)
+    # OverflowError: an integer beyond float range (content_strength
+    # 10**400); RecursionError: JSON nested deeper than the decoder's limit.
     except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise ImageDecodeError(f"malformed toy image {path}: {exc}") from exc
     if nuisance.ndim != 1:
@@ -160,6 +172,8 @@ def toy_image_load(path) -> ToyImage:
     # json.load accepts NaN and Infinity, which the encoder cannot take.
     if not (np.isfinite(nuisance).all() and math.isfinite(strength)):
         raise ImageDecodeError(f"malformed toy image {path}: non-finite value")
+    if strength < 0:
+        raise ImageDecodeError(f"malformed toy image {path}: negative content_strength")
     return ToyImage(class_index=idx, nuisance=nuisance, content_strength=strength)
 
 

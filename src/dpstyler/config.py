@@ -1,28 +1,18 @@
 """Run configuration: a single YAML document covering all commands.
 
-All training hyperparameters default to the standard recipe (100
-epochs, SGD lr 0.008 momentum 0.9, batch 128, K=80 styles, ArcFace
-scale 5 margin 0.5, three prompt templates), so a minimal config only
-names the backend and the task's class names:
-
-.. code-block:: yaml
-
-    backend:
-      variant: toy
-      dim_joint: 64
-      dim_token: 32
-    task:
-      class_names: [dog, elephant, giraffe, guitar, horse]
-    eval:
-      manifest: path/to/data    # directory root or CSV manifest
+Every key is optional except ``task.class_names``; the others default
+to the standard recipe.  ``dpstyler info --config run.yaml`` prints the
+merged document with every key and its value, and that document loads
+back to the same config.  A key not in ``_KEYS`` is a ``ConfigError``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .backends import EncoderBackend, ToyBackend, ToyBackendSpec
 from .core import PromptTemplate, TaskDefinition
@@ -42,18 +32,26 @@ class ConfigError(ValueError):
     """Raised for unreadable, invalid, or incomplete run configs."""
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RunConfig:
-    backend_variant: str
+    backend_variant: str = "toy"
     backend_spec: ToyBackendSpec
     task: TaskDefinition
     train: TrainConfig
-    templates: tuple[PromptTemplate, ...]
-    lexicon_path: str | None
-    eval_manifest: str | None
-    fusion: str
-    output_dir: str
+    templates: tuple[PromptTemplate, ...] = field(
+        default_factory=lambda: tuple(map(PromptTemplate.from_pattern, DEFAULT_TEMPLATES))
+    )
+    lexicon_path: str | None = None
+    eval_manifest: str | None = None
+    fusion: str = "max"
+    output_dir: str = "."
     raw: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.backend_variant != "toy":
+            raise ValueError(f"backend.variant must be 'toy', got {self.backend_variant!r}")
+        if self.fusion not in FUSION_MODES:
+            raise ValueError(f"fusion must be one of {FUSION_MODES}, got {self.fusion!r}")
 
     @property
     def fingerprint(self) -> str:
@@ -68,13 +66,69 @@ class RunConfig:
         return load_lexicon(backend, self.lexicon_path)
 
 
-def _section(doc: dict, name: str) -> dict:
-    value = doc.get(name, {})
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"config section {name!r} must be a mapping")
-    return dict(value)
+_PATH = "path"  # a string handed to open() or os.makedirs()
+_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string",
+               _PATH: "a path string", list: "a non-empty list of strings"}
+
+# Every key the loader honours: (section, key, kind, dataclass, field).
+# Section None is the top level.  Defaults are the dataclass fields'.
+_KEYS = (
+    ("backend", "variant", str, RunConfig, "backend_variant"),
+    ("backend", "dim_joint", int, ToyBackendSpec, "dim_joint"),
+    ("backend", "dim_token", int, ToyBackendSpec, "dim_token"),
+    ("backend", "max_classes", int, ToyBackendSpec, "max_classes"),
+    ("backend", "noise_level", float, ToyBackendSpec, "noise_level"),
+    ("backend", "seed", int, ToyBackendSpec, "seed"),
+    ("task", "class_names", list, TaskDefinition, "class_names"),
+    (None, "seed", int, TrainConfig, "seed"),  # train.seed, below, wins
+    ("train", "seed", int, TrainConfig, "seed"),
+    ("train", "epochs", int, TrainConfig, "epochs"),
+    ("train", "learning_rate", float, TrainConfig, "learning_rate"),
+    ("train", "momentum", float, TrainConfig, "momentum"),
+    ("train", "batch_size", int, TrainConfig, "batch_size"),
+    ("train", "ratio", int, TrainConfig, "ratio"),
+    ("train", "arcface_scale", float, ArcFaceConfig, "scale"),
+    ("train", "arcface_margin", float, ArcFaceConfig, "margin"),
+    ("styles", "num_styles", int, StyleGenConfig, "num_styles"),
+    ("styles", "strategy", str, StyleGenConfig, "strategy"),
+    ("styles", "alpha", float, StyleGenConfig, "alpha"),
+    ("styles", "gaussian_std", float, StyleGenConfig, "gaussian_std"),
+    ("styles", "lexicon", _PATH, RunConfig, "lexicon_path"),
+    (None, "templates", list, RunConfig, "templates"),
+    ("eval", "manifest", _PATH, RunConfig, "eval_manifest"),
+    ("eval", "fusion", str, RunConfig, "fusion"),
+    (None, "output_dir", _PATH, RunConfig, "output_dir"),
+)
+_SECTIONS = tuple(dict.fromkeys(row[0] for row in _KEYS if row[0]))
+_KNOWN = {(section, key) for section, key, *_ in _KEYS} | {(None, s) for s in _SECTIONS}
+
+
+def _name(section, key) -> str:
+    return f"{section}.{key}" if section else str(key)
+
+
+def _default(cls, name: str):
+    return next(f.default for f in fields(cls) if f.name == name)
+
+
+def _checked(kind, name: str, value):
+    """``value`` as a ``kind`` config value, or a ``ConfigError`` naming the key."""
+    if kind is int and type(value) is int:  # not bool
+        return value
+    if kind is float and type(value) in (int, float, str):
+        # PyYAML reads an exponent without a dot (1e-3) as a string.
+        try:
+            number = float(value)
+        except (ValueError, OverflowError):
+            number = math.nan
+        if math.isfinite(number):
+            return number
+    if kind in (str, _PATH) and isinstance(value, str):
+        return value
+    if kind is list and isinstance(value, list) and value \
+            and all(isinstance(v, str) for v in value):
+        return value
+    raise ConfigError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
 def load_run_config(path, seed_override: int | None = None, out_override: str | None = None,
@@ -95,127 +149,51 @@ def load_run_config(path, seed_override: int | None = None, out_override: str | 
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
 
-    backend_sec = _section(doc, "backend")
-    task_sec = _section(doc, "task")
-    train_sec = _section(doc, "train")
-    styles_sec = _section(doc, "styles")
-    eval_sec = _section(doc, "eval")
+    sections = {None: doc}
+    for name in _SECTIONS:
+        sections[name] = {} if doc.get(name) is None else doc[name]
+        if not isinstance(sections[name], dict):
+            raise ConfigError(f"config section {name!r} must be a mapping")
+    unknown = [_name(s, k) for s, sec in sections.items() for k in sec if (s, k) not in _KNOWN]
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
 
-    try:
-        seed = int(train_sec.get("seed", doc.get("seed", 0)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid seed: {exc}") from exc
-    if seed_override is not None:
-        seed = seed_override
-
-    variant = backend_sec.get("variant", "toy")
-    if variant != "toy":
-        raise ConfigError(f"backend.variant must be 'toy', got {variant!r}")
-
-    class_names = task_sec.get("class_names")
-    if not class_names:
+    kwargs = {row[3]: {} for row in _KEYS}
+    for section, key, kind, cls, name in _KEYS:
+        sec = sections[section]
+        # null stands for "unset" only where the default is null.
+        if key in sec and not (sec[key] is None and _default(cls, name) is None):
+            kwargs[cls][name] = _checked(kind, _name(section, key), sec[key])
+    if not kwargs[TaskDefinition]:
         raise ConfigError("task.class_names is required")
-    if not isinstance(class_names, list):
-        raise ConfigError("task.class_names must be a list")
-    try:
-        task = TaskDefinition(class_names=tuple(str(n) for n in class_names))
-    except ValueError as exc:
-        raise ConfigError(f"invalid task: {exc}") from exc
 
-    try:
-        backend_spec = ToyBackendSpec(
-            dim_joint=int(backend_sec.get("dim_joint", 64)),
-            dim_token=int(backend_sec.get("dim_token", 32)),
-            max_classes=int(backend_sec.get("max_classes", 16)),
-            noise_level=float(backend_sec.get("noise_level", 0.1)),
-            seed=int(backend_sec.get("seed", seed)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid backend section: {exc}") from exc
-
-    try:
-        style_gen = StyleGenConfig(
-            num_styles=int(styles_sec.get("num_styles", 80)),
-            strategy=str(styles_sec.get("strategy", "random_mix")),
-            alpha=float(styles_sec.get("alpha", 0.1)),
-            gaussian_std=float(styles_sec.get("gaussian_std", 0.02)),
-            seed=seed,
-        )
-        train = TrainConfig(
-            epochs=int(train_sec.get("epochs", 100)),
-            learning_rate=float(train_sec.get("learning_rate", 0.008)),
-            momentum=float(train_sec.get("momentum", 0.9)),
-            batch_size=int(train_sec.get("batch_size", 128)),
-            ratio=int(train_sec.get("ratio", 16)),
-            style_gen=style_gen,
-            arcface=ArcFaceConfig(
-                scale=float(train_sec.get("arcface_scale", 5.0)),
-                margin=float(train_sec.get("arcface_margin", 0.5)),
-            ),
-            seed=seed,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid train/styles section: {exc}") from exc
-
-    patterns = doc.get("templates") or list(DEFAULT_TEMPLATES)
-    if not isinstance(patterns, list):
-        raise ConfigError("templates must be a list of patterns")
-    try:
-        templates = tuple(PromptTemplate.from_pattern(str(p)) for p in patterns)
-    except ValueError as exc:
-        raise ConfigError(f"invalid template: {exc}") from exc
-
-    fusion = str(eval_sec.get("fusion", "max"))
+    # The master seed also seeds the styles, and the backend unless set.
+    if seed_override is not None:
+        kwargs[TrainConfig]["seed"] = seed_override
+    seed = kwargs[TrainConfig].setdefault("seed", _default(TrainConfig, "seed"))
+    kwargs[ToyBackendSpec].setdefault("seed", seed)
+    kwargs[StyleGenConfig]["seed"] = seed
+    run = kwargs[RunConfig]
     if fusion_override is not None:
-        fusion = fusion_override
-    if fusion not in FUSION_MODES:
-        raise ConfigError(f"fusion must be one of {FUSION_MODES}, got {fusion!r}")
+        run["fusion"] = fusion_override
+    if out_override:
+        run["output_dir"] = out_override
+    try:
+        if "templates" in run:
+            run["templates"] = tuple(map(PromptTemplate.from_pattern, run["templates"]))
+        train = TrainConfig(**kwargs[TrainConfig],
+                            style_gen=StyleGenConfig(**kwargs[StyleGenConfig]),
+                            arcface=ArcFaceConfig(**kwargs[ArcFaceConfig]))
+        rc = RunConfig(**run, backend_spec=ToyBackendSpec(**kwargs[ToyBackendSpec]),
+                       task=TaskDefinition(**kwargs[TaskDefinition]), train=train)
+    except ValueError as exc:
+        raise ConfigError(f"invalid config: {exc}") from exc
 
-    lexicon_path = styles_sec.get("lexicon")
-    manifest = eval_sec.get("manifest")
-    output_dir = out_override or doc.get("output_dir", ".")
-    # A non-string path would reach open() or os.makedirs(): an int opens
-    # that file descriptor (0 is stdin), anything else is a TypeError.
-    # The two optional paths may be null; output_dir may not.
-    for key, value, optional in (("styles.lexicon", lexicon_path, True),
-                                 ("eval.manifest", manifest, True),
-                                 ("output_dir", output_dir, False)):
-        if not (isinstance(value, str) or (optional and value is None)):
-            raise ConfigError(f"{key} must be a path string, got {value!r}")
-
-    merged = {
-        "backend": backend_sec | {"variant": variant},
-        "task": {"class_names": list(task.class_names)},
-        "train": {
-            "epochs": train.epochs,
-            "learning_rate": train.learning_rate,
-            "momentum": train.momentum,
-            "batch_size": train.batch_size,
-            "num_styles": style_gen.num_styles,
-            "ratio": train.ratio,
-            "arcface_scale": train.arcface.scale,
-            "arcface_margin": train.arcface.margin,
-            "seed": seed,
-        },
-        "styles": {
-            "strategy": style_gen.strategy,
-            "alpha": style_gen.alpha,
-            "gaussian_std": style_gen.gaussian_std,
-            "lexicon": lexicon_path,
-        },
-        "templates": [t.pattern for t in templates],
-        "eval": {"manifest": manifest, "fusion": fusion},
-        "output_dir": output_dir,
-    }
-    return RunConfig(
-        backend_variant=variant,
-        backend_spec=backend_spec,
-        task=task,
-        train=train,
-        templates=templates,
-        lexicon_path=lexicon_path,
-        eval_manifest=manifest,
-        fusion=fusion,
-        output_dir=output_dir,
-        raw=merged,
-    )
+    built = {RunConfig: rc, ToyBackendSpec: rc.backend_spec, TaskDefinition: rc.task,
+             TrainConfig: train, StyleGenConfig: train.style_gen, ArcFaceConfig: train.arcface}
+    for section, key, _, cls, name in _KEYS:
+        value = getattr(built[cls], name)
+        if isinstance(value, tuple):  # class names, or templates as their patterns
+            value = [getattr(v, "pattern", v) for v in value]
+        (rc.raw.setdefault(section, {}) if section else rc.raw)[key] = value
+    return rc

@@ -89,8 +89,12 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
+        if not 0 <= self.momentum < 1:
+            raise ValueError("momentum must be in [0, 1)")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.ratio < 1:
+            raise ValueError("ratio must be >= 1")
 
     @property
     def num_styles(self) -> int:

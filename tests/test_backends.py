@@ -346,6 +346,35 @@ class TestLoadImage:
         with pytest.raises(ImageDecodeError, match="non-finite"):
             backend.load_image(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("class_index", "1.9"), ("class_index", "true"), ("class_index", '"2"'),
+            ("content_strength", "-3"), ("content_strength", '"2"'),
+            ("content_strength", "false"), ("nuisance", '"0.5"'),
+            ("nuisance", "[%s]" % ", ".join(['"1"'] * 32)),
+            ("nuisance", "[%s]" % ", ".join(["true", "false"] * 16)),
+            ("nuisance", "[%s]" % ", ".join(["0.5"] * 31 + ["null"])),
+        ],
+        ids=["index-float", "index-bool", "index-str", "strength-negative", "strength-str",
+             "strength-bool", "nuisance-str", "nuisance-strs", "nuisance-bools", "nuisance-null"],
+    )
+    def test_mistyped_record_is_a_decode_error(self, backend, tmp_path, field, value):
+        record = {"class_index": "1", "nuisance": "[%s]" % ", ".join(["0.5"] * 32),
+                  "content_strength": "0.5"} | {field: value}
+        path = tmp_path / "bad.json"
+        path.write_text("{%s}" % ", ".join(f'"{k}": {v}' for k, v in record.items()))
+        with pytest.raises(ImageDecodeError):
+            backend.load_image(path)
+
+    def test_integer_values_are_numbers(self, backend, tmp_path):
+        path = tmp_path / "ints.json"
+        path.write_text('{"class_index": 2, "nuisance": [%s], "content_strength": 0}'
+                        % ", ".join(["1"] * 32))
+        image = backend.load_image(path)
+        assert (image.class_index, image.content_strength) == (2, 0.0)
+        assert image.nuisance.dtype == np.float32 and (image.nuisance == 1).all()
+
 
 # A small alphabet keeps Hypothesis from building full-Unicode tables.
 _keys = st.sampled_from(["class_index", "nuisance", "content_strength"]) | st.text("abc", max_size=3)

@@ -1,13 +1,18 @@
 """Run-config parsing and the command-line workflow end to end."""
 import csv
+import io
 import json
 import struct
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dpstyler.cli import main
-from dpstyler.config import ConfigError, load_run_config
+from dpstyler.config import _KEYS, ConfigError, load_run_config
 
 SMALL_CONFIG = """
 backend:
@@ -16,7 +21,6 @@ backend:
   dim_token: 32
   seed: 11
   noise_level: 0.0
-  style_strength: 3.0
 task:
   class_names: [cat, dog, fish]
 train:
@@ -129,6 +133,66 @@ LOADER_CONFIGS = {
     "top-level-seed": "task: {class_names: [a, b]}\nseed: 12\ntrain: {epochs: 1}\n",
     "perfbench-345": _perfbench_shaped_config(),
 }
+
+
+def _readme_config() -> str:
+    """The README's example config: its first YAML block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+
+
+# Every key the loader honours: the merged document holds each of them.
+HONOURED_KEYS = {
+    "backend.variant", "backend.dim_joint", "backend.dim_token", "backend.max_classes",
+    "backend.noise_level", "backend.seed", "task.class_names", "seed", "train.seed",
+    "train.epochs", "train.learning_rate", "train.momentum", "train.batch_size", "train.ratio",
+    "train.arcface_scale", "train.arcface_margin", "styles.num_styles", "styles.strategy",
+    "styles.alpha", "styles.gaussian_std", "styles.lexicon", "templates", "eval.manifest",
+    "eval.fusion", "output_dir",
+}
+
+
+def _flat_keys(raw: dict) -> set:
+    return {f"{s}.{k}" for s, sec in raw.items() if isinstance(sec, dict) for k in sec} | {
+        k for k, v in raw.items() if not isinstance(v, dict)}
+
+
+class TestMergedDocument:
+    """``raw`` (what ``info`` prints) is a complete config that loads back unchanged."""
+
+    @pytest.mark.parametrize("name", sorted(LOADER_CONFIGS) + ["readme"])
+    def test_raw_round_trips(self, tmp_path, name):
+        p = tmp_path / "run.yaml"
+        p.write_text(_readme_config() if name == "readme" else LOADER_CONFIGS[name])
+        rc = load_run_config(p)
+        assert _flat_keys(rc.raw) == HONOURED_KEYS
+        again = tmp_path / "again.yaml"
+        again.write_text(yaml.safe_dump(rc.raw))
+        back = load_run_config(again)
+        assert back.raw == rc.raw and back.fingerprint == rc.fingerprint
+        assert back == rc  # every built object: backend spec, task, train, templates, paths
+
+    def test_info_output_loads_back(self, workspace, tmp_path, capsys):
+        cfg_path, _, _ = workspace
+        assert main(["info", "--config", str(cfg_path), "--seed", "5"]) == 0
+        printed = tmp_path / "info.yaml"
+        printed.write_text(capsys.readouterr().out)
+        assert load_run_config(printed) == load_run_config(cfg_path, seed_override=5)
+
+    def test_derived_seeds_follow_the_master_seed(self, tmp_path):
+        p = tmp_path / "run.yaml"
+        p.write_text("task: {class_names: [a, b]}\nseed: 12\n")
+        rc = load_run_config(p, seed_override=31)
+        assert rc.train.seed == rc.train.style_gen.seed == rc.backend_spec.seed == 31
+        p.write_text("task: {class_names: [a, b]}\nseed: 12\nbackend: {seed: 4}\n")
+        rc = load_run_config(p, seed_override=31)
+        assert (rc.train.seed, rc.backend_spec.seed) == (31, 4)
+
+    def test_exponent_without_dot_is_a_float(self, tmp_path):
+        # PyYAML reads 1e-3 as the string "1e-3"; float keys take numeric strings.
+        p = tmp_path / "run.yaml"
+        p.write_text("task: {class_names: [a, b]}\ntrain: {learning_rate: 1e-3}\n")
+        assert load_run_config(p).train.learning_rate == 0.001
 
 
 class TestYamlLoaders:
@@ -261,6 +325,33 @@ class TestCliWorkflow:
         json.loads(capsys.readouterr().out)
 
 
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+            | st.sampled_from(["yes", "no", "1e-3", "0x1f", "1_000", ".nan", "-.inf", "~",
+                               "2001-12-14", "[class] S*", "'a [class] in S*'"]))
+
+
+class TestArbitraryConfigValues:
+    """Any YAML value in any honoured key: ``info`` exits 0 or 2, never a traceback."""
+
+    @pytest.mark.parametrize("section, key", [row[:2] for row in _KEYS],
+                             ids=[f"{s}.{k}" if s else k for s, k, *_ in _KEYS])
+    @settings(max_examples=40)
+    @given(value=_SCALARS | st.lists(_SCALARS, max_size=3))
+    @example(value=10**400)
+    def test_info_exits_0_or_2(self, tmp_path_factory, section, key, value):
+        doc = {"task": {"class_names": ["a", "b"]}}
+        (doc.setdefault(section, {}) if section else doc)[key] = value
+        text = yaml.safe_dump(doc)
+        if isinstance(value, str):  # also as a plain YAML scalar: yes, 1e-3, ~, a date
+            text = text.replace(yaml.safe_dump(value).removesuffix("\n...\n").strip(), value, 1)
+        p = tmp_path_factory.getbasetemp() / "fuzz-config.yaml"
+        p.write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["info", "--config", str(p)])
+        assert code in (0, 2), err.getvalue()
+
+
 class TestCliErrors:
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "none.yaml")]) == 2
@@ -294,13 +385,50 @@ class TestCliErrors:
             "task: {class_names: [a, b]}\nseed: [1]\n",
             "task: {class_names: 5}\n",
             "task: {class_names: [a, b]}\ntemplates: 5\n",
+            "task: {class_names: [a, b]}\ntrain: {ratio: 0}\n",
+            "task: {class_names: [a, b]}\nbackend: {dim_token: 0}\n",
+            "task: {class_names: [a, b]}\ntrain: {momentum: 1.5}\n",
+            "task: {class_names: [a, b]}\nbackend: {noise_level: -1}\n",
+            "task: {class_names: [a, b]}\ntrain: {epochs: 2.7}\n",
+            "task: {class_names: [a, b]}\ntrain: {epochs: true}\n",
+            "task: {class_names: [a, b]}\ntrain: {batch_size: '64'}\n",
+            "task: {class_names: [a, b]}\ntrain: {learning_rate: .nan}\n",
+            "task: {class_names: [a, b]}\ntrain: {momentum: .inf}\n",
+            "task: {class_names: [a, b]}\nstyles: {alpha: .nan}\n",
+            "task: {class_names: [yes, no]}\n",
+            "task: {class_names: [a, b]}\nbackend: 5\n",
         ],
-        ids=["train-seed-null", "seed-list", "class_names-int", "templates-int"],
+        ids=["train-seed-null", "seed-list", "class_names-int", "templates-int",
+             "ratio-0", "dim_token-0", "momentum-1.5", "noise_level-negative", "epochs-float",
+             "epochs-bool", "batch_size-str", "learning_rate-nan", "momentum-inf", "alpha-nan",
+             "class_names-bool", "backend-not-a-mapping"],
     )
     def test_malformed_config_value_exits_2(self, tmp_path, capsys, doc):
         p = tmp_path / "bad.yaml"
         p.write_text(doc)
         with pytest.raises(ConfigError):
+            load_run_config(p)
+        assert main(["info", "--config", str(p)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ("backend: {style_strength: 3.0}\n", "backend.style_strength"),
+            ("backend: {output_gain: 1.0}\n", "backend.output_gain"),
+            ("task: {class_names: [a, b], classes: [c, d]}\n", "task.classes"),
+            ("train: {epoch: 3}\n", "train.epoch"),
+            ("styles: {strateg: stylemix}\n", "styles.strateg"),
+            ("eval: {fusoin: average}\n", "eval.fusoin"),
+            ("evl: {fusion: average}\n", "evl"),
+            ("outputdir: runs\n", "outputdir"),
+        ],
+        ids=["backend", "backend-gain", "task", "train", "styles", "eval", "section", "top-level"],
+    )
+    def test_unknown_key_exits_2(self, tmp_path, capsys, doc, key):
+        p = tmp_path / "bad.yaml"
+        p.write_text(doc if doc.startswith("task") else "task: {class_names: [a, b]}\n" + doc)
+        with pytest.raises(ConfigError, match=f"unknown config key.*{key}"):
             load_run_config(p)
         assert main(["info", "--config", str(p)]) == 2
         assert "Traceback" not in capsys.readouterr().err

@@ -161,7 +161,8 @@ def toy_image_load(path) -> ToyImage:
         if type(idx) is not int or type(strength) not in (int, float) \
                 or nuisance.dtype.kind not in "iuf":
             raise TypeError("class_index must be an integer, nuisance and content_strength numbers")
-        nuisance = nuisance.astype(DEFAULT_DTYPE)
+        with np.errstate(over="ignore"):  # beyond float32 is inf, rejected below
+            nuisance = nuisance.astype(DEFAULT_DTYPE)
         strength = float(strength)
     # OverflowError: an integer beyond float range (content_strength
     # 10**400); RecursionError: JSON nested deeper than the decoder's limit.
@@ -312,9 +313,7 @@ class ToyBackend(EncoderBackend):
         content = {i: self._content_vector("image", n).astype(np.float64) for i, n in names.items()}
         feature = np.array([im.content_strength * content[im.class_index] for im in images])
         nuisance = np.array([image.nuisance for image in images], dtype=DEFAULT_DTYPE)
-        norms = np.linalg.norm(nuisance, axis=1, keepdims=True)
-        unit = np.divide(nuisance, norms, out=np.zeros_like(nuisance), where=norms > 1e-12)
-        feature += self.spec.style_strength * (unit @ self._V.T)
+        feature += self._style_terms(nuisance)
         if self.spec.noise_level > 0:
             for row, nuis, image in zip(feature, nuisance, images):
                 data = nuis.tobytes() + image.class_index.to_bytes(4, "little")

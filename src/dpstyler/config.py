@@ -8,6 +8,7 @@ back to the same config.  A key not in ``_KEYS`` is a ``ConfigError``.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -99,6 +100,7 @@ _KEYS = (
     ("eval", "fusion", str, RunConfig, "fusion"),
     (None, "output_dir", _PATH, RunConfig, "output_dir"),
 )
+_MERGE_TAG = "tag:yaml.org,2002:merge"
 _SECTIONS = tuple(dict.fromkeys(row[0] for row in _KEYS if row[0]))
 _KNOWN = {(section, key) for section, key, *_ in _KEYS} | {(None, s) for s in _SECTIONS}
 
@@ -131,6 +133,27 @@ def _checked(kind, name: str, value):
     raise ConfigError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
+@functools.cache  # one subclass per base: a class built per call makes the parse slower
+def _no_repeated_keys(base):
+    """``base`` rejecting a key repeated within one mapping, where PyYAML keeps the last."""
+    import yaml
+
+    class Loader(base):
+        def construct_mapping(self, node, deep=False):
+            seen = set()
+            for key_node, _ in node.value:  # scalar keys; "<<" merges may be overridden
+                if isinstance(key_node, yaml.ScalarNode) and key_node.tag != _MERGE_TAG:
+                    key = self.construct_object(key_node)
+                    if key in seen:
+                        raise yaml.constructor.ConstructorError(
+                            "while constructing a mapping", node.start_mark,
+                            f"found repeated key {key!r}", key_node.start_mark)
+                    seen.add(key)
+            return super().construct_mapping(node, deep=deep)
+
+    return Loader
+
+
 def load_run_config(path, seed_override: int | None = None, out_override: str | None = None,
                     fusion_override: str | None = None) -> RunConfig:
     """Parse and validate a YAML run config, applying CLI overrides."""
@@ -140,7 +163,7 @@ def load_run_config(path, seed_override: int | None = None, out_override: str | 
         raise ConfigError(f"config file not found: {path}")
     # libyaml's parser when PyYAML was built with it: the same safe
     # constructors, so the same document, several times faster.
-    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    loader = _no_repeated_keys(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     try:
         with open(path, encoding="utf-8") as fh:
             doc = yaml.load(fh, Loader=loader) or {}

@@ -163,13 +163,10 @@ class TrainResult:
     final_bank: StyleBank
 
 
-def build_prompt_set(
-    task: TaskDefinition, bank: StyleBank, seed: int, epoch: int
-) -> list[tuple[int, int]]:
-    """Full (class, style) cross product, shuffled with the epoch's RNG."""
-    pairs = [(m, i) for m in range(task.num_classes) for i in range(bank.num_styles)]
+def build_prompt_set(task: TaskDefinition, bank: StyleBank, seed: int, epoch: int) -> np.ndarray:
+    """Full (class m, style i) cross product as flat ``m*K + i`` indices, shuffled per epoch."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_SHUFFLE, epoch]))
-    return [pairs[j] for j in rng.permutation(len(pairs))]
+    return rng.permutation(task.num_classes * bank.num_styles)
 
 
 def sgd_step(
@@ -248,13 +245,12 @@ def train_one_model(
         probe = encode_probe(backend, bank)
         feats = _encode_epoch_features(backend, task, bank, template)
 
-        order = np.array(build_prompt_set(task, bank, config.seed, epoch))
-        targets_all = order[:, 0]
-        flat = targets_all * bank.num_styles + order[:, 1]
+        flat = build_prompt_set(task, bank, config.seed, epoch)
+        targets_all = flat // bank.num_styles
         flat_feats = feats.reshape(-1, C)
 
         sum_u = sum_c = 0.0
-        n_samples = len(order)
+        n_samples = len(flat)
         for batch_idx, start_idx in enumerate(range(0, n_samples, config.batch_size)):
             v = flat_feats[flat[start_idx : start_idx + config.batch_size]]
             y = targets_all[start_idx : start_idx + config.batch_size]
@@ -308,6 +304,16 @@ def train_one_model(
     return TrainResult(checkpoint=checkpoint, metrics=metrics, final_bank=bank)
 
 
+def _layout(dim_joint: int, ratio: int, num_classes: int) -> list[dict]:
+    """Array manifest for these dims: W1 (C, C//r), W2 (C//r, C), head (M, C), back to back."""
+    hidden, layout, offset = dim_joint // ratio, [], 0
+    for name, shape in (("W1", [dim_joint, hidden]), ("W2", [hidden, dim_joint]),
+                        ("head", [num_classes, dim_joint])):
+        layout.append({"name": name, "shape": shape, "offset": offset})
+        offset += 4 * math.prod(shape)
+    return layout
+
+
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
     """Write the binary checkpoint format.
 
@@ -315,23 +321,25 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
     length; UTF-8 JSON header (version, dims, ratio, template, class
     names, backend tag, seed, array manifest with shapes and offsets);
     then the raw float32 little-endian arrays W1, W2, head in manifest
-    order.  Offsets are relative to the end of the header.
+    order.  Offsets are relative to the end of the header.  The manifest
+    is derived from ``dim_joint``, ``ratio`` and ``num_classes``, and
+    ``load_checkpoint`` accepts no other manifest and no trailing bytes;
+    an array whose shape disagrees raises ``ValueError`` before the file
+    is opened.
     """
-    arrays = [
-        ("W1", np.ascontiguousarray(checkpoint.remover.W1, dtype="<f4")),
-        ("W2", np.ascontiguousarray(checkpoint.remover.W2, dtype="<f4")),
-        ("head", np.ascontiguousarray(checkpoint.head.weights, dtype="<f4")),
-    ]
-    manifest = []
-    offset = 0
-    for name, arr in arrays:
-        manifest.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        offset += arr.nbytes
+    C, ratio = checkpoint.dim_joint, checkpoint.remover.ratio
+    layout = _layout(C, ratio, checkpoint.head.num_classes)
+    arrays = [np.ascontiguousarray(a, dtype="<f4") for a in
+              (checkpoint.remover.W1, checkpoint.remover.W2, checkpoint.head.weights)]
+    for entry, arr in zip(layout, arrays):
+        if list(arr.shape) != entry["shape"]:
+            raise ValueError(f"array {entry['name']!r} has shape {arr.shape}, expected "
+                             f"{tuple(entry['shape'])} for C={C}, r={ratio}")
     header = {
         "format_version": CHECKPOINT_VERSION,
-        "dim_joint": checkpoint.dim_joint,
+        "dim_joint": C,
         "dim_token": checkpoint.dim_token,
-        "ratio": checkpoint.remover.ratio,
+        "ratio": ratio,
         "num_classes": checkpoint.head.num_classes,
         "template_id": checkpoint.template_id,
         "template_pattern": checkpoint.template_pattern,
@@ -339,14 +347,14 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
         "backend_tag": checkpoint.backend_tag,
         "seed": checkpoint.seed,
         "config": checkpoint.config_snapshot,
-        "arrays": manifest,
+        "arrays": layout,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(header_bytes)))
         fh.write(header_bytes)
-        for _, arr in arrays:
+        for arr in arrays:
             fh.write(arr.tobytes())
 
 
@@ -368,22 +376,25 @@ def load_checkpoint(path) -> Checkpoint:
         if size < body_start:
             raise CheckpointError(f"{path}: truncated header")
         header = _read_header(path, fh.read(header_len))
-        arrays = _read_arrays(path, fh, header["arrays"], size - body_start)
+        C, ratio, M = header["dim_joint"], header["ratio"], header["num_classes"]
+        layout = _layout(C, ratio, M)
+        # Compared as JSON text, so an offset of 0.0 or false is not the 0 written.
+        if json.dumps(header["arrays"], sort_keys=True) != json.dumps(layout, sort_keys=True):
+            raise CheckpointError(f"{path}: array manifest does not match C={C}, r={ratio}, M={M}")
+        if len(header["class_names"]) != M:
+            raise CheckpointError(f"{path}: class-name count != num_classes")
+        # Before any allocation, since the dims come from the file.
+        body_len = layout[-1]["offset"] + 4 * math.prod(layout[-1]["shape"])
+        if size - body_start != body_len:
+            raise CheckpointError(f"{path}: body is {size - body_start} bytes, not {body_len}")
+        arrays = [np.empty(entry["shape"], dtype="<f4") for entry in layout]
+        for entry, values in zip(layout, arrays):
+            if fh.readinto(values) != values.nbytes:
+                raise CheckpointError(f"{path}: array {entry['name']!r} is truncated")
+            if not np.isfinite(values).all():
+                raise CheckpointError(f"{path}: array {entry['name']!r} holds NaN or inf")
 
-    C, ratio = header["dim_joint"], header["ratio"]
-    hidden = C // ratio
-    try:
-        W1, W2, head_w = arrays["W1"], arrays["W2"], arrays["head"]
-    except KeyError as exc:
-        raise CheckpointError(f"{path}: missing array {exc}") from exc
-    if W1.shape != (C, hidden) or W2.shape != (hidden, C):
-        raise CheckpointError(
-            f"{path}: gate shapes {W1.shape}/{W2.shape} inconsistent with C={C}, r={ratio}"
-        )
-    if head_w.shape != (header["num_classes"], C):
-        raise CheckpointError(f"{path}: head shape {head_w.shape} inconsistent")
-    if len(header["class_names"]) != header["num_classes"]:
-        raise CheckpointError(f"{path}: class-name count != num_classes")
+    W1, W2, head_w = arrays
     checkpoint = Checkpoint(
         remover=StyleRemoverParams(W1=W1, W2=W2, ratio=ratio),
         head=ClassifierHead(weights=head_w),
@@ -439,34 +450,3 @@ def _read_header(path, blob: bytes) -> dict:
     if not isinstance(header["arrays"], list):
         raise CheckpointError(f"{path}: header 'arrays' is not a list")
     return header
-
-
-def _read_arrays(path, fh, manifest: list, body_len: int) -> dict[str, np.ndarray]:
-    """Read the manifest's arrays from ``fh``, positioned at the start of the body."""
-    arrays: dict[str, np.ndarray] = {}
-    end = 0  # where the previous array ended; save_checkpoint packs them back to back
-    for entry in manifest:
-        try:
-            name, offset, shape = entry["name"], entry["offset"], tuple(entry["shape"])
-        except (KeyError, TypeError) as exc:
-            raise CheckpointError(f"{path}: malformed array entry {entry!r}") from exc
-        if name not in ("W1", "W2", "head") or name in arrays:
-            raise CheckpointError(f"{path}: unexpected or repeated array {name!r}")
-        if any(type(n) is not int for n in (offset, *shape)):
-            raise CheckpointError(f"{path}: malformed array entry {entry!r}")
-        nbytes = math.prod(shape) * 4
-        if offset < 0 or min(shape, default=0) < 0 or offset + nbytes > body_len:
-            raise CheckpointError(
-                f"{path}: array {name!r} (shape {shape}, offset {offset}) lies outside the body"
-            )
-        if offset != end:
-            raise CheckpointError(f"{path}: array {name!r} starts at {offset}, not at {end}")
-        end = offset + nbytes
-        # The arrays are contiguous, so the file position is already at this one.
-        values = np.empty(shape, dtype="<f4")
-        if fh.readinto(values) != nbytes:
-            raise CheckpointError(f"{path}: array {name!r} is truncated")
-        if not np.isfinite(values).all():
-            raise CheckpointError(f"{path}: array {name!r} holds NaN or inf")
-        arrays[name] = values
-    return arrays

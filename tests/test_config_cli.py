@@ -228,7 +228,8 @@ class TestYamlLoaders:
         load_run_config(p)
         self._without_libyaml(monkeypatch)
         load_run_config(p)
-        assert seen == [preferred, yaml.SafeLoader]
+        # The loader is a subclass that rejects repeated keys; its parser is the base's.
+        assert [loader.__bases__ for loader in seen] == [(preferred,), (yaml.SafeLoader,)]
 
     @pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure-python"])
     @pytest.mark.parametrize(
@@ -246,6 +247,34 @@ class TestYamlLoaders:
             load_run_config(p)
         assert main(["info", "--config", str(p)]) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure-python"])
+    @pytest.mark.parametrize(
+        "doc, key",
+        [("task: {class_names: [a, b], class_names: [c, d]}\n", "class_names"),
+         ("task: {class_names: [a, b]}\ntrain: {epochs: 3}\ntrain: {batch_size: 8}\n", "train"),
+         ("task:\n  class_names: [a, b]\ntrain:\n  epochs: 3\n  epochs: 4\n", "epochs")],
+        ids=["in-flow-mapping", "section", "in-block-mapping"],
+    )
+    def test_repeated_key_exits_2(self, tmp_path, monkeypatch, capsys, libyaml, doc, key):
+        if not libyaml:
+            self._without_libyaml(monkeypatch)
+        p = tmp_path / "repeated.yaml"
+        p.write_text(doc)
+        with pytest.raises(ConfigError, match=f"repeated key '{key}'"):
+            load_run_config(p)
+        assert main(["info", "--config", str(p)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure-python"])
+    def test_merged_key_may_be_overridden(self, tmp_path, monkeypatch, libyaml):
+        if not libyaml:
+            self._without_libyaml(monkeypatch)
+        p = tmp_path / "merge.yaml"
+        p.write_text("task: {class_names: [a, b]}\n"
+                     "train: {<<: {epochs: 3, batch_size: 8}, epochs: 4}\n")
+        train = load_run_config(p).train
+        assert (train.epochs, train.batch_size) == (4, 8)
 
 
 class TestCliWorkflow:
@@ -508,7 +537,7 @@ class TestCliErrors:
         assert main(["eval", "--config", str(cfg_path), str(ckpt)]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
-    @pytest.mark.parametrize("case", ["W1-offset-1", "W1-first-nan"])
+    @pytest.mark.parametrize("case", ["W1-offset-1", "W1-first-nan", "trailing-bytes"])
     def test_misplaced_or_non_finite_array_exits_2(self, workspace, capsys, case):
         cfg_path, _, out = workspace
         assert main(["train", "--config", str(cfg_path)]) == 0
@@ -520,8 +549,10 @@ class TestCliErrors:
             header["arrays"][0]["offset"] = 1
             new_header = json.dumps(header).encode()
             blob[8:end] = len(new_header).to_bytes(4, "little") + new_header
-        else:  # W1 is the first array of the body
+        elif case == "W1-first-nan":  # W1 is the first array of the body
             blob[end : end + 4] = struct.pack("<f", float("nan"))
+        else:
+            blob += bytes(8)
         ckpt.write_bytes(bytes(blob))
         capsys.readouterr()
         assert main(["eval", "--config", str(cfg_path), str(ckpt)]) == 2

@@ -1,15 +1,19 @@
 """Frozen joint vision-language encoder backends.
 
-The pipeline needs five operations from a backend: encode a batch of
-class prompts (every class name crossed with every style vector, each
-injected at the style token's position), encode a batch of style-only
-prompts, load an image file, encode a batch of loaded images, and look
-up a word's token embedding.  Training re-encodes all M*K prompts every
-epoch and evaluation encodes images a chunk at a time; ``text_encode``,
-``style_text_encode`` and ``image_encode`` are single-item conveniences
-over the batched methods.  Backends are immutable after construction;
+The pipeline needs five operations from a backend: encode chosen rows
+of the class-prompt grid (every class name crossed with every style
+vector, each injected at the style token's position, row ``m*K + i``
+for class m and style i), encode a batch of style-only prompts, load an
+image file, encode a batch of loaded images, and look up a word's token
+embedding.  Training encodes each batch's B prompts as it reaches them,
+so every (class, style) pair is encoded once per epoch and the M*K grid
+is never held; evaluation encodes images a chunk at a time.
+``encode_prompts`` (the whole grid), ``text_encode``,
+``style_text_encode`` and ``image_encode`` are conveniences over the
+batched methods.  Backends are immutable after construction;
 ``ToyBackend`` fills a memo of read-only content vectors as classes are
-first encoded, which changes no output.
+first encoded, and keeps the projection of the last style matrix it
+saw, neither of which changes any output.
 
 ``ToyBackend`` is a seeded linear construction for desk-scale tests.
 Text features are ``l2(content(class, template) + V @ l2(style))`` and
@@ -56,16 +60,30 @@ class EncoderBackend(abc.ABC):
         """D: dimensionality of the token word-embedding space."""
 
     @abc.abstractmethod
+    def encode_prompt_rows(
+        self,
+        pattern: str,
+        class_names: Sequence[str],
+        styles: np.ndarray | None,
+        index: np.ndarray,
+    ) -> np.ndarray:
+        """Encode the (class, style) prompts at flat ``index``: (len(index), C).
+
+        ``styles`` is (K, D); flat index ``m*K + i`` is the prompt for
+        class m with style row i injected at its style token.  ``styles``
+        is ``None`` for a pattern with no style slot, which gives K=1.
+        Raises ``ValueError`` when a style slot has no styles, the rows
+        are not D long, or ``index`` is not a 1-D integer array in
+        [0, M*K).
+        """
+
     def encode_prompts(
         self, pattern: str, class_names: Sequence[str], styles: np.ndarray | None
     ) -> np.ndarray:
-        """Encode every (class, style) prompt: an (M, K, C) array.
-
-        ``styles`` is (K, D); row i is injected at the style token of the
-        prompt for column i.  It is ``None`` for a pattern with no style
-        slot, which gives K=1.  Raises ``ValueError`` when a style slot
-        has no styles or the rows are not D long.
-        """
+        """Encode every (class, style) prompt: an (M, K, C) array."""
+        M, K = len(class_names), 1 if styles is None else len(styles)
+        rows = self.encode_prompt_rows(pattern, class_names, styles, np.arange(M * K))
+        return rows.reshape(M, K, -1)
 
     @abc.abstractmethod
     def encode_style_prompts(self, styles: np.ndarray) -> np.ndarray:
@@ -218,7 +236,8 @@ class ToyBackend(EncoderBackend):
         # per-channel gate has something real to suppress.  Built in float64
         # and cast: a float32 build is bitwise the same, but frees no 4 MB
         # block during set-up, so glibc's dynamic mmap threshold stays lower
-        # and training maps each epoch's 2-4 MB feature buffer afresh.
+        # and training maps and faults its buffers afresh (about 2,000 more
+        # minor faults per 5-epoch M=7 run).
         block = C // 2
         V = np.zeros((C, D))
         V[block:] = rng.standard_normal((C - block, D)) / np.sqrt(C - block)
@@ -226,6 +245,9 @@ class ToyBackend(EncoderBackend):
         rng = _tagged_rng(spec.seed, "style-prompt-base")
         self._style_prompt_base = (rng.standard_normal(C) * scale).astype(DEFAULT_DTYPE)
         self._content: dict[tuple[str, str], np.ndarray] = {}
+        # The last styles projected, as a private copy, and their terms.
+        self._terms_key: np.ndarray | None = None
+        self._terms: np.ndarray | None = None
 
     @property
     def dim_joint(self) -> int:
@@ -255,20 +277,32 @@ class ToyBackend(EncoderBackend):
         return vector
 
     def _style_terms(self, styles: np.ndarray) -> np.ndarray:
-        """(K, C) projections of the direction-normalized style rows.
+        """(K, C) projections of the direction-normalized style rows, read-only.
 
         A zero style row contributes nothing rather than erroring, so
-        the style path can be switched off in tests.
+        the style path can be switched off in tests.  The last result is
+        reused while the styles are bitwise the same, so an epoch's probe
+        and all its prompt batches project the K styles once.
         """
         styles = np.asarray(styles, dtype=DEFAULT_DTYPE)
         if styles.ndim != 2 or styles.shape[1] != self.spec.dim_token:
             raise ValueError(f"styles shape {styles.shape} != (K, D={self.spec.dim_token})")
+        key = self._terms_key
+        if key is not None and np.array_equal(key.view(np.uint32), styles.view(np.uint32)):
+            return self._terms
         norms = np.linalg.norm(styles, axis=1, keepdims=True)
         unit = np.divide(styles, norms, out=np.zeros_like(styles), where=norms >= ZERO_NORM_EPS)
-        return self.spec.style_strength * (unit @ self._V.T)
+        terms = self.spec.style_strength * (unit @ self._V.T)
+        terms.flags.writeable = False
+        self._terms_key, self._terms = styles.copy(), terms
+        return terms
 
-    def encode_prompts(
-        self, pattern: str, class_names: Sequence[str], styles: np.ndarray | None
+    def encode_prompt_rows(
+        self,
+        pattern: str,
+        class_names: Sequence[str],
+        styles: np.ndarray | None,
+        index: np.ndarray,
     ) -> np.ndarray:
         C = self.spec.dim_joint
         if STYLE_PLACEHOLDER in pattern:
@@ -277,11 +311,18 @@ class ToyBackend(EncoderBackend):
             terms = self._style_terms(styles)
         else:
             terms = np.zeros((1 if styles is None else len(styles), C), dtype=DEFAULT_DTYPE)
-        out = np.empty((len(class_names), len(terms), C), dtype=DEFAULT_DTYPE)
-        for m, name in enumerate(class_names):
-            feature = self._content_vector("text:" + pattern, name) + terms
-            out[m] = self.spec.output_gain * l2_normalize(feature)
-        return out
+        # Checked here, since NumPy would wrap a negative index silently.
+        index, count = np.asarray(index), len(class_names) * len(terms)
+        if index.ndim != 1 or index.dtype.kind not in "iu" \
+                or (index.size and not 0 <= index.min() <= index.max() < count):
+            raise ValueError(f"prompt index must be 1-D integers in [0, {count})")
+        classes, columns = np.divmod(index, len(terms))
+        tag = "text:" + pattern
+        feature = np.empty((len(index), C), dtype=DEFAULT_DTYPE)
+        for row, m in zip(feature, classes):
+            row[...] = self._content_vector(tag, class_names[m])
+        feature += terms[columns]
+        return self.spec.output_gain * l2_normalize(feature)
 
     def encode_style_prompts(self, styles: np.ndarray) -> np.ndarray:
         feature = self._style_prompt_base + self._style_terms(styles)

@@ -135,21 +135,40 @@ def _checked(kind, name: str, value):
 
 @functools.cache  # one subclass per base: a class built per call makes the parse slower
 def _no_repeated_keys(base):
-    """``base`` rejecting a key repeated within one mapping, where PyYAML keeps the last."""
+    """``base`` rejecting a key repeated within one mapping, where PyYAML keeps the last.
+
+    A mapping merged in with ``<<`` is checked too: PyYAML flattens it into
+    its host without constructing it.  Each mapping node is checked once,
+    before PyYAML flattens it, since a flattened node holds its merged keys
+    next to the ones that override them.  Merged keys may be overridden.
+    """
     import yaml
 
     class Loader(base):
         def construct_mapping(self, node, deep=False):
+            self._check_keys(node)
+            return super().construct_mapping(node, deep=deep)
+
+        def _check_keys(self, node):
+            checked = self.__dict__.setdefault("_checked_nodes", set())
+            if node in checked:
+                return
+            checked.add(node)
             seen = set()
-            for key_node, _ in node.value:  # scalar keys; "<<" merges may be overridden
-                if isinstance(key_node, yaml.ScalarNode) and key_node.tag != _MERGE_TAG:
+            for key_node, value_node in node.value:
+                if key_node.tag == _MERGE_TAG:
+                    sources = value_node.value if isinstance(value_node, yaml.SequenceNode) \
+                        else [value_node]
+                    for source in sources:
+                        if isinstance(source, yaml.MappingNode):
+                            self._check_keys(source)
+                elif isinstance(key_node, yaml.ScalarNode):
                     key = self.construct_object(key_node)
                     if key in seen:
                         raise yaml.constructor.ConstructorError(
                             "while constructing a mapping", node.start_mark,
                             f"found repeated key {key!r}", key_node.start_mark)
                     seen.add(key)
-            return super().construct_mapping(node, deep=deep)
 
     return Loader
 

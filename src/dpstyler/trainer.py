@@ -1,10 +1,11 @@
 """One-stage training loop over text prompts, plus checkpoint persistence.
 
 Each epoch: refresh the style bank, re-encode the K style prompts (the
-domain probe) and all M*K class-prompt features, then run SGD with
-momentum over shuffled batches, updating only the removal gate and the
-classifier head.  The encoder is frozen, so every (class, style) pair is
-encoded exactly once per epoch, in one batched backend call, and cached.
+domain probe), then run SGD with momentum over shuffled batches of the
+M*K (class, style) prompts, updating only the removal gate and the
+classifier head.  The encoder is frozen, so each batch's prompts are
+encoded by one backend call when the batch is reached: every pair is
+encoded exactly once per epoch, and no (M, K, C) feature grid is held.
 
 A full run is a deterministic function of (task, backend seed, config),
 and the resulting checkpoint round-trips bit-exactly through the binary
@@ -185,25 +186,6 @@ def sgd_step(
     return param, velocity
 
 
-def _encode_epoch_features(
-    backend: EncoderBackend,
-    task: TaskDefinition,
-    bank: StyleBank,
-    template: PromptTemplate,
-) -> np.ndarray:
-    """Every (class, style) prompt feature for one epoch, as (M, K, C).
-
-    Features stay at their raw encoder scale: the losses are cosine-based
-    and normalize internally, while the removal gate sees (and should see)
-    the encoder's native magnitudes.
-    """
-    feats = backend.encode_prompts(template.pattern, task.class_names, bank.styles)
-    expected = (task.num_classes, bank.num_styles, backend.dim_joint)
-    if feats.shape != expected:
-        raise ValueError(f"encode_prompts returned shape {feats.shape}, expected {expected}")
-    return feats
-
-
 def encode_probe(backend: EncoderBackend, bank: StyleBank) -> DomainProbe:
     rows = backend.encode_style_prompts(bank.styles).astype(DEFAULT_DTYPE, copy=False)
     return DomainProbe(style_text_features=rows)
@@ -243,17 +225,20 @@ def train_one_model(
         start = time.perf_counter()
         bank = refresh_bank(bank, config.style_gen, epoch, lexicon)
         probe = encode_probe(backend, bank)
-        feats = _encode_epoch_features(backend, task, bank, template)
-
         flat = build_prompt_set(task, bank, config.seed, epoch)
-        targets_all = flat // bank.num_styles
-        flat_feats = feats.reshape(-1, C)
 
         sum_u = sum_c = 0.0
         n_samples = len(flat)
         for batch_idx, start_idx in enumerate(range(0, n_samples, config.batch_size)):
-            v = flat_feats[flat[start_idx : start_idx + config.batch_size]]
-            y = targets_all[start_idx : start_idx + config.batch_size]
+            index = flat[start_idx : start_idx + config.batch_size]
+            # Raw encoder scale: the losses are cosine-based and normalize
+            # internally, while the gate sees the encoder's native magnitudes.
+            v = backend.encode_prompt_rows(template.pattern, task.class_names, bank.styles, index)
+            if v.shape != (len(index), C):
+                raise ValueError(
+                    f"encode_prompt_rows returned shape {v.shape}, expected {(len(index), C)}"
+                )
+            y = index // bank.num_styles
             removed, cache = remover_forward_cached(v, remover)
             if not np.all(np.isfinite(removed)):
                 raise TrainingDivergedError(epoch, batch_idx, float("nan"), float("nan"))
@@ -274,9 +259,6 @@ def train_one_model(
             weight = len(y)
             sum_u += breakdown.loss_uncertainty * weight
             sum_c += breakdown.loss_classification * weight
-        # Free this epoch's (M, K, C) features before the next epoch
-        # encodes its own, so two never coexist.
-        del feats, flat_feats
 
         mean_u, mean_c = sum_u / n_samples, sum_c / n_samples
         metrics.append(
@@ -421,9 +403,11 @@ def load_checkpoint(path) -> Checkpoint:
 
 def _read_header(path, blob: bytes) -> dict:
     """Decode and type-check the JSON header of a checkpoint."""
+    # ValueError covers bad UTF-8, bad JSON and an integer beyond Python's
+    # int-string digit limit.
     try:
         header = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: header is a JSON {type(header).__name__}, not an object")
@@ -439,6 +423,9 @@ def _read_header(path, blob: bytes) -> dict:
     for key in ("dim_joint", "dim_token", "ratio", "num_classes"):
         if type(header[key]) is not int or header[key] < 1:
             raise CheckpointError(f"{path}: header {key!r} is {header[key]!r}, not a positive int")
+    if header["ratio"] > header["dim_joint"]:  # a zero-width gate, as remover_init refuses
+        raise CheckpointError(f"{path}: ratio {header['ratio']} exceeds dim_joint "
+                              f"{header['dim_joint']}")
     for key in ("template_id", "template_pattern", "backend_tag"):
         if not isinstance(header[key], str):
             raise CheckpointError(f"{path}: header {key!r} is {header[key]!r}, not a string")

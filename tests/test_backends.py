@@ -148,13 +148,48 @@ class TestBatchedEncode:
                 feats[m, 0], backend.text_encode("a photo of a [class]", name, None)
             )
 
+    def test_prompt_rows_equal_grid_rows(self, backend, rng):
+        styles = self._styles(rng)
+        grid = backend.encode_prompts(TEMPLATE, NAMES, styles).reshape(-1, 64)
+        index = np.array([14, 0, 7, 7, 3])
+        rows = backend.encode_prompt_rows(TEMPLATE, NAMES, styles, index)
+        assert rows.dtype == np.float32
+        assert rows.tobytes() == grid[index].tobytes()
+        # A cold backend, which projects the styles afresh, gives the same bits.
+        cold = ToyBackend(ToyBackendSpec(), NAMES)
+        assert cold.encode_prompt_rows(TEMPLATE, NAMES, styles, index).tobytes() == rows.tobytes()
+        assert backend.encode_prompt_rows(TEMPLATE, NAMES, styles, index[:0]).shape == (0, 64)
+
+    def test_style_memo_follows_the_styles(self, backend, rng):
+        # Styles changed in place after a call are projected afresh.
+        styles = self._styles(rng)
+        index = np.arange(len(NAMES) * len(styles))
+        backend.encode_style_prompts(styles)
+        styles[0] *= -1.0
+        got = backend.encode_prompt_rows(TEMPLATE, NAMES, styles, index)
+        want = ToyBackend(ToyBackendSpec(), NAMES).encode_prompt_rows(TEMPLATE, NAMES, styles, index)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "index",
+        [[-1], [15], [0, 2**40], [0.0, 1.0], [True], [[0, 1]], np.array([1], np.float32)],
+        ids=["negative", "at-end", "huge", "float", "bool", "2-d", "float32"],
+    )
+    def test_bad_prompt_index(self, backend, rng, index):
+        with pytest.raises(ValueError, match="prompt index"):
+            backend.encode_prompt_rows(TEMPLATE, NAMES, self._styles(rng), index)
+
     def test_none_styles_for_style_slot(self, backend):
         with pytest.raises(ValueError):
             backend.encode_prompts(TEMPLATE, NAMES, None)
+        with pytest.raises(ValueError):
+            backend.encode_prompt_rows(TEMPLATE, NAMES, None, [0])
 
     def test_style_dim_mismatch(self, backend, rng):
         with pytest.raises(ValueError):
             backend.encode_prompts(TEMPLATE, NAMES, rng.standard_normal((4, 31)))
+        with pytest.raises(ValueError):
+            backend.encode_prompt_rows(TEMPLATE, NAMES, rng.standard_normal((4, 31)), [0])
         with pytest.raises(ValueError):
             backend.encode_style_prompts(rng.standard_normal((4, 31)))
 

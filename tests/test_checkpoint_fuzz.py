@@ -98,6 +98,19 @@ def test_one_header_value_replaced(valid_blob, key, value):
     )
 
 
+def test_header_integer_beyond_the_digit_limit(valid_blob):
+    # json.loads refuses an integer of more than 4,300 digits (Python's
+    # int-string limit) with a bare ValueError; json.dumps would refuse
+    # to write one, so the header text is edited.
+    path, blob = valid_blob
+    header, body = _split(blob)
+    new = json.dumps(header).replace('"seed": 7', '"seed": ' + "9" * 5000).encode("utf-8")
+    path = path.with_name("digits.ckpt")
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(new)) + new + body)
+    with pytest.raises(CheckpointError, match="unreadable header"):
+        load_checkpoint(path)
+
+
 @given(data=st.data())
 def test_body_bytes_overwritten(valid_blob, data):
     path, blob = valid_blob

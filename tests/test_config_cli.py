@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from dpstyler.cli import main
 from dpstyler.config import _KEYS, ConfigError, load_run_config
+from dpstyler.trainer import CheckpointError, _layout, load_checkpoint
 
 SMALL_CONFIG = """
 backend:
@@ -265,6 +266,38 @@ class TestYamlLoaders:
             load_run_config(p)
         assert main(["info", "--config", str(p)]) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure-python"])
+    @pytest.mark.parametrize(
+        "doc",
+        ["train: {<<: {epochs: 3, epochs: 5}}\n",
+         "train: {<<: [{batch_size: 8}, {epochs: 3, epochs: 5}]}\n",
+         "train: {<<: {<<: {epochs: 3, epochs: 5}, batch_size: 8}}\n"],
+        ids=["merged-mapping", "merged-sequence", "nested-merge"],
+    )
+    def test_repeated_key_in_merged_mapping_exits_2(self, tmp_path, monkeypatch, libyaml, doc):
+        if not libyaml:
+            self._without_libyaml(monkeypatch)
+        p = tmp_path / "merge.yaml"
+        p.write_text("task: {class_names: [a, b]}\n" + doc)
+        with pytest.raises(ConfigError, match="repeated key 'epochs'"):
+            load_run_config(p)
+        assert main(["info", "--config", str(p)]) == 2
+
+    @pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure-python"])
+    def test_merged_anchor_reused_after_override(self, tmp_path, monkeypatch, libyaml):
+        # A mapping that overrides a merged key, itself merged or aliased
+        # again later: PyYAML has flattened it by then, which must not
+        # read as a repeated key.
+        if not libyaml:
+            self._without_libyaml(monkeypatch)
+        p = tmp_path / "merge.yaml"
+        p.write_text("task: {class_names: [a, b]}\n"
+                     "styles: &s {<<: {num_styles: 4}, num_styles: 6}\n"
+                     "train: {<<: {epochs: 2}, epochs: 3}\n"
+                     "eval: {<<: *s}\n")
+        with pytest.raises(ConfigError, match="unknown config key"):
+            load_run_config(p)  # eval.num_styles; the merge itself is accepted
 
     @pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure-python"])
     def test_merged_key_may_be_overridden(self, tmp_path, monkeypatch, libyaml):
@@ -533,6 +566,26 @@ class TestCliErrors:
         edit(header)
         new_header = json.dumps(header).encode()
         ckpt.write_bytes(blob[:8] + len(new_header).to_bytes(4, "little") + new_header + blob[end:])
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg_path), str(ckpt)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_zero_width_gate_checkpoint_exits_2(self, workspace, capsys):
+        # ratio > dim_joint with the manifest and body that go with it:
+        # a gate with no hidden units, which remover_init refuses to build.
+        cfg_path, _, out = workspace
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        ckpt = sorted(out.glob("*.ckpt"))[0]
+        blob = ckpt.read_bytes()
+        end = 12 + int.from_bytes(blob[8:12], "little")
+        header = json.loads(blob[12:end])
+        C, M = header["dim_joint"], header["num_classes"]
+        header.update(ratio=C + 1, arrays=_layout(C, C + 1, M))
+        new_header = json.dumps(header).encode()
+        head = blob[len(blob) - 4 * M * C :]
+        ckpt.write_bytes(blob[:8] + len(new_header).to_bytes(4, "little") + new_header + head)
+        with pytest.raises(CheckpointError, match="ratio .* exceeds dim_joint"):
+            load_checkpoint(ckpt)
         capsys.readouterr()
         assert main(["eval", "--config", str(cfg_path), str(ckpt)]) == 2
         assert "Traceback" not in capsys.readouterr().err

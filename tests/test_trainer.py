@@ -163,8 +163,8 @@ class TestTrainOneModel:
 
     def test_divergence_raises(self, task, templates):
         class NaNBackend(ToyBackend):
-            def encode_prompts(self, pattern, class_names, styles):
-                return super().encode_prompts(pattern, class_names, styles) * np.nan
+            def encode_prompt_rows(self, pattern, class_names, styles, index):
+                return super().encode_prompt_rows(pattern, class_names, styles, index) * np.nan
 
         backend = NaNBackend(ToyBackendSpec(), task.class_names)
         with pytest.raises(TrainingDivergedError):
@@ -172,12 +172,39 @@ class TestTrainOneModel:
 
     def test_wrong_feature_shape_rejected(self, task, templates):
         class ShortBackend(ToyBackend):
-            def encode_prompts(self, pattern, class_names, styles):
-                return super().encode_prompts(pattern, class_names, styles)[:, :-1]
+            def encode_prompt_rows(self, pattern, class_names, styles, index):
+                return super().encode_prompt_rows(pattern, class_names, styles, index)[:, :-1]
 
         backend = ShortBackend(ToyBackendSpec(), task.class_names)
         with pytest.raises(ValueError, match="shape"):
             train_one_model(task, backend, templates[0], e2e_train_config(epochs=1))
+
+    def test_encodes_each_prompt_once_per_batch(self, task, templates):
+        # One epoch asks only for its batches' rows, each flat index once,
+        # and never builds the (M, K, C) grid.
+        class CountingBackend(ToyBackend):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.rows, self.grid_calls = [], 0
+
+            def encode_prompts(self, *args):
+                self.grid_calls += 1
+                return super().encode_prompts(*args)
+
+            def encode_prompt_rows(self, pattern, class_names, styles, index):
+                self.rows.append(np.array(index))
+                return super().encode_prompt_rows(pattern, class_names, styles, index)
+
+        cfg = TrainConfig(
+            epochs=1, batch_size=16, seed=3,
+            style_gen=StyleGenConfig(num_styles=12, strategy="random", seed=3),
+        )
+        backend = CountingBackend(ToyBackendSpec(), task.class_names)
+        train_one_model(task, backend, templates[0], cfg)
+        assert backend.grid_calls == 0
+        assert max(len(rows) for rows in backend.rows) <= cfg.batch_size
+        seen = np.concatenate(backend.rows)
+        np.testing.assert_array_equal(np.sort(seen), np.arange(task.num_classes * 12))
 
 
 class TestFusedTrainingStep:

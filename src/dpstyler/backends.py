@@ -7,13 +7,14 @@ for class m and style i), encode a batch of style-only prompts, load an
 image file, encode a batch of loaded images, and look up a word's token
 embedding.  Training encodes each batch's B prompts as it reaches them,
 so every (class, style) pair is encoded once per epoch and the M*K grid
-is never held; evaluation encodes images a chunk at a time.
-``encode_prompts`` (the whole grid), ``text_encode``,
-``style_text_encode`` and ``image_encode`` are conveniences over the
-batched methods.  Backends are immutable after construction;
-``ToyBackend`` fills a memo of read-only content vectors as classes are
-first encoded, and keeps the projection of the last style matrix it
-saw, neither of which changes any output.
+is never held.  Zero-shot scoring encodes its M class prompts as rows
+0..M-1 of a pattern with no style slot, and evaluation encodes images a
+chunk at a time.  ``text_encode``, ``style_text_encode`` and
+``image_encode`` encode one prompt or image through the batched
+methods.  Backends are immutable after construction; ``ToyBackend``
+fills a memo of read-only content vectors as classes are first encoded,
+and keeps the projection of the last style matrix it saw, neither of
+which changes any output.
 
 ``ToyBackend`` is a seeded linear construction for desk-scale tests.
 Text features are ``l2(content(class, template) + V @ l2(style))`` and
@@ -77,14 +78,6 @@ class EncoderBackend(abc.ABC):
         [0, M*K).
         """
 
-    def encode_prompts(
-        self, pattern: str, class_names: Sequence[str], styles: np.ndarray | None
-    ) -> np.ndarray:
-        """Encode every (class, style) prompt: an (M, K, C) array."""
-        M, K = len(class_names), 1 if styles is None else len(styles)
-        rows = self.encode_prompt_rows(pattern, class_names, styles, np.arange(M * K))
-        return rows.reshape(M, K, -1)
-
     @abc.abstractmethod
     def encode_style_prompts(self, styles: np.ndarray) -> np.ndarray:
         """Encode the style-only prompt for each (K, D) style row: (K, C)."""
@@ -93,9 +86,8 @@ class EncoderBackend(abc.ABC):
         self, pattern: str, class_name: str, style: np.ndarray | None = None
     ) -> np.ndarray:
         """Encode one filled prompt, injecting ``style`` at the style token."""
-        return self.encode_prompts(
-            pattern, (class_name,), None if style is None else np.asarray(style)[None]
-        )[0, 0]
+        styles = None if style is None else np.asarray(style)[None]
+        return self.encode_prompt_rows(pattern, (class_name,), styles, np.arange(1))[0]
 
     def style_text_encode(self, style: np.ndarray) -> np.ndarray:
         """Encode the style-only prompt for one style vector."""
@@ -173,9 +165,13 @@ def toy_image_load(path) -> ToyImage:
         with open(path, encoding="utf-8") as fh:
             record = json.load(fh)
         idx, strength = record["class_index"], record.get("content_strength", 1.0)
-        nuisance = np.asarray(record["nuisance"])
+        values = record["nuisance"]
         # Exact types, so a bool, a float index or a numeric string is not
-        # coerced; one dtype check covers every nuisance element.
+        # coerced.  asarray would turn a bool among numbers into 1.0, so the
+        # element types are looked at first; the dtype check covers the rest.
+        if bool in set(map(type, values)):
+            raise TypeError("nuisance must hold numbers, not booleans")
+        nuisance = np.asarray(values)
         if type(idx) is not int or type(strength) not in (int, float) \
                 or nuisance.dtype.kind not in "iuf":
             raise TypeError("class_index must be an integer, nuisance and content_strength numbers")

@@ -95,7 +95,8 @@ def zeroshot_predict(
         raise ValueError(f"prompt_style must be one of {sorted(ZEROSHOT_PATTERNS)}")
     pattern = ZEROSHOT_PATTERNS[prompt_style]
     emb = l2_normalize(np.asarray(image_embedding))
-    text = l2_normalize(backend.encode_prompts(pattern, task.class_names, None)[:, 0])
+    rows = np.arange(task.num_classes)
+    text = l2_normalize(backend.encode_prompt_rows(pattern, task.class_names, None, rows))
     return int(np.argmax(text @ emb))
 
 
@@ -109,13 +110,6 @@ class DatasetManifest:
         object.__setattr__(self, "entries", tuple(self.entries))
         if not self.entries:
             raise ValueError("manifest is empty")
-
-    @property
-    def domains(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for _, domain, _ in self.entries:
-            seen.setdefault(domain, None)
-        return tuple(sorted(seen))
 
     @property
     def class_names(self) -> tuple[str, ...]:

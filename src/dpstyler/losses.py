@@ -47,9 +47,6 @@ class ClassifierHead:
     def num_classes(self) -> int:
         return self.weights.shape[0]
 
-    def copy(self) -> "ClassifierHead":
-        return ClassifierHead(self.weights.copy())
-
 
 def head_init(num_classes: int, dim: int, rng: np.random.Generator) -> ClassifierHead:
     bound = np.sqrt(6.0 / (num_classes + dim))

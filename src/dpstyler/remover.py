@@ -30,9 +30,6 @@ class StyleRemoverParams:
     def dim(self) -> int:
         return self.W1.shape[0]
 
-    def copy(self) -> "StyleRemoverParams":
-        return StyleRemoverParams(self.W1.copy(), self.W2.copy(), self.ratio)
-
 
 def remover_init(dim: int, ratio: int, rng: np.random.Generator) -> StyleRemoverParams:
     """Xavier-uniform initialization with each matrix's natural fans."""

@@ -169,18 +169,23 @@ def _stream(seed: int, stream: int, epoch: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, stream, epoch]))
 
 
-def _fill_random(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
-    out = np.empty((count, dim), dtype=DEFAULT_DTYPE)
-    for i in range(count):
-        dist = RANDOM_DISTRIBUTIONS[rng.integers(len(RANDOM_DISTRIBUTIONS))]
-        out[i] = random_style(dist, dim, rng)
-    return out
-
-
-def _fill_stylemix(
-    count: int, lexicon: PredefinedLexicon, alpha: float, rng: np.random.Generator
-) -> np.ndarray:
-    return np.stack([stylemix_style(lexicon, alpha, rng) for _ in range(count)])
+def _draw(strategy: str, config: StyleGenConfig, dim: int,
+          lexicon: PredefinedLexicon | None, rng: np.random.Generator) -> np.ndarray:
+    """``config.num_styles`` style vectors drawn by ``strategy``: (K, dim) float32."""
+    K = config.num_styles
+    if strategy == "random":
+        styles = np.empty((K, dim), dtype=DEFAULT_DTYPE)
+        for i in range(K):
+            dist = RANDOM_DISTRIBUTIONS[rng.integers(len(RANDOM_DISTRIBUTIONS))]
+            styles[i] = random_style(dist, dim, rng)
+        return styles
+    if strategy == "stylemix":
+        if lexicon is None:
+            raise ValueError("stylemix draws require a lexicon")
+        return np.stack([stylemix_style(lexicon, config.alpha, rng) for _ in range(K)])
+    if strategy == "gaussian":
+        return np.stack([gaussian_style(dim, config.gaussian_std, rng) for _ in range(K)])
+    raise ValueError(f"unknown strategy {strategy!r}")
 
 
 def refresh_bank(
@@ -195,8 +200,7 @@ def refresh_bank(
     state is derived from (config.seed, epoch) only, so refreshes are
     reproducible and independent of call history.
     """
-    K, dim = bank.num_styles, bank.dim
-    if config.num_styles != K:
+    if config.num_styles != bank.num_styles:
         raise ValueError("bank size does not match config.num_styles")
     strategy = config.strategy
     if strategy == "frozen":
@@ -206,17 +210,7 @@ def refresh_bank(
         coin = _stream(config.seed, _STREAM_COIN, epoch)
         strategy = "random" if coin.integers(2) == 0 else "stylemix"
 
-    rng = _stream(config.seed, _STREAM_DRAWS, epoch)
-    if strategy == "random":
-        styles = _fill_random(K, dim, rng)
-    elif strategy == "stylemix":
-        if lexicon is None:
-            raise ValueError("stylemix refresh requires a lexicon")
-        styles = _fill_stylemix(K, lexicon, config.alpha, rng)
-    elif strategy == "gaussian":
-        styles = np.stack([gaussian_style(dim, config.gaussian_std, rng) for _ in range(K)])
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    styles = _draw(strategy, config, bank.dim, lexicon, _stream(config.seed, _STREAM_DRAWS, epoch))
     return StyleBank(
         styles=styles, epoch_of_last_refresh=epoch, method_of_last_refresh=strategy
     )
@@ -224,15 +218,8 @@ def refresh_bank(
 
 def initial_bank(config: StyleGenConfig, dim: int, lexicon: PredefinedLexicon | None = None) -> StyleBank:
     """Build the epoch-(-1) bank; frozen runs keep these vectors forever."""
-    rng = _stream(config.seed, _STREAM_INITIAL, 0)
-    if config.strategy == "stylemix" and lexicon is not None:
-        styles = _fill_stylemix(config.num_styles, lexicon, config.alpha, rng)
-    elif config.strategy == "gaussian":
-        styles = np.stack(
-            [gaussian_style(dim, config.gaussian_std, rng) for _ in range(config.num_styles)]
-        )
-    else:
-        styles = _fill_random(config.num_styles, dim, rng)
+    strategy = config.strategy if config.strategy in ("stylemix", "gaussian") else "random"
+    styles = _draw(strategy, config, dim, lexicon, _stream(config.seed, _STREAM_INITIAL, 0))
     return StyleBank(styles=styles, epoch_of_last_refresh=-1, method_of_last_refresh="initial")
 
 

@@ -20,7 +20,7 @@ import math
 import os
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -46,11 +46,6 @@ from .styles import (
 
 CHECKPOINT_MAGIC = b"DPSTYLR1"
 CHECKPOINT_VERSION = 1
-# Header keys that ``load_checkpoint`` reads without a default.
-_HEADER_FIELDS = (
-    "arrays", "dim_joint", "dim_token", "ratio", "num_classes", "template_id",
-    "template_pattern", "class_names", "backend_tag", "seed",
-)
 
 # RNG stream tags under the master seed.
 _STREAM_REMOVER_INIT = 10
@@ -121,6 +116,9 @@ class Checkpoint:
     backend_tag: str
     seed: int
     config_snapshot: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.class_names = tuple(self.class_names)
 
     @functools.cached_property
     def head_row_norms(self) -> np.ndarray:
@@ -286,6 +284,16 @@ def train_one_model(
     return TrainResult(checkpoint=checkpoint, metrics=metrics, final_bank=bank)
 
 
+# Every checkpoint header key and its exact JSON type.  The keys named
+# like a ``Checkpoint`` field carry that field; "arrays" is ``_layout``.
+_HEADER = {
+    "format_version": int, "dim_joint": int, "dim_token": int, "ratio": int,
+    "num_classes": int, "template_id": str, "template_pattern": str, "class_names": list,
+    "backend_tag": str, "seed": int, "config": dict, "arrays": list,
+}
+_FIELDS = [f.name for f in fields(Checkpoint) if f.name in _HEADER]
+
+
 def _layout(dim_joint: int, ratio: int, num_classes: int) -> list[dict]:
     """Array manifest for these dims: W1 (C, C//r), W2 (C//r, C), head (M, C), back to back."""
     hidden, layout, offset = dim_joint // ratio, [], 0
@@ -300,14 +308,14 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
     """Write the binary checkpoint format.
 
     Layout: 8-byte magic ``DPSTYLR1``; 4-byte little-endian header
-    length; UTF-8 JSON header (version, dims, ratio, template, class
-    names, backend tag, seed, array manifest with shapes and offsets);
-    then the raw float32 little-endian arrays W1, W2, head in manifest
-    order.  Offsets are relative to the end of the header.  The manifest
-    is derived from ``dim_joint``, ``ratio`` and ``num_classes``, and
-    ``load_checkpoint`` accepts no other manifest and no trailing bytes;
-    an array whose shape disagrees raises ``ValueError`` before the file
-    is opened.
+    length; a UTF-8 JSON header with exactly the keys and types of
+    ``_HEADER``, whose ``arrays`` value is the manifest
+    ``_layout(dim_joint, ratio, num_classes)``; then the raw float32
+    little-endian arrays W1, W2, head at the manifest's offsets, which
+    are relative to the end of the header.  ``load_checkpoint`` requires
+    every ``_HEADER`` key with its type, and accepts no other manifest
+    and no trailing bytes; an array whose shape disagrees raises
+    ``ValueError`` before the file is opened.
     """
     C, ratio = checkpoint.dim_joint, checkpoint.remover.ratio
     layout = _layout(C, ratio, checkpoint.head.num_classes)
@@ -317,20 +325,9 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
         if list(arr.shape) != entry["shape"]:
             raise ValueError(f"array {entry['name']!r} has shape {arr.shape}, expected "
                              f"{tuple(entry['shape'])} for C={C}, r={ratio}")
-    header = {
-        "format_version": CHECKPOINT_VERSION,
-        "dim_joint": C,
-        "dim_token": checkpoint.dim_token,
-        "ratio": ratio,
-        "num_classes": checkpoint.head.num_classes,
-        "template_id": checkpoint.template_id,
-        "template_pattern": checkpoint.template_pattern,
-        "class_names": list(checkpoint.class_names),
-        "backend_tag": checkpoint.backend_tag,
-        "seed": checkpoint.seed,
-        "config": checkpoint.config_snapshot,
-        "arrays": layout,
-    }
+    header = {key: getattr(checkpoint, key) for key in _FIELDS}
+    header.update(format_version=CHECKPOINT_VERSION, ratio=ratio, arrays=layout,
+                  num_classes=checkpoint.head.num_classes, config=checkpoint.config_snapshot)
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -380,14 +377,8 @@ def load_checkpoint(path) -> Checkpoint:
     checkpoint = Checkpoint(
         remover=StyleRemoverParams(W1=W1, W2=W2, ratio=ratio),
         head=ClassifierHead(weights=head_w),
-        template_id=header["template_id"],
-        template_pattern=header["template_pattern"],
-        class_names=tuple(header["class_names"]),
-        dim_joint=C,
-        dim_token=header["dim_token"],
-        backend_tag=header["backend_tag"],
-        seed=header["seed"],
-        config_snapshot=header.get("config", {}),
+        config_snapshot=header["config"],
+        **{key: header[key] for key in _FIELDS},
     )
     # The scoring norms are computed here, once, and checked: finite rows
     # near the float32 limit overflow their norm.
@@ -416,24 +407,21 @@ def _read_header(path, blob: bytes) -> dict:
         raise CheckpointError(
             f"{path}: unsupported format version {version!r} (expected {CHECKPOINT_VERSION})"
         )
-    missing = [key for key in _HEADER_FIELDS if key not in header]
+    missing = [key for key in _HEADER if key not in header]
     if missing:
         raise CheckpointError(f"{path}: header lacks {missing}")
+    for key, kind in _HEADER.items():
+        if type(header[key]) is not kind:  # exact, so a bool is not an int
+            raise CheckpointError(
+                f"{path}: header {key!r} is a {type(header[key]).__name__}, not {kind.__name__}"
+            )
 
     for key in ("dim_joint", "dim_token", "ratio", "num_classes"):
-        if type(header[key]) is not int or header[key] < 1:
-            raise CheckpointError(f"{path}: header {key!r} is {header[key]!r}, not a positive int")
+        if header[key] < 1:
+            raise CheckpointError(f"{path}: header {key!r} is {header[key]}, not positive")
     if header["ratio"] > header["dim_joint"]:  # a zero-width gate, as remover_init refuses
         raise CheckpointError(f"{path}: ratio {header['ratio']} exceeds dim_joint "
                               f"{header['dim_joint']}")
-    for key in ("template_id", "template_pattern", "backend_tag"):
-        if not isinstance(header[key], str):
-            raise CheckpointError(f"{path}: header {key!r} is {header[key]!r}, not a string")
-    if type(header["seed"]) is not int:
-        raise CheckpointError(f"{path}: header 'seed' is {header['seed']!r}, not an int")
-    names = header["class_names"]
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+    if not all(type(name) is str for name in header["class_names"]):
         raise CheckpointError(f"{path}: header 'class_names' is not a list of strings")
-    if not isinstance(header["arrays"], list):
-        raise CheckpointError(f"{path}: header 'arrays' is not a list")
     return header

@@ -54,6 +54,13 @@ def e2e_train_config(seed: int = E2E_TRAIN_SEED, epochs: int = E2E_EPOCHS) -> Tr
     )
 
 
+def encode_grid(backend, pattern, class_names, styles) -> np.ndarray:
+    """Every (class, style) prompt as an (M, K, C) grid, via ``encode_prompt_rows``."""
+    M, K = len(class_names), 1 if styles is None else len(styles)
+    rows = backend.encode_prompt_rows(pattern, class_names, styles, np.arange(M * K))
+    return rows.reshape(M, K, backend.dim_joint)
+
+
 @pytest.fixture(scope="session")
 def task() -> TaskDefinition:
     return TaskDefinition(E2E_CLASS_NAMES)

@@ -17,6 +17,8 @@ from dpstyler.backends import (
 )
 from dpstyler.core import l2_normalize
 
+from conftest import encode_grid
+
 NAMES = ("cat", "dog", "fish")
 TEMPLATE = "a [class] in a S* style"
 
@@ -100,7 +102,7 @@ class TestBatchedEncode:
 
     def test_encode_prompts_matches_text_encode(self, backend, rng):
         styles = self._styles(rng)
-        feats = backend.encode_prompts(TEMPLATE, NAMES, styles)
+        feats = encode_grid(backend, TEMPLATE, NAMES, styles)
         assert feats.shape == (len(NAMES), len(styles), 64)
         assert feats.dtype == np.float32
         for m, name in enumerate(NAMES):
@@ -111,7 +113,7 @@ class TestBatchedEncode:
         # l2(content(class, template) + strength * V @ l2(style)) * gain,
         # one prompt at a time in float64.
         styles = self._styles(rng)
-        feats = backend.encode_prompts(TEMPLATE, NAMES, styles)
+        feats = encode_grid(backend, TEMPLATE, NAMES, styles)
         V = backend._V.astype(np.float64)
         for m, name in enumerate(NAMES):
             content = backend._content_vector("text:" + TEMPLATE, name).astype(np.float64)
@@ -132,7 +134,7 @@ class TestBatchedEncode:
 
     def test_zero_style_row_adds_nothing(self, backend, rng):
         styles = self._styles(rng)
-        feats = backend.encode_prompts(TEMPLATE, NAMES, styles)
+        feats = encode_grid(backend, TEMPLATE, NAMES, styles)
         gain = backend.spec.output_gain
         for m, name in enumerate(NAMES):
             content = backend._content_vector("text:" + TEMPLATE, name)
@@ -141,7 +143,7 @@ class TestBatchedEncode:
         assert _rel_err(backend.encode_style_prompts(styles)[2], gain * l2_normalize(base)) < 1e-6
 
     def test_no_style_slot_gives_one_column(self, backend):
-        feats = backend.encode_prompts("a photo of a [class]", NAMES, None)
+        feats = encode_grid(backend, "a photo of a [class]", NAMES, None)
         assert feats.shape == (len(NAMES), 1, 64)
         for m, name in enumerate(NAMES):
             np.testing.assert_array_equal(
@@ -150,7 +152,7 @@ class TestBatchedEncode:
 
     def test_prompt_rows_equal_grid_rows(self, backend, rng):
         styles = self._styles(rng)
-        grid = backend.encode_prompts(TEMPLATE, NAMES, styles).reshape(-1, 64)
+        grid = encode_grid(backend, TEMPLATE, NAMES, styles).reshape(-1, 64)
         index = np.array([14, 0, 7, 7, 3])
         rows = backend.encode_prompt_rows(TEMPLATE, NAMES, styles, index)
         assert rows.dtype == np.float32
@@ -181,13 +183,13 @@ class TestBatchedEncode:
 
     def test_none_styles_for_style_slot(self, backend):
         with pytest.raises(ValueError):
-            backend.encode_prompts(TEMPLATE, NAMES, None)
+            encode_grid(backend, TEMPLATE, NAMES, None)
         with pytest.raises(ValueError):
             backend.encode_prompt_rows(TEMPLATE, NAMES, None, [0])
 
     def test_style_dim_mismatch(self, backend, rng):
         with pytest.raises(ValueError):
-            backend.encode_prompts(TEMPLATE, NAMES, rng.standard_normal((4, 31)))
+            encode_grid(backend, TEMPLATE, NAMES, rng.standard_normal((4, 31)))
         with pytest.raises(ValueError):
             backend.encode_prompt_rows(TEMPLATE, NAMES, rng.standard_normal((4, 31)), [0])
         with pytest.raises(ValueError):
@@ -202,8 +204,8 @@ class TestContentCache:
         styles = rng.standard_normal((4, 32)).astype(np.float32)
         images = [ToyImage(i % len(NAMES), rng.standard_normal(32), 0.8) for i in range(6)]
         return [
-            backend.encode_prompts(TEMPLATE, NAMES, styles),
-            backend.encode_prompts("a photo of a [class]", NAMES, None),
+            encode_grid(backend, TEMPLATE, NAMES, styles),
+            encode_grid(backend, "a photo of a [class]", NAMES, None),
             backend.encode_images(images),
         ]
 
@@ -214,7 +216,7 @@ class TestContentCache:
         # A second backend with the same spec, its cache filled in another order.
         second = ToyBackend(ToyBackendSpec(), NAMES)
         second.encode_images([ToyImage(2, np.ones(32)), ToyImage(0, np.ones(32))])
-        second.encode_prompts(TEMPLATE, NAMES[::-1], np.ones((1, 32)))
+        encode_grid(second, TEMPLATE, NAMES[::-1], np.ones((1, 32)))
         other = self._encode(second)
         for a, b, c in zip(cold, warm, other):
             assert a.dtype == b.dtype == c.dtype == np.float32
@@ -389,10 +391,12 @@ class TestLoadImage:
             ("content_strength", "false"), ("nuisance", '"0.5"'),
             ("nuisance", "[%s]" % ", ".join(['"1"'] * 32)),
             ("nuisance", "[%s]" % ", ".join(["true", "false"] * 16)),
+            ("nuisance", "[%s]" % ", ".join(["1", "true"] + ["0.5"] * 30)),
             ("nuisance", "[%s]" % ", ".join(["0.5"] * 31 + ["null"])),
         ],
         ids=["index-float", "index-bool", "index-str", "strength-negative", "strength-str",
-             "strength-bool", "nuisance-str", "nuisance-strs", "nuisance-bools", "nuisance-null"],
+             "strength-bool", "nuisance-str", "nuisance-strs", "nuisance-bools",
+             "nuisance-bool-among-numbers", "nuisance-null"],
     )
     def test_mistyped_record_is_a_decode_error(self, backend, tmp_path, field, value):
         record = {"class_index": "1", "nuisance": "[%s]" % ", ".join(["0.5"] * 32),

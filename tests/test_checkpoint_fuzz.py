@@ -1,5 +1,6 @@
 """Property: ``load_checkpoint`` returns a ``Checkpoint`` or raises
 ``CheckpointError`` for any file content, and nothing else escapes."""
+import hashlib
 import json
 import struct
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from dpstyler.losses import ClassifierHead
 from dpstyler.remover import StyleRemoverParams
 from dpstyler.trainer import (
+    _HEADER,
     CHECKPOINT_MAGIC,
     Checkpoint,
     CheckpointError,
@@ -57,6 +59,11 @@ def _split(blob):
     return json.loads(blob[len(CHECKPOINT_MAGIC) + 4 : end]), blob[end:]
 
 
+def _join(header, body):
+    new = json.dumps(header).encode("utf-8")
+    return CHECKPOINT_MAGIC + struct.pack("<I", len(new)) + new + body
+
+
 def _loads_or_typed_error(path, blob):
     path.write_bytes(blob)
     try:
@@ -68,6 +75,12 @@ def _loads_or_typed_error(path, blob):
 def test_valid_blob_loads(valid_blob):
     path, blob = valid_blob
     np.testing.assert_array_equal(load_checkpoint(path).head.weights, VALID.head.weights)
+
+
+def test_saved_bytes_are_pinned(valid_blob):
+    # Any change to the bytes save_checkpoint writes for VALID shows here.
+    digest = "4fc351a91dfd388b60c9437a75362ffe03e394f58e9e1779f9c616c24af9d327"
+    assert hashlib.sha256(valid_blob[1]).hexdigest() == digest
 
 
 @given(data=st.binary(max_size=256) | st.binary(max_size=256).map(CHECKPOINT_MAGIC.__add__))
@@ -83,7 +96,38 @@ HEADER_KEYS = (
 
 
 def test_header_keys_cover_the_saved_header(valid_blob):
-    assert sorted(_split(valid_blob[1])[0]) == list(HEADER_KEYS)
+    assert sorted(_split(valid_blob[1])[0]) == list(HEADER_KEYS) == sorted(_HEADER)
+
+
+@pytest.mark.parametrize("key", sorted(_HEADER))
+def test_missing_header_key_is_typed(valid_blob, key):
+    path, blob = valid_blob
+    header, body = _split(blob)
+    del header[key]
+    path = path.with_name("missing.ckpt")
+    path.write_bytes(_join(header, body))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+# One wrong-typed value per JSON type: a bool for an int, an int for a
+# string, a string for a list, a list for an object.
+_WRONG = {int: True, str: 5, list: "cat", dict: []}
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [(key, _WRONG[kind]) for key, kind in sorted(_HEADER.items())]
+    + [("class_names", ["cat", 5, "fish"])],
+)
+def test_wrong_typed_header_value_is_typed(valid_blob, key, value):
+    path, blob = valid_blob
+    header, body = _split(blob)
+    header[key] = value
+    path = path.with_name("wrong-type.ckpt")
+    path.write_bytes(_join(header, body))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
 
 
 @given(key=st.sampled_from(HEADER_KEYS), value=json_values)
@@ -91,11 +135,7 @@ def test_one_header_value_replaced(valid_blob, key, value):
     path, blob = valid_blob
     header, body = _split(blob)
     header[key] = value
-    new = json.dumps(header).encode("utf-8")
-    _loads_or_typed_error(
-        path.with_name("header.ckpt"),
-        CHECKPOINT_MAGIC + struct.pack("<I", len(new)) + new + body,
-    )
+    _loads_or_typed_error(path.with_name("header.ckpt"), _join(header, body))
 
 
 def test_header_integer_beyond_the_digit_limit(valid_blob):

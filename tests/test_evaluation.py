@@ -196,8 +196,8 @@ class TestZeroshot:
         b = ToyBackend(ToyBackendSpec(), names)
         task = TaskDefinition(names)
         monkeypatch.setattr(
-            b, "encode_prompts",
-            lambda pattern, class_names, styles: np.ones((len(class_names), 1, 64), np.float32),
+            b, "encode_prompt_rows",
+            lambda pattern, class_names, styles, index: np.ones((len(index), 64), np.float32),
         )
         emb = np.full(64, 0.5)
         assert zeroshot_predict(emb, b, task, "C") == 0
@@ -226,7 +226,6 @@ class TestManifests:
         _write_toy_tree(tmp_path, b, names)
         m = manifest_from_directory(tmp_path)
         assert len(m.entries) == 8
-        assert m.domains == ("art", "photo")
         assert m.class_names == ("cat", "dog")
 
     def test_directory_walk_matches_listdir_reference(self, tmp_path):

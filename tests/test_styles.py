@@ -1,5 +1,7 @@
 """Style vector generation: the five random initializers, Gaussian draws,
 StyleMix convex combinations, and the per-epoch bank refresh."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,37 @@ class TestRefreshBank:
             deltas = np.abs(cur.styles - prev.styles).max(axis=1)
             assert np.all(deltas > 1e-9)
             prev = cur
+
+    @pytest.mark.parametrize(
+        "strategy, digest",
+        [
+            ("random", "7db2a608315104fb8ff1f16f24b16a35a1d657a082f7088af11c5fd19fb8a7b6"),
+            ("stylemix", "00927d926d941518affef0b9ac4cfccf7c46445d8495a2ea8dc8e5e6390e5c43"),
+            ("random_mix", "314abd9485bf5952b8076f9eb11a1c3b2a9d489d2cd5026d1ff9e06857b7d4ad"),
+            ("gaussian", "c2b5fa6600ce9c4892adc3b13224b9f68101960a2e8f87a1ab96e94af83cfac7"),
+            ("frozen", "958d33bfca8ae0a8a2a23eb5831c2bc8a25f9f6df9c2fbcfe493946d4ee917b1"),
+        ],
+    )
+    def test_banks_are_pinned(self, strategy, digest):
+        # The initial bank and 6 refreshes, for seeds 0-2, bit for bit.
+        lex = _lexicon(np.random.default_rng(0), size=8)
+        sha = hashlib.sha256()
+        for seed in (0, 1, 2):
+            cfg = self._config(strategy, seed=seed)
+            bank = initial_bank(cfg, D, lexicon=lex)
+            sha.update(bank.styles.tobytes())
+            for epoch in range(6):
+                bank = refresh_bank(bank, cfg, epoch, lexicon=lex)
+                sha.update(bank.method_of_last_refresh.encode() + bank.styles.tobytes())
+        assert sha.hexdigest() == digest
+
+    def test_stylemix_without_lexicon_raises(self):
+        cfg = self._config("stylemix")
+        with pytest.raises(ValueError, match="lexicon"):
+            initial_bank(cfg, D)
+        bank = initial_bank(cfg, D, lexicon=_lexicon(np.random.default_rng(0)))
+        with pytest.raises(ValueError, match="lexicon"):
+            refresh_bank(bank, cfg, 0)
 
     def test_metadata_updated(self, rng):
         cfg = self._config("gaussian")

@@ -25,7 +25,7 @@ from dpstyler.trainer import (
     train_one_model,
 )
 
-from conftest import e2e_train_config
+from conftest import e2e_train_config, encode_grid
 
 
 class TestBuildPromptSet:
@@ -185,11 +185,7 @@ class TestTrainOneModel:
         class CountingBackend(ToyBackend):
             def __init__(self, *args):
                 super().__init__(*args)
-                self.rows, self.grid_calls = [], 0
-
-            def encode_prompts(self, *args):
-                self.grid_calls += 1
-                return super().encode_prompts(*args)
+                self.rows = []
 
             def encode_prompt_rows(self, pattern, class_names, styles, index):
                 self.rows.append(np.array(index))
@@ -201,7 +197,6 @@ class TestTrainOneModel:
         )
         backend = CountingBackend(ToyBackendSpec(), task.class_names)
         train_one_model(task, backend, templates[0], cfg)
-        assert backend.grid_calls == 0
         assert max(len(rows) for rows in backend.rows) <= cfg.batch_size
         seen = np.concatenate(backend.rows)
         np.testing.assert_array_equal(np.sort(seen), np.arange(task.num_classes * 12))
@@ -230,7 +225,7 @@ class TestFusedTrainingStep:
         for epoch in range(cfg.epochs):
             bank = refresh_bank(bank, cfg.style_gen, epoch)
             probe = encode_probe(e2e_backend, bank)
-            feats = e2e_backend.encode_prompts(templates[0].pattern, task.class_names, bank.styles)
+            feats = encode_grid(e2e_backend, templates[0].pattern, task.class_names, bank.styles)
             flat = build_prompt_set(task, bank, cfg.seed, epoch)
             order = [divmod(j, bank.num_styles) for j in flat]  # (class, style) pairs
             for start in range(0, len(order), cfg.batch_size):

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_DTYPE, STYLE_PLACEHOLDER, ZERO_NORM_EPS, l2_normalize
+from .core import DEFAULT_DTYPE, STYLE_PLACEHOLDER, ZERO_NORM_EPS, l2_normalize, seeded_rng
 
 
 class ImageDecodeError(ValueError):
@@ -114,7 +114,7 @@ def _hashed_rng(seed: int, data: bytes) -> np.random.Generator:
     """A generator seeded by ``seed`` and the four 64-bit words of SHA-256(``data``)."""
     h = hashlib.sha256(data).digest()
     words = [int.from_bytes(h[i : i + 8], "little") for i in range(0, 32, 8)]
-    return np.random.default_rng(np.random.SeedSequence([seed, *words]))
+    return seeded_rng(seed, *words)
 
 
 def _tagged_rng(seed: int, *parts: str) -> np.random.Generator:

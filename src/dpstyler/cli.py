@@ -22,6 +22,7 @@ from .config import ConfigError, RunConfig, load_run_config
 from .core import atomic_write
 from .evaluation import (
     FUSION_MODES,
+    ZEROSHOT_PATTERNS,
     EnsembleBundle,
     ensemble_predict,
     evaluate,
@@ -122,7 +123,7 @@ def cmd_zeroshot(args) -> int:
     cfg = _load_config(args)
     backend = cfg.build_backend()
     manifest = _require_manifest(cfg)
-    for style in ("C", "PC"):
+    for style in ZEROSHOT_PATTERNS:
         report = evaluate(
             manifest,
             backend,

@@ -209,12 +209,11 @@ def load_run_config(path, seed_override: int | None = None, out_override: str | 
     if not kwargs[TaskDefinition]:
         raise ConfigError("task.class_names is required")
 
-    # The master seed also seeds the styles, and the backend unless set.
+    # The master seed also seeds the backend unless set.
     if seed_override is not None:
         kwargs[TrainConfig]["seed"] = seed_override
     seed = kwargs[TrainConfig].setdefault("seed", _default(TrainConfig, "seed"))
     kwargs[ToyBackendSpec].setdefault("seed", seed)
-    kwargs[StyleGenConfig]["seed"] = seed
     run = kwargs[RunConfig]
     if fusion_override is not None:
         run["fusion"] = fusion_override

@@ -9,12 +9,14 @@ Default precision is float32; callers that need tighter arithmetic
 (e.g. the finite-difference gradient checks) pass float64 arrays and the
 functions compute in the input dtype.
 
-``atomic_write`` is the one way the package writes an output file.
+``atomic_write`` is the one way the package writes an output file, and
+``seeded_rng`` the one way it builds a random generator.
 """
 
 from __future__ import annotations
 
 import contextlib
+import enum
 import os
 from dataclasses import dataclass
 
@@ -24,6 +26,24 @@ import numpy as np
 ZERO_NORM_EPS = 1e-12
 
 DEFAULT_DTYPE = np.float32
+
+
+@enum.unique
+class Stream(enum.IntEnum):
+    """Each random stream's tag, its first word after the seed; the values fix every draw."""
+
+    STYLE_COIN = 0  # random_mix's per-epoch choice
+    STYLE_DRAWS = 1  # the vectors of each epoch's refresh
+    STYLE_INITIAL = 2  # the epoch-(-1) bank
+    REMOVER_INIT = 10
+    HEAD_INIT = 11
+    SHUFFLE = 12  # each epoch's prompt order
+    TOY_DATASET = 977
+
+
+def seeded_rng(seed: int, *words: int) -> np.random.Generator:
+    """The generator for ``seed`` then ``words``; NumPy zero-pads, so (s, t) is (s, t, 0)."""
+    return np.random.default_rng(np.random.SeedSequence([seed, *words]))
 
 
 class DegenerateEmbeddingError(ValueError):

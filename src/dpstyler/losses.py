@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DegenerateEmbeddingError, cosine_similarity, l2_normalize, softmax
+from .core import (DEFAULT_DTYPE, ZERO_NORM_EPS, DegenerateEmbeddingError, cosine_similarity,
+                   l2_normalize, softmax)
 
 # Keep |cos| away from 1 so the angle-addition identity stays differentiable.
 COS_CLAMP = 1e-7
@@ -50,7 +51,7 @@ class ClassifierHead:
 
 def head_init(num_classes: int, dim: int, rng: np.random.Generator) -> ClassifierHead:
     bound = np.sqrt(6.0 / (num_classes + dim))
-    w = rng.uniform(-bound, bound, size=(num_classes, dim)).astype(np.float32)
+    w = rng.uniform(-bound, bound, size=(num_classes, dim)).astype(DEFAULT_DTYPE)
     return ClassifierHead(weights=w)
 
 
@@ -183,7 +184,7 @@ def loss_gradients(
         raise ValueError("feature dim mismatch between features, probe, and head")
 
     norms = np.linalg.norm(F, axis=1, keepdims=True)
-    if np.any(norms < 1e-12):
+    if np.any(norms < ZERO_NORM_EPS):
         raise DegenerateEmbeddingError("zero-norm feature in batch")
     FN = F / norms
 
@@ -198,7 +199,7 @@ def loss_gradients(
     # ArcFace part.  Head-row norms are folded into (B, M) arrays; no unit-row head is built.
     W = head.weights.astype(F.dtype, copy=False)
     wnorms = np.sqrt(np.einsum("ij,ij->i", W, W))  # (M,)
-    if np.any(wnorms < 1e-12):
+    if np.any(wnorms < ZERO_NORM_EPS):
         raise DegenerateEmbeddingError("zero-norm head row")
     cos_raw = (FN @ W.T) / wnorms  # (B, M)
     cos_c = np.clip(cos_raw, -1.0 + COS_CLAMP, 1.0 - COS_CLAMP)

@@ -13,9 +13,9 @@ Refresh strategies:
 - ``gaussian``: i.i.d. zero-mean normal with a small std.
 - ``frozen``: the bank is never touched after its initial fill.
 
-All draws are reproducible: the RNG streams for the epoch coin and the
-per-style draws are derived independently from (seed, epoch), so the
-same (config, seed, epoch) always yields a bit-identical bank.
+All draws are reproducible: the coin, the per-epoch draws and the initial
+bank each take their own ``core.seeded_rng`` stream of the run's master
+seed, so the same (config, seed, epoch) always yields a bit-identical bank.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from importlib import resources
 
 import numpy as np
 
-from .core import DEFAULT_DTYPE
+from .core import DEFAULT_DTYPE, Stream, seeded_rng
 
 RANDOM_DISTRIBUTIONS = (
     "normal",
@@ -36,11 +36,7 @@ RANDOM_DISTRIBUTIONS = (
 )
 
 STRATEGIES = ("random", "stylemix", "random_mix", "gaussian", "frozen")
-
-# Stream tags mixed into the seed so each concern gets its own RNG.
-_STREAM_COIN = 0
-_STREAM_DRAWS = 1
-_STREAM_INITIAL = 2
+LEXICON_STRATEGIES = ("stylemix", "random_mix")  # the strategies that need a lexicon
 
 
 @dataclass(frozen=True)
@@ -73,7 +69,6 @@ class StyleGenConfig:
     strategy: str = "random_mix"
     alpha: float = 0.1
     gaussian_std: float = 0.02
-    seed: int = 0
 
     def __post_init__(self):
         if self.num_styles < 1:
@@ -165,10 +160,6 @@ def stylemix_style(
     raise ValueError("Beta weight draws degenerate after retries")
 
 
-def _stream(seed: int, stream: int, epoch: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, stream, epoch]))
-
-
 def _draw(strategy: str, config: StyleGenConfig, dim: int,
           lexicon: PredefinedLexicon | None, rng: np.random.Generator) -> np.ndarray:
     """``config.num_styles`` style vectors drawn by ``strategy``: (K, dim) float32."""
@@ -188,16 +179,12 @@ def _draw(strategy: str, config: StyleGenConfig, dim: int,
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def refresh_bank(
-    bank: StyleBank,
-    config: StyleGenConfig,
-    epoch: int,
-    lexicon: PredefinedLexicon | None = None,
-) -> StyleBank:
+def refresh_bank(bank: StyleBank, config: StyleGenConfig, seed: int, epoch: int,
+                 lexicon: PredefinedLexicon | None = None) -> StyleBank:
     """Regenerate all style vectors for a new epoch per the configured strategy.
 
     ``frozen`` returns the bank unchanged apart from metadata.  The RNG
-    state is derived from (config.seed, epoch) only, so refreshes are
+    state is derived from (seed, epoch) only, so refreshes are
     reproducible and independent of call history.
     """
     if config.num_styles != bank.num_styles:
@@ -207,19 +194,20 @@ def refresh_bank(
         return replace(bank, epoch_of_last_refresh=epoch, method_of_last_refresh="frozen")
 
     if strategy == "random_mix":
-        coin = _stream(config.seed, _STREAM_COIN, epoch)
+        coin = seeded_rng(seed, Stream.STYLE_COIN, epoch)
         strategy = "random" if coin.integers(2) == 0 else "stylemix"
 
-    styles = _draw(strategy, config, bank.dim, lexicon, _stream(config.seed, _STREAM_DRAWS, epoch))
+    styles = _draw(strategy, config, bank.dim, lexicon, seeded_rng(seed, Stream.STYLE_DRAWS, epoch))
     return StyleBank(
         styles=styles, epoch_of_last_refresh=epoch, method_of_last_refresh=strategy
     )
 
 
-def initial_bank(config: StyleGenConfig, dim: int, lexicon: PredefinedLexicon | None = None) -> StyleBank:
-    """Build the epoch-(-1) bank; frozen runs keep these vectors forever."""
+def initial_bank(config: StyleGenConfig, dim: int, seed: int,
+                 lexicon: PredefinedLexicon | None = None) -> StyleBank:
+    """Build the epoch-(-1) bank from ``seed``; frozen runs keep these vectors forever."""
     strategy = config.strategy if config.strategy in ("stylemix", "gaussian") else "random"
-    styles = _draw(strategy, config, dim, lexicon, _stream(config.seed, _STREAM_INITIAL, 0))
+    styles = _draw(strategy, config, dim, lexicon, seeded_rng(seed, Stream.STYLE_INITIAL))
     return StyleBank(styles=styles, epoch_of_last_refresh=-1, method_of_last_refresh="initial")
 
 

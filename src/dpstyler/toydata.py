@@ -17,7 +17,7 @@ import os
 import numpy as np
 
 from .backends import ToyBackend, ToyImage, toy_image_save
-from .core import DEFAULT_DTYPE, TaskDefinition
+from .core import DEFAULT_DTYPE, Stream, TaskDefinition, seeded_rng
 
 
 def make_toy_dataset(
@@ -36,7 +36,7 @@ def make_toy_dataset(
     ``confusion`` scales a per-image nuisance component aimed at a
     different class's content direction; 0 keeps styles class-neutral.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 977]))
+    rng = seeded_rng(seed, Stream.TOY_DATASET)
     root = os.fspath(root)
     dim = backend.dim_token
     num_classes = task.num_classes

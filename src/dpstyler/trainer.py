@@ -8,8 +8,9 @@ encoded by one backend call when the batch is reached: every pair is
 encoded exactly once per epoch, and no (M, K, C) feature grid is held.
 
 A full run is a deterministic function of (task, backend seed, config),
-and the resulting checkpoint round-trips bit-exactly through the binary
-format documented at ``save_checkpoint``.
+with ``config.seed`` seeding every draw, the style bank's too, and the
+checkpoint round-trips bit-exactly through the binary format documented
+at ``save_checkpoint``.
 """
 
 from __future__ import annotations
@@ -30,12 +31,15 @@ from .core import (
     ZERO_NORM_EPS,
     DegenerateEmbeddingError,
     PromptTemplate,
+    Stream,
     TaskDefinition,
     atomic_write,
+    seeded_rng,
 )
 from .losses import ArcFaceConfig, ClassifierHead, DomainProbe, head_init, loss_gradients
 from .remover import StyleRemoverParams, remover_forward_cached, remover_init, remover_weight_grads
 from .styles import (
+    LEXICON_STRATEGIES,
     PredefinedLexicon,
     StyleBank,
     StyleGenConfig,
@@ -47,20 +51,13 @@ from .styles import (
 CHECKPOINT_MAGIC = b"DPSTYLR1"
 CHECKPOINT_VERSION = 1
 
-# RNG stream tags under the master seed.
-_STREAM_REMOVER_INIT = 10
-_STREAM_HEAD_INIT = 11
-_STREAM_SHUFFLE = 12
-
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when a loss turns non-finite; carries (epoch, batch, parts)."""
+    """Raised when a loss or feature turns non-finite; carries (epoch, batch or None)."""
 
-    def __init__(self, epoch: int, batch: int, loss_u: float, loss_c: float):
-        super().__init__(
-            f"non-finite loss at epoch {epoch}, batch {batch}: "
-            f"L_U={loss_u}, L_C={loss_c}"
-        )
+    def __init__(self, epoch: int, batch: int | None, what: str):
+        where = f"epoch {epoch}" if batch is None else f"epoch {epoch}, batch {batch}"
+        super().__init__(f"non-finite {what} at {where}")
         self.epoch = epoch
         self.batch = batch
 
@@ -164,8 +161,7 @@ class TrainResult:
 
 def build_prompt_set(task: TaskDefinition, bank: StyleBank, seed: int, epoch: int) -> np.ndarray:
     """Full (class m, style i) cross product as flat ``m*K + i`` indices, shuffled per epoch."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_SHUFFLE, epoch]))
-    return rng.permutation(task.num_classes * bank.num_styles)
+    return seeded_rng(seed, Stream.SHUFFLE, epoch).permutation(task.num_classes * bank.num_styles)
 
 
 def sgd_step(
@@ -185,8 +181,16 @@ def sgd_step(
 
 
 def encode_probe(backend: EncoderBackend, bank: StyleBank) -> DomainProbe:
-    rows = backend.encode_style_prompts(bank.styles).astype(DEFAULT_DTYPE, copy=False)
-    return DomainProbe(style_text_features=rows)
+    """The bank's style prompts encoded, checked to be (K, C) and finite.
+
+    Non-finite rows raise ``TrainingDivergedError`` at the bank's epoch."""
+    rows = backend.encode_style_prompts(bank.styles)
+    if rows.shape != (bank.num_styles, backend.dim_joint):
+        raise ValueError(f"encode_style_prompts returned shape {rows.shape}, "
+                         f"expected {(bank.num_styles, backend.dim_joint)}")
+    if not np.isfinite(rows).all():
+        raise TrainingDivergedError(bank.epoch_of_last_refresh, None, "encode_style_prompts rows")
+    return DomainProbe(style_text_features=rows.astype(DEFAULT_DTYPE, copy=False))
 
 
 def train_one_model(
@@ -200,28 +204,20 @@ def train_one_model(
 ) -> TrainResult:
     """Train remover + head for one prompt template; returns the checkpoint."""
     C, D = backend.dim_joint, backend.dim_token
-    if config.style_gen.strategy in ("stylemix", "random_mix") and lexicon is None:
+    if config.style_gen.strategy in LEXICON_STRATEGIES and lexicon is None:
         lexicon = load_lexicon(backend)
-    remover = remover_init(
-        C,
-        config.ratio,
-        np.random.default_rng(np.random.SeedSequence([config.seed, _STREAM_REMOVER_INIT])),
-    )
-    head = head_init(
-        task.num_classes,
-        C,
-        np.random.default_rng(np.random.SeedSequence([config.seed, _STREAM_HEAD_INIT])),
-    )
+    remover = remover_init(C, config.ratio, seeded_rng(config.seed, Stream.REMOVER_INIT))
+    head = head_init(task.num_classes, C, seeded_rng(config.seed, Stream.HEAD_INIT))
     vel_w1 = np.zeros_like(remover.W1)
     vel_w2 = np.zeros_like(remover.W2)
     vel_head = np.zeros_like(head.weights)
 
-    bank = initial_bank(config.style_gen, D, lexicon)
+    bank = initial_bank(config.style_gen, D, config.seed, lexicon)
     metrics: list[EpochMetrics] = []
 
     for epoch in range(config.epochs):
         start = time.perf_counter()
-        bank = refresh_bank(bank, config.style_gen, epoch, lexicon)
+        bank = refresh_bank(bank, config.style_gen, config.seed, epoch, lexicon)
         probe = encode_probe(backend, bank)
         flat = build_prompt_set(task, bank, config.seed, epoch)
 
@@ -239,24 +235,19 @@ def train_one_model(
             y = index // bank.num_styles
             removed, cache = remover_forward_cached(v, remover)
             if not np.all(np.isfinite(removed)):
-                raise TrainingDivergedError(epoch, batch_idx, float("nan"), float("nan"))
+                raise TrainingDivergedError(epoch, batch_idx, "gate output")
             breakdown = loss_gradients(removed, probe, head, y, config.arcface)
-            if not (
-                np.isfinite(breakdown.loss_uncertainty)
-                and np.isfinite(breakdown.loss_classification)
-            ):
-                raise TrainingDivergedError(
-                    epoch, batch_idx, breakdown.loss_uncertainty, breakdown.loss_classification
-                )
+            loss_u, loss_c = breakdown.loss_uncertainty, breakdown.loss_classification
+            if not (np.isfinite(loss_u) and np.isfinite(loss_c)):
+                raise TrainingDivergedError(epoch, batch_idx, f"loss: L_U={loss_u}, L_C={loss_c}")
             _, d_w1, d_w2 = remover_weight_grads(cache, remover, breakdown.d_features)
             for param, grad, vel in (
                 (remover.W1, d_w1, vel_w1), (remover.W2, d_w2, vel_w2),
                 (head.weights, breakdown.d_head, vel_head),
             ):
                 sgd_step(param, grad, config.learning_rate, config.momentum, vel)
-            weight = len(y)
-            sum_u += breakdown.loss_uncertainty * weight
-            sum_c += breakdown.loss_classification * weight
+            sum_u += loss_u * len(y)
+            sum_c += loss_c * len(y)
 
         mean_u, mean_c = sum_u / n_samples, sum_c / n_samples
         metrics.append(

@@ -47,9 +47,7 @@ E2E_DATASET = dict(images_per_domain=50, seed=11, confusion=2.0, content_strengt
 def e2e_train_config(seed: int = E2E_TRAIN_SEED, epochs: int = E2E_EPOCHS) -> TrainConfig:
     return TrainConfig(
         epochs=epochs,
-        style_gen=StyleGenConfig(
-            num_styles=E2E_NUM_STYLES, strategy="random_mix", seed=seed
-        ),
+        style_gen=StyleGenConfig(num_styles=E2E_NUM_STYLES, strategy="random_mix"),
         seed=seed,
     )
 

@@ -12,16 +12,13 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
-from dpstyler.backends import ToyBackend, ToyBackendSpec
-from dpstyler.core import PromptTemplate, TaskDefinition, l2_normalize, softmax
+from dpstyler.core import l2_normalize, softmax
 from dpstyler.evaluation import (
     EnsembleBundle,
     ensemble_predict,
     evaluate,
     load_manifest,
-    predict_scores,
     zeroshot_predict,
 )
 from dpstyler.losses import (
@@ -30,7 +27,6 @@ from dpstyler.losses import (
     DomainProbe,
     arcface_loss,
     domain_uncertainty_loss,
-    head_init,
     loss_gradients,
 )
 from dpstyler.remover import StyleRemoverParams, remover_backward, remover_forward
@@ -42,7 +38,6 @@ from dpstyler.styles import (
     stylemix_style,
 )
 from dpstyler.trainer import (
-    TrainConfig,
     encode_probe,
     load_checkpoint,
     save_checkpoint,
@@ -228,10 +223,10 @@ def test_criterion_4_style_generation(monkeypatch):
         v = stylemix_style(const_lex, 0.1, np.random.default_rng(seed))
         ok &= bool(np.abs(v - c).max() < 1e-6)
     # Random-Mix coin over 1e4 epochs.
-    cfg = StyleGenConfig(num_styles=1, strategy="random_mix", seed=5)
-    bank = initial_bank(cfg, 16, lexicon=lex)
+    cfg = StyleGenConfig(num_styles=1, strategy="random_mix")
+    bank = initial_bank(cfg, 16, 5, lexicon=lex)
     random_epochs = sum(
-        refresh_bank(bank, cfg, e, lexicon=lex).method_of_last_refresh == "random"
+        refresh_bank(bank, cfg, 5, e, lexicon=lex).method_of_last_refresh == "random"
         for e in range(10_000)
     )
     coin = random_epochs / 10_000
@@ -245,19 +240,19 @@ def test_criterion_4_style_generation(monkeypatch):
         return real(dist, dim, r)
 
     monkeypatch.setattr(styles_mod, "random_style", spy)
-    rcfg = StyleGenConfig(num_styles=10, strategy="random", seed=6)
-    rbank = initial_bank(rcfg, 16)
+    rcfg = StyleGenConfig(num_styles=10, strategy="random")
+    rbank = initial_bank(rcfg, 16, 6)
     for e in range(1000):
-        refresh_bank(rbank, rcfg, e)
+        refresh_bank(rbank, rcfg, 6, e)
     monkeypatch.undo()
     freqs = {d: picked.count(d) / len(picked) for d in styles_mod.RANDOM_DISTRIBUTIONS}
     ok &= len(picked) >= 10_000
     ok &= all(abs(f - 0.2) <= 0.02 for f in freqs.values())
     # Bit-identical determinism.
     for strategy in ("random", "stylemix", "gaussian", "random_mix"):
-        scfg = StyleGenConfig(num_styles=8, strategy=strategy, seed=9)
-        a = refresh_bank(initial_bank(scfg, 16, lexicon=lex), scfg, 4, lexicon=lex)
-        b = refresh_bank(initial_bank(scfg, 16, lexicon=lex), scfg, 4, lexicon=lex)
+        scfg = StyleGenConfig(num_styles=8, strategy=strategy)
+        a = refresh_bank(initial_bank(scfg, 16, 9, lexicon=lex), scfg, 9, 4, lexicon=lex)
+        b = refresh_bank(initial_bank(scfg, 16, 9, lexicon=lex), scfg, 9, 4, lexicon=lex)
         ok &= bool(np.array_equal(a.styles, b.styles))
     elapsed = time.perf_counter() - start
     print(f"\n  coin frequency {coin:.3f}; distribution spread {freqs}")
@@ -355,8 +350,9 @@ def test_criterion_6_end_to_end(task, templates, e2e_backend, trained_models, to
 
     # Domain-uncertainty effect on a held-out style bank.
     held = initial_bank(
-        StyleGenConfig(num_styles=E2E_NUM_STYLES, strategy="random", seed=9999),
+        StyleGenConfig(num_styles=E2E_NUM_STYLES, strategy="random"),
         e2e_backend.dim_token,
+        9999,
     )
     probe = encode_probe(e2e_backend, held)
     tn = l2_normalize(probe.style_text_features)

@@ -15,7 +15,7 @@ from dpstyler.backends import (
     toy_image_load,
     toy_image_save,
 )
-from dpstyler.core import l2_normalize
+from dpstyler.core import l2_normalize, seeded_rng
 
 from conftest import encode_grid
 
@@ -307,7 +307,7 @@ class TestEncodeImages:
             nuisance.tobytes() + image.class_index.to_bytes(4, "little")
         ).digest()
         words = [int.from_bytes(digest[i : i + 8], "little") for i in range(0, 32, 8)]
-        rng = np.random.default_rng(np.random.SeedSequence([spec.seed, *words]))
+        rng = seeded_rng(spec.seed, *words)
         feature += rng.standard_normal(C) * (spec.noise_level / np.sqrt(C))
         return spec.output_gain * feature / np.linalg.norm(feature)
 

@@ -1,5 +1,4 @@
 """Run-config parsing and the command-line workflow end to end."""
-import csv
 import io
 import json
 import struct
@@ -184,7 +183,7 @@ class TestMergedDocument:
         p = tmp_path / "run.yaml"
         p.write_text("task: {class_names: [a, b]}\nseed: 12\n")
         rc = load_run_config(p, seed_override=31)
-        assert rc.train.seed == rc.train.style_gen.seed == rc.backend_spec.seed == 31
+        assert rc.train.seed == rc.backend_spec.seed == 31
         p.write_text("task: {class_names: [a, b]}\nseed: 12\nbackend: {seed: 4}\n")
         rc = load_run_config(p, seed_override=31)
         assert (rc.train.seed, rc.backend_spec.seed) == (31, 4)

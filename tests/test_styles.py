@@ -116,41 +116,41 @@ class TestStylemixStyle:
 
 
 class TestRefreshBank:
-    def _config(self, strategy, seed=0, num=8):
-        return StyleGenConfig(num_styles=num, strategy=strategy, seed=seed)
+    def _config(self, strategy, num=8):
+        return StyleGenConfig(num_styles=num, strategy=strategy)
 
     def test_frozen_is_noop(self, rng):
         cfg = self._config("frozen")
-        bank = initial_bank(cfg, D)
-        out = refresh_bank(bank, cfg, epoch=3)
+        bank = initial_bank(cfg, D, 0)
+        out = refresh_bank(bank, cfg, 0, epoch=3)
         np.testing.assert_array_equal(out.styles, bank.styles)
 
     def test_bank_shape_and_finite(self, rng):
         lex = _lexicon(rng, size=8)
         for strategy in ("random", "stylemix", "gaussian", "random_mix"):
             cfg = self._config(strategy)
-            bank = initial_bank(cfg, D, lexicon=lex)
-            out = refresh_bank(bank, cfg, epoch=0, lexicon=lex)
+            bank = initial_bank(cfg, D, 0, lexicon=lex)
+            out = refresh_bank(bank, cfg, 0, epoch=0, lexicon=lex)
             assert out.styles.shape == (8, D)
             assert np.all(np.isfinite(out.styles))
 
     def test_bit_identical_under_same_seed(self, rng):
         lex = _lexicon(rng, size=8)
-        cfg = self._config("random_mix", seed=21)
+        cfg = self._config("random_mix")
         for epoch in (0, 1, 17):
-            a = refresh_bank(initial_bank(cfg, D, lexicon=lex), cfg, epoch, lexicon=lex)
-            b = refresh_bank(initial_bank(cfg, D, lexicon=lex), cfg, epoch, lexicon=lex)
+            a = refresh_bank(initial_bank(cfg, D, 21, lexicon=lex), cfg, 21, epoch, lexicon=lex)
+            b = refresh_bank(initial_bank(cfg, D, 21, lexicon=lex), cfg, 21, epoch, lexicon=lex)
             np.testing.assert_array_equal(a.styles, b.styles)
             assert a.method_of_last_refresh == b.method_of_last_refresh
 
     def test_random_mix_coin_frequency(self, rng):
         lex = _lexicon(rng, size=8)
         cfg = self._config("random_mix", num=1)
-        bank = initial_bank(cfg, D, lexicon=lex)
+        bank = initial_bank(cfg, D, 0, lexicon=lex)
         hits = 0
         epochs = 10_000
         for epoch in range(epochs):
-            out = refresh_bank(bank, cfg, epoch, lexicon=lex)
+            out = refresh_bank(bank, cfg, 0, epoch, lexicon=lex)
             assert out.method_of_last_refresh in ("random", "stylemix")
             hits += out.method_of_last_refresh == "random"
         assert abs(hits / epochs - 0.5) <= 0.02
@@ -165,9 +165,9 @@ class TestRefreshBank:
 
         monkeypatch.setattr(styles_mod, "random_style", spy)
         cfg = self._config("random", num=10)
-        bank = initial_bank(cfg, D)
+        bank = initial_bank(cfg, D, 0)
         for epoch in range(1000):
-            refresh_bank(bank, cfg, epoch)
+            refresh_bank(bank, cfg, 0, epoch)
         assert len(picked) >= 10_000
         counts = {d: picked.count(d) for d in styles_mod.RANDOM_DISTRIBUTIONS}
         for dist, n in counts.items():
@@ -175,11 +175,11 @@ class TestRefreshBank:
 
     def test_consecutive_epochs_change_every_vector(self, rng):
         lex = _lexicon(rng, size=8)
-        cfg = self._config("random_mix", seed=5)
-        bank = initial_bank(cfg, D, lexicon=lex)
-        prev = refresh_bank(bank, cfg, 0, lexicon=lex)
+        cfg = self._config("random_mix")
+        bank = initial_bank(cfg, D, 5, lexicon=lex)
+        prev = refresh_bank(bank, cfg, 5, 0, lexicon=lex)
         for epoch in range(1, 30):
-            cur = refresh_bank(prev, cfg, epoch, lexicon=lex)
+            cur = refresh_bank(prev, cfg, 5, epoch, lexicon=lex)
             deltas = np.abs(cur.styles - prev.styles).max(axis=1)
             assert np.all(deltas > 1e-9)
             prev = cur
@@ -198,27 +198,27 @@ class TestRefreshBank:
         # The initial bank and 6 refreshes, for seeds 0-2, bit for bit.
         lex = _lexicon(np.random.default_rng(0), size=8)
         sha = hashlib.sha256()
+        cfg = self._config(strategy)
         for seed in (0, 1, 2):
-            cfg = self._config(strategy, seed=seed)
-            bank = initial_bank(cfg, D, lexicon=lex)
+            bank = initial_bank(cfg, D, seed, lexicon=lex)
             sha.update(bank.styles.tobytes())
             for epoch in range(6):
-                bank = refresh_bank(bank, cfg, epoch, lexicon=lex)
+                bank = refresh_bank(bank, cfg, seed, epoch, lexicon=lex)
                 sha.update(bank.method_of_last_refresh.encode() + bank.styles.tobytes())
         assert sha.hexdigest() == digest
 
     def test_stylemix_without_lexicon_raises(self):
         cfg = self._config("stylemix")
         with pytest.raises(ValueError, match="lexicon"):
-            initial_bank(cfg, D)
-        bank = initial_bank(cfg, D, lexicon=_lexicon(np.random.default_rng(0)))
+            initial_bank(cfg, D, 0)
+        bank = initial_bank(cfg, D, 0, lexicon=_lexicon(np.random.default_rng(0)))
         with pytest.raises(ValueError, match="lexicon"):
-            refresh_bank(bank, cfg, 0)
+            refresh_bank(bank, cfg, 0, 0)
 
     def test_metadata_updated(self, rng):
         cfg = self._config("gaussian")
-        bank = initial_bank(cfg, D)
-        out = refresh_bank(bank, cfg, epoch=4)
+        bank = initial_bank(cfg, D, 0)
+        out = refresh_bank(bank, cfg, 0, epoch=4)
         assert out.epoch_of_last_refresh == 4
         assert out.method_of_last_refresh == "gaussian"
 

@@ -7,13 +7,11 @@ import numpy as np
 import pytest
 
 from dpstyler.backends import ToyBackend, ToyBackendSpec
-from dpstyler.core import PromptTemplate, TaskDefinition, l2_normalize
+from dpstyler.core import Stream, TaskDefinition, l2_normalize, seeded_rng
 from dpstyler.losses import head_init, loss_gradients, softmax
 from dpstyler.remover import remover_backward, remover_forward, remover_init
 from dpstyler.styles import StyleGenConfig, initial_bank, refresh_bank
 from dpstyler.trainer import (
-    _STREAM_HEAD_INIT,
-    _STREAM_REMOVER_INIT,
     CheckpointError,
     TrainConfig,
     TrainingDivergedError,
@@ -30,8 +28,8 @@ from conftest import e2e_train_config, encode_grid
 
 class TestBuildPromptSet:
     def _bank(self, K):
-        cfg = StyleGenConfig(num_styles=K, strategy="random", seed=0)
-        return initial_bank(cfg, 32)
+        cfg = StyleGenConfig(num_styles=K, strategy="random")
+        return initial_bank(cfg, 32, 0)
 
     def test_full_cross_product(self):
         task = TaskDefinition(tuple(f"c{i}" for i in range(5)))
@@ -94,15 +92,10 @@ class TestSgdStep:
 
 class TestTrainOneModel:
     def test_one_epoch_moves_remover(self, task, templates, e2e_backend):
-        from dpstyler.remover import remover_init
-        from dpstyler.trainer import _STREAM_REMOVER_INIT
-
         cfg = e2e_train_config(epochs=1)
         result = train_one_model(task, e2e_backend, templates[0], cfg)
         init = remover_init(
-            e2e_backend.dim_joint,
-            cfg.ratio,
-            np.random.default_rng(np.random.SeedSequence([cfg.seed, _STREAM_REMOVER_INIT])),
+            e2e_backend.dim_joint, cfg.ratio, seeded_rng(cfg.seed, Stream.REMOVER_INIT)
         )
         assert np.abs(result.checkpoint.remover.W1 - init.W1).max() > 0
         assert np.abs(result.checkpoint.remover.W2 - init.W2).max() > 0
@@ -170,6 +163,31 @@ class TestTrainOneModel:
         with pytest.raises(TrainingDivergedError):
             train_one_model(task, backend, templates[0], e2e_train_config(epochs=1))
 
+    def test_non_finite_style_prompts_diverge(self, task, templates):
+        # A NaN domain probe is a numeric failure at the epoch that drew it,
+        # not softmax's bare ValueError.
+        class NaNProbeBackend(ToyBackend):
+            calls = 0
+
+            def encode_style_prompts(self, styles):
+                self.calls += 1
+                rows = super().encode_style_prompts(styles)
+                return rows * np.nan if self.calls == 2 else rows  # epoch 1's probe
+
+        backend = NaNProbeBackend(ToyBackendSpec(), task.class_names)
+        with pytest.raises(TrainingDivergedError, match="encode_style_prompts") as info:
+            train_one_model(task, backend, templates[0], e2e_train_config(epochs=3))
+        assert (info.value.epoch, info.value.batch) == (1, None)
+
+    def test_wrong_style_prompt_width_rejected(self, task, templates):
+        class NarrowProbeBackend(ToyBackend):
+            def encode_style_prompts(self, styles):
+                return super().encode_style_prompts(styles)[:, :-1]
+
+        backend = NarrowProbeBackend(ToyBackendSpec(), task.class_names)
+        with pytest.raises(ValueError, match=r"encode_style_prompts returned shape \(8, 63\)"):
+            train_one_model(task, backend, templates[0], e2e_train_config(epochs=1))
+
     def test_wrong_feature_shape_rejected(self, task, templates):
         class ShortBackend(ToyBackend):
             def encode_prompt_rows(self, pattern, class_names, styles, index):
@@ -193,7 +211,7 @@ class TestTrainOneModel:
 
         cfg = TrainConfig(
             epochs=1, batch_size=16, seed=3,
-            style_gen=StyleGenConfig(num_styles=12, strategy="random", seed=3),
+            style_gen=StyleGenConfig(num_styles=12, strategy="random"),
         )
         backend = CountingBackend(ToyBackendSpec(), task.class_names)
         train_one_model(task, backend, templates[0], cfg)
@@ -209,21 +227,18 @@ class TestFusedTrainingStep:
         # backward functions with out-of-place momentum.
         cfg = TrainConfig(
             epochs=2, batch_size=16, seed=5,
-            style_gen=StyleGenConfig(num_styles=8, strategy="random", seed=5),
+            style_gen=StyleGenConfig(num_styles=8, strategy="random"),
         )
         got = train_one_model(task, e2e_backend, templates[0], cfg).checkpoint
 
-        def stream(tag):
-            return np.random.default_rng(np.random.SeedSequence([cfg.seed, tag]))
-
         C = e2e_backend.dim_joint
-        remover = remover_init(C, cfg.ratio, stream(_STREAM_REMOVER_INIT))
-        head = head_init(task.num_classes, C, stream(_STREAM_HEAD_INIT))
+        remover = remover_init(C, cfg.ratio, seeded_rng(cfg.seed, Stream.REMOVER_INIT))
+        head = head_init(task.num_classes, C, seeded_rng(cfg.seed, Stream.HEAD_INIT))
         params = [remover.W1, remover.W2, head.weights]
         velocities = [np.zeros_like(p) for p in params]
-        bank = initial_bank(cfg.style_gen, e2e_backend.dim_token)
+        bank = initial_bank(cfg.style_gen, e2e_backend.dim_token, cfg.seed)
         for epoch in range(cfg.epochs):
-            bank = refresh_bank(bank, cfg.style_gen, epoch)
+            bank = refresh_bank(bank, cfg.style_gen, cfg.seed, epoch)
             probe = encode_probe(e2e_backend, bank)
             feats = encode_grid(e2e_backend, templates[0].pattern, task.class_names, bank.styles)
             flat = build_prompt_set(task, bank, cfg.seed, epoch)
@@ -248,7 +263,7 @@ class TestDomainUncertaintyEffect:
         # uniform distribution over style prompts than raw features do.
         task = TaskDefinition(("dog", "elephant", "giraffe", "guitar", "horse"))
         backend = ToyBackend(ToyBackendSpec(), task.class_names)
-        held = initial_bank(StyleGenConfig(num_styles=8, strategy="random", seed=9999), 32)
+        held = initial_bank(StyleGenConfig(num_styles=8, strategy="random"), 32, 9999)
         probe = encode_probe(backend, held)
         tn = l2_normalize(probe.style_text_features)
         feats = np.stack([

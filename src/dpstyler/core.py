@@ -34,7 +34,7 @@ class Stream(enum.IntEnum):
 
     STYLE_COIN = 0  # random_mix's per-epoch choice
     STYLE_DRAWS = 1  # the vectors of each epoch's refresh
-    STYLE_INITIAL = 2  # the epoch-(-1) bank
+    STYLE_FROZEN = 2  # the frozen strategy's one bank
     REMOVER_INIT = 10
     HEAD_INIT = 11
     SHUFFLE = 12  # each epoch's prompt order

@@ -1,4 +1,4 @@
-"""Style word vector generation and the per-epoch style bank refresh.
+"""Style word vector generation: each epoch's style bank.
 
 A style bank holds K vectors in the token-embedding space (dimension D).
 Refresh strategies:
@@ -11,16 +11,17 @@ Refresh strategies:
 - ``random_mix``: a fair coin per epoch selects Random or StyleMix for
   the whole bank.
 - ``gaussian``: i.i.d. zero-mean normal with a small std.
-- ``frozen``: the bank is never touched after its initial fill.
+- ``frozen``: one ``random`` bank, the same at every epoch.
 
-All draws are reproducible: the coin, the per-epoch draws and the initial
-bank each take their own ``core.seeded_rng`` stream of the run's master
-seed, so the same (config, seed, epoch) always yields a bit-identical bank.
+An epoch's bank is a pure function of (config, dim, seed, epoch): the
+coin, the per-epoch draws and the frozen bank each take their own
+``core.seeded_rng`` stream of the run's master seed, so any epoch's bank
+can be drawn alone, in any order, and is always bit-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -37,6 +38,7 @@ RANDOM_DISTRIBUTIONS = (
 
 STRATEGIES = ("random", "stylemix", "random_mix", "gaussian", "frozen")
 LEXICON_STRATEGIES = ("stylemix", "random_mix")  # the strategies that need a lexicon
+STYLEMIX_RETRIES = 16  # Beta weight draws tried before a degenerate (all ~0) draw raises
 
 
 @dataclass(frozen=True)
@@ -84,8 +86,8 @@ class StyleGenConfig:
 @dataclass(frozen=True)
 class StyleBank:
     styles: np.ndarray  # (K, D)
-    epoch_of_last_refresh: int = -1
-    method_of_last_refresh: str = "none"
+    epoch_of_last_refresh: int
+    method_of_last_refresh: str
 
     def __post_init__(self):
         arr = np.asarray(self.styles)
@@ -98,10 +100,6 @@ class StyleBank:
     @property
     def num_styles(self) -> int:
         return self.styles.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.styles.shape[1]
 
 
 def random_style(dist: str, dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -137,12 +135,8 @@ def gaussian_style(dim: int, std: float, rng: np.random.Generator) -> np.ndarray
     return (rng.standard_normal(dim) * std).astype(DEFAULT_DTYPE)
 
 
-def stylemix_style(
-    lexicon: PredefinedLexicon,
-    alpha: float,
-    rng: np.random.Generator,
-    max_retries: int = 16,
-) -> np.ndarray:
+def stylemix_style(lexicon: PredefinedLexicon, alpha: float,
+                   rng: np.random.Generator) -> np.ndarray:
     """Mix the lexicon vectors with unit-sum Beta(alpha, alpha) weights.
 
     Raw weights are drawn independently per lexicon entry and normalized
@@ -151,7 +145,7 @@ def stylemix_style(
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
     num = len(lexicon)
-    for _ in range(max_retries):
+    for _ in range(STYLEMIX_RETRIES):
         raw = rng.beta(alpha, alpha, size=num)
         total = raw.sum()
         if total >= 1e-12:
@@ -171,44 +165,32 @@ def _draw(strategy: str, config: StyleGenConfig, dim: int,
             styles[i] = random_style(dist, dim, rng)
         return styles
     if strategy == "stylemix":
-        if lexicon is None:
-            raise ValueError("stylemix draws require a lexicon")
         return np.stack([stylemix_style(lexicon, config.alpha, rng) for _ in range(K)])
     if strategy == "gaussian":
         return np.stack([gaussian_style(dim, config.gaussian_std, rng) for _ in range(K)])
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def refresh_bank(bank: StyleBank, config: StyleGenConfig, seed: int, epoch: int,
+def refresh_bank(config: StyleGenConfig, dim: int, seed: int, epoch: int,
                  lexicon: PredefinedLexicon | None = None) -> StyleBank:
-    """Regenerate all style vectors for a new epoch per the configured strategy.
+    """Epoch ``epoch``'s bank of ``config.num_styles`` (K, dim) vectors.
 
-    ``frozen`` returns the bank unchanged apart from metadata.  The RNG
-    state is derived from (seed, epoch) only, so refreshes are
-    reproducible and independent of call history.
+    A pure function of its arguments: the RNG state comes from (seed,
+    epoch) only, and ``frozen`` draws the one ``random`` bank of its own
+    stream at every epoch.  The lexicon strategies raise ``ValueError``
+    without a lexicon, at every epoch.
     """
-    if config.num_styles != bank.num_styles:
-        raise ValueError("bank size does not match config.num_styles")
     strategy = config.strategy
+    if strategy in LEXICON_STRATEGIES and lexicon is None:
+        raise ValueError(f"the {strategy} strategy requires a lexicon")
     if strategy == "frozen":
-        return replace(bank, epoch_of_last_refresh=epoch, method_of_last_refresh="frozen")
-
-    if strategy == "random_mix":
-        coin = seeded_rng(seed, Stream.STYLE_COIN, epoch)
-        strategy = "random" if coin.integers(2) == 0 else "stylemix"
-
-    styles = _draw(strategy, config, bank.dim, lexicon, seeded_rng(seed, Stream.STYLE_DRAWS, epoch))
-    return StyleBank(
-        styles=styles, epoch_of_last_refresh=epoch, method_of_last_refresh=strategy
-    )
-
-
-def initial_bank(config: StyleGenConfig, dim: int, seed: int,
-                 lexicon: PredefinedLexicon | None = None) -> StyleBank:
-    """Build the epoch-(-1) bank from ``seed``; frozen runs keep these vectors forever."""
-    strategy = config.strategy if config.strategy in ("stylemix", "gaussian") else "random"
-    styles = _draw(strategy, config, dim, lexicon, seeded_rng(seed, Stream.STYLE_INITIAL))
-    return StyleBank(styles=styles, epoch_of_last_refresh=-1, method_of_last_refresh="initial")
+        styles = _draw("random", config, dim, lexicon, seeded_rng(seed, Stream.STYLE_FROZEN))
+    else:
+        if strategy == "random_mix":
+            coin = seeded_rng(seed, Stream.STYLE_COIN, epoch)
+            strategy = "random" if coin.integers(2) == 0 else "stylemix"
+        styles = _draw(strategy, config, dim, lexicon, seeded_rng(seed, Stream.STYLE_DRAWS, epoch))
+    return StyleBank(styles=styles, epoch_of_last_refresh=epoch, method_of_last_refresh=strategy)
 
 
 def load_lexicon(backend, path=None) -> PredefinedLexicon:

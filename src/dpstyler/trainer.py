@@ -1,6 +1,6 @@
 """One-stage training loop over text prompts, plus checkpoint persistence.
 
-Each epoch: refresh the style bank, re-encode the K style prompts (the
+Each epoch: draw that epoch's style bank, encode its K style prompts (the
 domain probe), then run SGD with momentum over shuffled batches of the
 M*K (class, style) prompts, updating only the removal gate and the
 classifier head.  The encoder is frozen, so each batch's prompts are
@@ -43,7 +43,6 @@ from .styles import (
     PredefinedLexicon,
     StyleBank,
     StyleGenConfig,
-    initial_bank,
     load_lexicon,
     refresh_bank,
 )
@@ -159,9 +158,9 @@ class TrainResult:
     final_bank: StyleBank
 
 
-def build_prompt_set(task: TaskDefinition, bank: StyleBank, seed: int, epoch: int) -> np.ndarray:
+def build_prompt_set(task: TaskDefinition, num_styles: int, seed: int, epoch: int) -> np.ndarray:
     """Full (class m, style i) cross product as flat ``m*K + i`` indices, shuffled per epoch."""
-    return seeded_rng(seed, Stream.SHUFFLE, epoch).permutation(task.num_classes * bank.num_styles)
+    return seeded_rng(seed, Stream.SHUFFLE, epoch).permutation(task.num_classes * num_styles)
 
 
 def sgd_step(
@@ -203,7 +202,7 @@ def train_one_model(
     config_snapshot: dict | None = None,
 ) -> TrainResult:
     """Train remover + head for one prompt template; returns the checkpoint."""
-    C, D = backend.dim_joint, backend.dim_token
+    C, D, K = backend.dim_joint, backend.dim_token, config.num_styles
     if config.style_gen.strategy in LEXICON_STRATEGIES and lexicon is None:
         lexicon = load_lexicon(backend)
     remover = remover_init(C, config.ratio, seeded_rng(config.seed, Stream.REMOVER_INIT))
@@ -212,14 +211,13 @@ def train_one_model(
     vel_w2 = np.zeros_like(remover.W2)
     vel_head = np.zeros_like(head.weights)
 
-    bank = initial_bank(config.style_gen, D, config.seed, lexicon)
     metrics: list[EpochMetrics] = []
 
     for epoch in range(config.epochs):
         start = time.perf_counter()
-        bank = refresh_bank(bank, config.style_gen, config.seed, epoch, lexicon)
+        bank = refresh_bank(config.style_gen, D, config.seed, epoch, lexicon)
         probe = encode_probe(backend, bank)
-        flat = build_prompt_set(task, bank, config.seed, epoch)
+        flat = build_prompt_set(task, K, config.seed, epoch)
 
         sum_u = sum_c = 0.0
         n_samples = len(flat)
@@ -232,7 +230,7 @@ def train_one_model(
                 raise ValueError(
                     f"encode_prompt_rows returned shape {v.shape}, expected {(len(index), C)}"
                 )
-            y = index // bank.num_styles
+            y = index // K
             removed, cache = remover_forward_cached(v, remover)
             if not np.all(np.isfinite(removed)):
                 raise TrainingDivergedError(epoch, batch_idx, "gate output")

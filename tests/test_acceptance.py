@@ -33,7 +33,6 @@ from dpstyler.remover import StyleRemoverParams, remover_backward, remover_forwa
 from dpstyler.styles import (
     PredefinedLexicon,
     StyleGenConfig,
-    initial_bank,
     refresh_bank,
     stylemix_style,
 )
@@ -224,9 +223,8 @@ def test_criterion_4_style_generation(monkeypatch):
         ok &= bool(np.abs(v - c).max() < 1e-6)
     # Random-Mix coin over 1e4 epochs.
     cfg = StyleGenConfig(num_styles=1, strategy="random_mix")
-    bank = initial_bank(cfg, 16, 5, lexicon=lex)
     random_epochs = sum(
-        refresh_bank(bank, cfg, 5, e, lexicon=lex).method_of_last_refresh == "random"
+        refresh_bank(cfg, 16, 5, e, lexicon=lex).method_of_last_refresh == "random"
         for e in range(10_000)
     )
     coin = random_epochs / 10_000
@@ -241,9 +239,8 @@ def test_criterion_4_style_generation(monkeypatch):
 
     monkeypatch.setattr(styles_mod, "random_style", spy)
     rcfg = StyleGenConfig(num_styles=10, strategy="random")
-    rbank = initial_bank(rcfg, 16, 6)
     for e in range(1000):
-        refresh_bank(rbank, rcfg, 6, e)
+        refresh_bank(rcfg, 16, 6, e)
     monkeypatch.undo()
     freqs = {d: picked.count(d) / len(picked) for d in styles_mod.RANDOM_DISTRIBUTIONS}
     ok &= len(picked) >= 10_000
@@ -251,8 +248,8 @@ def test_criterion_4_style_generation(monkeypatch):
     # Bit-identical determinism.
     for strategy in ("random", "stylemix", "gaussian", "random_mix"):
         scfg = StyleGenConfig(num_styles=8, strategy=strategy)
-        a = refresh_bank(initial_bank(scfg, 16, 9, lexicon=lex), scfg, 9, 4, lexicon=lex)
-        b = refresh_bank(initial_bank(scfg, 16, 9, lexicon=lex), scfg, 9, 4, lexicon=lex)
+        a = refresh_bank(scfg, 16, 9, 4, lexicon=lex)
+        b = refresh_bank(scfg, 16, 9, 4, lexicon=lex)
         ok &= bool(np.array_equal(a.styles, b.styles))
     elapsed = time.perf_counter() - start
     print(f"\n  coin frequency {coin:.3f}; distribution spread {freqs}")
@@ -349,10 +346,11 @@ def test_criterion_6_end_to_end(task, templates, e2e_backend, trained_models, to
     }
 
     # Domain-uncertainty effect on a held-out style bank.
-    held = initial_bank(
-        StyleGenConfig(num_styles=E2E_NUM_STYLES, strategy="random"),
+    held = refresh_bank(
+        StyleGenConfig(num_styles=E2E_NUM_STYLES, strategy="frozen"),
         e2e_backend.dim_token,
         9999,
+        epoch=0,
     )
     probe = encode_probe(e2e_backend, held)
     tn = l2_normalize(probe.style_text_features)

@@ -128,6 +128,8 @@ LOADER_CONFIGS = {
     "small": SMALL_CONFIG.format(manifest="/data/set", out="/tmp/out"),
     "stylemix": SMALL_CONFIG.format(manifest="/data/set", out="/tmp/out").replace(
         "strategy: random_mix", "strategy: stylemix\n  lexicon: /data/lex.txt"),
+    "random_mix-lexicon": SMALL_CONFIG.format(manifest="/data/set", out="/tmp/out").replace(
+        "strategy: random_mix", "strategy: random_mix\n  lexicon: /data/lex.txt"),
     "flow-style": "backend: {variant: toy}\ntask: {class_names: [a, b]}\n"
                   "templates: ['a [class] in a S* style', 'a S* style of a [class]']\n",
     "top-level-seed": "task: {class_names: [a, b]}\nseed: 12\ntrain: {epochs: 1}\n",
@@ -609,3 +611,92 @@ class TestCliErrors:
         capsys.readouterr()
         assert main(["eval", "--config", str(cfg_path), str(ckpt)]) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+
+# The inputs each command reads.  Every command is run against every
+# malformed input: one it reads must exit 2 or 3, one it ignores must not
+# stop it, and neither may leave a traceback.
+READS = {
+    "train": {"config", "lexicon"},
+    "eval": {"config", "manifest", "checkpoint"},
+    "zeroshot": {"config", "manifest"},
+    "export-embeddings": {"config", "manifest", "checkpoint"},
+    "info": {"config"},
+}
+MALFORMED = {  # (kind, variant) -> the malformed file's contents
+    ("config", "epochs-list"): "task: {class_names: [cat, dog, fish]}\ntrain: {epochs: [3]}\n",
+    ("config", "unclosed-flow"): "task: {class_names: [cat, dog\n",
+    ("manifest", "bad-header"): "path,domain\nimg.json,art\n",
+    ("manifest", "short-row"): "path,domain,class\nimg.json,art\n",
+    ("manifest", "not-utf8"): b"path,domain,class\n\xff\xfe,art,cat\n",
+    ("checkpoint", "truncated"): b"DPSTYLR1\x10\x00",
+    ("checkpoint", "bad-magic"): b"not a checkpoint at all",
+    ("lexicon", "one-word"): "white  # and nothing else\n",
+    ("lexicon", "two-token-word"): "white\noil painting\n",
+    ("lexicon", "not-utf8"): b"white\n\xff\xfe\n",
+}
+
+
+def _command_line(command, config, checkpoint, out_dir):
+    return {
+        "train": ["train", "--config", config],
+        "eval": ["eval", "--config", config, checkpoint],
+        "zeroshot": ["zeroshot", "--config", config],
+        "export-embeddings": ["export-embeddings", "--config", config, "--checkpoint",
+                              checkpoint, "--out-file", str(out_dir / "emb.csv")],
+        "info": ["info", "--config", config],
+    }[command]
+
+
+def _small_config(inputs, out) -> str:
+    return SMALL_CONFIG.format(manifest=inputs["manifest"], out=out).replace(
+        "strategy: random_mix", f"strategy: random_mix\n  lexicon: {inputs['lexicon']}")
+
+
+@pytest.fixture(scope="module")
+def good_inputs(tmp_path_factory):
+    """A readable manifest, lexicon and checkpoint for ``SMALL_CONFIG``."""
+    from dpstyler.backends import ToyBackend, ToyBackendSpec
+    from dpstyler.core import TaskDefinition
+    from dpstyler.toydata import make_toy_dataset
+
+    root = tmp_path_factory.mktemp("good-inputs")
+    names = ("cat", "dog", "fish")
+    backend = ToyBackend(ToyBackendSpec(seed=11, noise_level=0.0), names)
+    make_toy_dataset(root / "data", TaskDefinition(names), backend, domains=("art", "photo"),
+                     images_per_domain=3, seed=3)
+    (root / "lexicon.txt").write_text("white\nsketchy\nbright\n")
+    inputs = {"manifest": root / "data", "lexicon": root / "lexicon.txt"}
+    config = root / "run.yaml"
+    config.write_text(_small_config(inputs, root / "train-out"))
+    assert main(["train", "--config", str(config)]) == 0
+    inputs["checkpoint"] = sorted((root / "train-out").glob("*.ckpt"))[0]
+    return inputs
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("command", list(READS))
+    @pytest.mark.parametrize("kind, variant", list(MALFORMED),
+                             ids=[f"{kind}-{variant}" for kind, variant in MALFORMED])
+    def test_exits_2_or_3_without_traceback(self, good_inputs, tmp_path, capsys,
+                                            command, kind, variant):
+        inputs = dict(good_inputs)
+        contents = MALFORMED[kind, variant]
+        bad = tmp_path / f"malformed-{kind}"
+        if isinstance(contents, bytes):
+            bad.write_bytes(contents)
+        else:
+            bad.write_text(contents, encoding="utf-8")
+        inputs[kind] = bad
+        config = bad if kind == "config" else tmp_path / "run.yaml"
+        if kind != "config":
+            config.write_text(_small_config(inputs, tmp_path / "out"))
+        capsys.readouterr()
+        code = main(_command_line(command, str(config), str(inputs["checkpoint"]), tmp_path))
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if kind in READS[command]:
+            assert code in (2, 3), err
+            assert err.strip(), "a refused input must say why on stderr"
+        else:
+            assert code == 0, err

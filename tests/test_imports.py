@@ -1,9 +1,11 @@
-"""Every module in ``src/`` and ``tests/`` uses each name it imports.
+"""Every module in ``src/`` and ``tests/`` uses each name it imports, and
+every private module-level name in ``src/`` is used somewhere in ``src/``.
 
 A name counts as used when it appears as an identifier anywhere in the
 module, or is listed in the module's ``__all__``; a name that appears
 only in a comment or a string is unused.  ``from __future__`` imports
-are directives, not names.
+are directives, not names.  A private name (``_x``, not a dunder) that
+only tests read is dead code in the package.
 """
 import ast
 from pathlib import Path
@@ -12,6 +14,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/*.py")])
+PACKAGE = sorted(ROOT.glob("src/dpstyler/*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -52,3 +55,39 @@ def test_the_scan_sees_what_it_should():
         "    return os.sep, numpy.linalg, to_json, 'sys'\n"
     )
     assert unused_imports(source) == ["line 2: sys", "line 4: loads", "line 9: re"]
+
+
+def unreferenced_privates(sources: dict[str, str]) -> list[str]:
+    """``module: name`` for each private top-level name no module reads."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        read.update(node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+    return [f"{module}: {name}" for module, name in defined if name not in read]
+
+
+def test_no_unreferenced_private_names():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert unreferenced_privates(sources) == []
+
+
+def test_the_private_scan_sees_what_it_should():
+    sources = {
+        "a.py": "_USED = 1\n_DEAD, __all__ = 2, []\ndef _helper():\n    return 0\n"
+                "class _Gone:\n    _attr = 3\n_counter: int = 0\n",
+        "b.py": "from a import _helper\nprint(_USED, _helper())\n_counter = 1\n",
+    }
+    assert unreferenced_privates(sources) == [
+        "a.py: _DEAD", "a.py: _Gone", "a.py: _counter", "b.py: _counter",
+    ]

@@ -13,7 +13,7 @@ import numpy as np
 from dpstyler.backends import ToyBackend, ToyBackendSpec
 from dpstyler.config import load_run_config
 from dpstyler.core import PromptTemplate, Stream, TaskDefinition, seeded_rng
-from dpstyler.styles import StyleGenConfig, initial_bank, load_lexicon, refresh_bank
+from dpstyler.styles import StyleGenConfig, load_lexicon, refresh_bank
 from dpstyler.toydata import make_toy_dataset
 from dpstyler.trainer import TrainConfig, save_checkpoint, train_one_model
 
@@ -53,7 +53,7 @@ def test_master_seed_reaches_style_generation():
     assert not np.array_equal(banks[1].styles, banks[2].styles)
     # The final bank is the master seed's refresh for the last epoch.
     cfg, lexicon = StyleGenConfig(), load_lexicon(backend)
-    want = refresh_bank(initial_bank(cfg, backend.dim_token, 2, lexicon), cfg, 2, 1, lexicon)
+    want = refresh_bank(cfg, backend.dim_token, 2, 1, lexicon)
     np.testing.assert_array_equal(banks[2].styles, want.styles)
 
 

@@ -1,5 +1,5 @@
 """Style vector generation: the five random initializers, Gaussian draws,
-StyleMix convex combinations, and the per-epoch bank refresh."""
+StyleMix convex combinations, and each epoch's bank."""
 import hashlib
 
 import numpy as np
@@ -8,10 +8,10 @@ import pytest
 import dpstyler.styles as styles_mod
 from dpstyler.backends import ToyBackend, ToyBackendSpec
 from dpstyler.styles import (
+    STRATEGIES,
     PredefinedLexicon,
     StyleGenConfig,
     gaussian_style,
-    initial_bank,
     load_lexicon,
     load_lexicon_words,
     random_style,
@@ -121,16 +121,14 @@ class TestRefreshBank:
 
     def test_frozen_is_noop(self, rng):
         cfg = self._config("frozen")
-        bank = initial_bank(cfg, D, 0)
-        out = refresh_bank(bank, cfg, 0, epoch=3)
-        np.testing.assert_array_equal(out.styles, bank.styles)
+        first = refresh_bank(cfg, D, 0, epoch=0)
+        out = refresh_bank(cfg, D, 0, epoch=3)
+        np.testing.assert_array_equal(out.styles, first.styles)
 
     def test_bank_shape_and_finite(self, rng):
         lex = _lexicon(rng, size=8)
         for strategy in ("random", "stylemix", "gaussian", "random_mix"):
-            cfg = self._config(strategy)
-            bank = initial_bank(cfg, D, 0, lexicon=lex)
-            out = refresh_bank(bank, cfg, 0, epoch=0, lexicon=lex)
+            out = refresh_bank(self._config(strategy), D, 0, epoch=0, lexicon=lex)
             assert out.styles.shape == (8, D)
             assert np.all(np.isfinite(out.styles))
 
@@ -138,19 +136,31 @@ class TestRefreshBank:
         lex = _lexicon(rng, size=8)
         cfg = self._config("random_mix")
         for epoch in (0, 1, 17):
-            a = refresh_bank(initial_bank(cfg, D, 21, lexicon=lex), cfg, 21, epoch, lexicon=lex)
-            b = refresh_bank(initial_bank(cfg, D, 21, lexicon=lex), cfg, 21, epoch, lexicon=lex)
+            a = refresh_bank(cfg, D, 21, epoch, lexicon=lex)
+            b = refresh_bank(cfg, D, 21, epoch, lexicon=lex)
             np.testing.assert_array_equal(a.styles, b.styles)
             assert a.method_of_last_refresh == b.method_of_last_refresh
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_epoch_order_does_not_matter(self, strategy):
+        lex = _lexicon(np.random.default_rng(0), size=8)
+        cfg = self._config(strategy)
+        epochs = list(range(8))
+        in_order = {e: refresh_bank(cfg, D, 3, e, lexicon=lex) for e in epochs}
+        np.random.default_rng(1).shuffle(epochs)
+        for e in epochs:
+            bank = refresh_bank(cfg, D, 3, e, lexicon=lex)
+            np.testing.assert_array_equal(bank.styles, in_order[e].styles)
+            assert bank.method_of_last_refresh == in_order[e].method_of_last_refresh
+            assert bank.epoch_of_last_refresh == e
 
     def test_random_mix_coin_frequency(self, rng):
         lex = _lexicon(rng, size=8)
         cfg = self._config("random_mix", num=1)
-        bank = initial_bank(cfg, D, 0, lexicon=lex)
         hits = 0
         epochs = 10_000
         for epoch in range(epochs):
-            out = refresh_bank(bank, cfg, 0, epoch, lexicon=lex)
+            out = refresh_bank(cfg, D, 0, epoch, lexicon=lex)
             assert out.method_of_last_refresh in ("random", "stylemix")
             hits += out.method_of_last_refresh == "random"
         assert abs(hits / epochs - 0.5) <= 0.02
@@ -165,9 +175,8 @@ class TestRefreshBank:
 
         monkeypatch.setattr(styles_mod, "random_style", spy)
         cfg = self._config("random", num=10)
-        bank = initial_bank(cfg, D, 0)
         for epoch in range(1000):
-            refresh_bank(bank, cfg, 0, epoch)
+            refresh_bank(cfg, D, 0, epoch)
         assert len(picked) >= 10_000
         counts = {d: picked.count(d) for d in styles_mod.RANDOM_DISTRIBUTIONS}
         for dist, n in counts.items():
@@ -176,49 +185,45 @@ class TestRefreshBank:
     def test_consecutive_epochs_change_every_vector(self, rng):
         lex = _lexicon(rng, size=8)
         cfg = self._config("random_mix")
-        bank = initial_bank(cfg, D, 5, lexicon=lex)
-        prev = refresh_bank(bank, cfg, 5, 0, lexicon=lex)
+        prev = refresh_bank(cfg, D, 5, 0, lexicon=lex)
         for epoch in range(1, 30):
-            cur = refresh_bank(prev, cfg, 5, epoch, lexicon=lex)
+            cur = refresh_bank(cfg, D, 5, epoch, lexicon=lex)
             deltas = np.abs(cur.styles - prev.styles).max(axis=1)
             assert np.all(deltas > 1e-9)
             prev = cur
 
-    @pytest.mark.parametrize(
-        "strategy, digest",
-        [
-            ("random", "7db2a608315104fb8ff1f16f24b16a35a1d657a082f7088af11c5fd19fb8a7b6"),
-            ("stylemix", "00927d926d941518affef0b9ac4cfccf7c46445d8495a2ea8dc8e5e6390e5c43"),
-            ("random_mix", "314abd9485bf5952b8076f9eb11a1c3b2a9d489d2cd5026d1ff9e06857b7d4ad"),
-            ("gaussian", "c2b5fa6600ce9c4892adc3b13224b9f68101960a2e8f87a1ab96e94af83cfac7"),
-            ("frozen", "958d33bfca8ae0a8a2a23eb5831c2bc8a25f9f6df9c2fbcfe493946d4ee917b1"),
-        ],
-    )
-    def test_banks_are_pinned(self, strategy, digest):
-        # The initial bank and 6 refreshes, for seeds 0-2, bit for bit.
+    BANK_DIGESTS = {
+        "random": "207b259a703f6a4e586c6a545f7d78c3f72437c751fedb38159da71f71d3e62e",
+        "stylemix": "bc4744bca623548db39b4a32d665117554f2a6066ca4c9b691f1e758a0e9eae6",
+        "random_mix": "75954ef26d005e840e693a33745438670f2a53f73047c5a861f098179088f342",
+        "gaussian": "e46cc02f1e013742cde7d537fd1e16a465c0bb438ab98572ba6926ea0650ddf0",
+        "frozen": "d49676bd2f1b867c7b15cda8a0fa9d5b12a995c1370f213709a29868c8b0cd09",
+    }
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_banks_are_pinned(self, strategy):
+        # Epochs 0-5, for seeds 0-2, bit for bit.
         lex = _lexicon(np.random.default_rng(0), size=8)
         sha = hashlib.sha256()
         cfg = self._config(strategy)
         for seed in (0, 1, 2):
-            bank = initial_bank(cfg, D, seed, lexicon=lex)
-            sha.update(bank.styles.tobytes())
             for epoch in range(6):
-                bank = refresh_bank(bank, cfg, seed, epoch, lexicon=lex)
+                bank = refresh_bank(cfg, D, seed, epoch, lexicon=lex)
                 sha.update(bank.method_of_last_refresh.encode() + bank.styles.tobytes())
-        assert sha.hexdigest() == digest
+        assert sha.hexdigest() == self.BANK_DIGESTS[strategy]
 
     def test_stylemix_without_lexicon_raises(self):
-        cfg = self._config("stylemix")
-        with pytest.raises(ValueError, match="lexicon"):
-            initial_bank(cfg, D, 0)
-        bank = initial_bank(cfg, D, 0, lexicon=_lexicon(np.random.default_rng(0)))
-        with pytest.raises(ValueError, match="lexicon"):
-            refresh_bank(bank, cfg, 0, 0)
+        with pytest.raises(ValueError, match="requires a lexicon"):
+            refresh_bank(self._config("stylemix"), D, 0, 0)
+
+    def test_random_mix_without_lexicon_raises_at_every_epoch(self):
+        # Also on the epochs whose coin picks ``random`` (2 and 4 at seed 0).
+        for epoch in range(6):
+            with pytest.raises(ValueError, match="requires a lexicon"):
+                refresh_bank(self._config("random_mix"), D, 0, epoch)
 
     def test_metadata_updated(self, rng):
-        cfg = self._config("gaussian")
-        bank = initial_bank(cfg, D, 0)
-        out = refresh_bank(bank, cfg, 0, epoch=4)
+        out = refresh_bank(self._config("gaussian"), D, 0, epoch=4)
         assert out.epoch_of_last_refresh == 4
         assert out.method_of_last_refresh == "gaussian"
 

@@ -6,11 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
+import dpstyler.styles as styles_mod
 from dpstyler.backends import ToyBackend, ToyBackendSpec
 from dpstyler.core import Stream, TaskDefinition, l2_normalize, seeded_rng
 from dpstyler.losses import head_init, loss_gradients, softmax
 from dpstyler.remover import remover_backward, remover_forward, remover_init
-from dpstyler.styles import StyleGenConfig, initial_bank, refresh_bank
+from dpstyler.styles import STRATEGIES, StyleGenConfig, refresh_bank
 from dpstyler.trainer import (
     CheckpointError,
     TrainConfig,
@@ -27,13 +28,9 @@ from conftest import e2e_train_config, encode_grid
 
 
 class TestBuildPromptSet:
-    def _bank(self, K):
-        cfg = StyleGenConfig(num_styles=K, strategy="random")
-        return initial_bank(cfg, 32, 0)
-
     def test_full_cross_product(self):
         task = TaskDefinition(tuple(f"c{i}" for i in range(5)))
-        flat = build_prompt_set(task, self._bank(80), seed=0, epoch=0)
+        flat = build_prompt_set(task, 80, seed=0, epoch=0)
         assert len(flat) == 400
         assert sorted({(m, i) for m, i in zip(flat // 80, flat % 80)}) == [
             (m, i) for m in range(5) for i in range(80)
@@ -41,20 +38,20 @@ class TestBuildPromptSet:
 
     def test_single_pair(self):
         task = TaskDefinition(("a", "b"))
-        flat = build_prompt_set(task, self._bank(1), seed=0, epoch=0)
+        flat = build_prompt_set(task, 1, seed=0, epoch=0)
         assert sorted(flat.tolist()) == [0, 1]  # (0, 0) and (1, 0)
 
     def test_epochs_shuffle_but_preserve_multiset(self):
         task = TaskDefinition(tuple(f"c{i}" for i in range(4)))
-        a = build_prompt_set(task, self._bank(10), seed=3, epoch=0)
-        b = build_prompt_set(task, self._bank(10), seed=3, epoch=1)
+        a = build_prompt_set(task, 10, seed=3, epoch=0)
+        b = build_prompt_set(task, 10, seed=3, epoch=1)
         assert not np.array_equal(a, b)
         assert sorted(a.tolist()) == sorted(b.tolist())
 
     def test_deterministic_per_epoch(self):
         task = TaskDefinition(("a", "b", "c"))
-        a = build_prompt_set(task, self._bank(6), seed=3, epoch=2)
-        b = build_prompt_set(task, self._bank(6), seed=3, epoch=2)
+        a = build_prompt_set(task, 6, seed=3, epoch=2)
+        b = build_prompt_set(task, 6, seed=3, epoch=2)
         assert np.array_equal(a, b)
 
 
@@ -219,6 +216,24 @@ class TestTrainOneModel:
         seen = np.concatenate(backend.rows)
         np.testing.assert_array_equal(np.sort(seen), np.arange(task.num_classes * 12))
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_draws_one_bank_per_epoch(self, task, templates, monkeypatch, strategy):
+        # No bank is drawn ahead of epoch 0, and frozen runs draw theirs each epoch.
+        draws = []
+        real = styles_mod._draw
+
+        def spy(*args):
+            draws.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(styles_mod, "_draw", spy)
+        cfg = TrainConfig(epochs=3, batch_size=16, seed=3,
+                          style_gen=StyleGenConfig(num_styles=4, strategy=strategy))
+        result = train_one_model(task, ToyBackend(ToyBackendSpec(), task.class_names),
+                                 templates[0], cfg)
+        assert len(draws) == cfg.epochs
+        assert result.final_bank.epoch_of_last_refresh == cfg.epochs - 1
+
 
 class TestFusedTrainingStep:
     def test_matches_reference_loop(self, task, templates, e2e_backend):
@@ -236,12 +251,11 @@ class TestFusedTrainingStep:
         head = head_init(task.num_classes, C, seeded_rng(cfg.seed, Stream.HEAD_INIT))
         params = [remover.W1, remover.W2, head.weights]
         velocities = [np.zeros_like(p) for p in params]
-        bank = initial_bank(cfg.style_gen, e2e_backend.dim_token, cfg.seed)
         for epoch in range(cfg.epochs):
-            bank = refresh_bank(bank, cfg.style_gen, cfg.seed, epoch)
+            bank = refresh_bank(cfg.style_gen, e2e_backend.dim_token, cfg.seed, epoch)
             probe = encode_probe(e2e_backend, bank)
             feats = encode_grid(e2e_backend, templates[0].pattern, task.class_names, bank.styles)
-            flat = build_prompt_set(task, bank, cfg.seed, epoch)
+            flat = build_prompt_set(task, bank.num_styles, cfg.seed, epoch)
             order = [divmod(j, bank.num_styles) for j in flat]  # (class, style) pairs
             for start in range(0, len(order), cfg.batch_size):
                 batch = order[start : start + cfg.batch_size]
@@ -263,7 +277,7 @@ class TestDomainUncertaintyEffect:
         # uniform distribution over style prompts than raw features do.
         task = TaskDefinition(("dog", "elephant", "giraffe", "guitar", "horse"))
         backend = ToyBackend(ToyBackendSpec(), task.class_names)
-        held = initial_bank(StyleGenConfig(num_styles=8, strategy="random"), 32, 9999)
+        held = refresh_bank(StyleGenConfig(num_styles=8, strategy="frozen"), 32, 9999, epoch=0)
         probe = encode_probe(backend, held)
         tn = l2_normalize(probe.style_text_features)
         feats = np.stack([

@@ -110,6 +110,12 @@ class EncoderBackend(abc.ABC):
         """Embedding-table row for a single-token word."""
 
 
+def check_rows(what: str, rows: np.ndarray, shape: tuple) -> None:
+    """Raise ``ValueError`` unless ``rows``, from the backend method ``what``, has ``shape``."""
+    if np.shape(rows) != shape:
+        raise ValueError(f"{what} returned shape {np.shape(rows)}, expected {shape}")
+
+
 def _hashed_rng(seed: int, data: bytes) -> np.random.Generator:
     """A generator seeded by ``seed`` and the four 64-bit words of SHA-256(``data``)."""
     h = hashlib.sha256(data).digest()

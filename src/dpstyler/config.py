@@ -19,7 +19,7 @@ from .backends import EncoderBackend, ToyBackend, ToyBackendSpec
 from .core import PromptTemplate, TaskDefinition
 from .evaluation import FUSION_MODES
 from .losses import ArcFaceConfig
-from .styles import PredefinedLexicon, StyleGenConfig, load_lexicon
+from .styles import LEXICON_STRATEGIES, PredefinedLexicon, StyleGenConfig, load_lexicon
 from .trainer import TrainConfig
 
 DEFAULT_TEMPLATES = (
@@ -40,19 +40,32 @@ class RunConfig:
     task: TaskDefinition
     train: TrainConfig
     templates: tuple[PromptTemplate, ...] = field(
-        default_factory=lambda: tuple(map(PromptTemplate.from_pattern, DEFAULT_TEMPLATES))
+        default_factory=lambda: tuple(map(PromptTemplate, DEFAULT_TEMPLATES))
     )
     lexicon_path: str | None = None
     eval_manifest: str | None = None
     fusion: str = "max"
     output_dir: str = "."
-    raw: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.backend_variant != "toy":
             raise ValueError(f"backend.variant must be 'toy', got {self.backend_variant!r}")
         if self.fusion not in FUSION_MODES:
             raise ValueError(f"fusion must be one of {FUSION_MODES}, got {self.fusion!r}")
+
+    @property
+    def raw(self) -> dict:
+        """The merged config document: every ``_KEYS`` key with its value, by section."""
+        train = self.train
+        built = {RunConfig: self, ToyBackendSpec: self.backend_spec, TaskDefinition: self.task,
+                 TrainConfig: train, StyleGenConfig: train.style_gen, ArcFaceConfig: train.arcface}
+        doc = {}
+        for section, key, _, cls, name in _KEYS:
+            value = getattr(built[cls], name)
+            if isinstance(value, tuple):  # class names, or templates as their patterns
+                value = [getattr(v, "pattern", v) for v in value]
+            (doc.setdefault(section, {}) if section else doc)[key] = value
+        return doc
 
     @property
     def fingerprint(self) -> str:
@@ -63,7 +76,10 @@ class RunConfig:
     def build_backend(self) -> EncoderBackend:
         return ToyBackend(self.backend_spec, self.task.class_names)
 
-    def build_lexicon(self, backend: EncoderBackend) -> PredefinedLexicon:
+    def build_lexicon(self, backend: EncoderBackend) -> PredefinedLexicon | None:
+        """The lexicon, or None for a strategy that reads none."""
+        if self.train.style_gen.strategy not in LEXICON_STRATEGIES:
+            return None
         return load_lexicon(backend, self.lexicon_path)
 
 
@@ -221,20 +237,11 @@ def load_run_config(path, seed_override: int | None = None, out_override: str | 
         run["output_dir"] = out_override
     try:
         if "templates" in run:
-            run["templates"] = tuple(map(PromptTemplate.from_pattern, run["templates"]))
+            run["templates"] = tuple(map(PromptTemplate, run["templates"]))
         train = TrainConfig(**kwargs[TrainConfig],
                             style_gen=StyleGenConfig(**kwargs[StyleGenConfig]),
                             arcface=ArcFaceConfig(**kwargs[ArcFaceConfig]))
-        rc = RunConfig(**run, backend_spec=ToyBackendSpec(**kwargs[ToyBackendSpec]),
-                       task=TaskDefinition(**kwargs[TaskDefinition]), train=train)
+        return RunConfig(**run, backend_spec=ToyBackendSpec(**kwargs[ToyBackendSpec]),
+                         task=TaskDefinition(**kwargs[TaskDefinition]), train=train)
     except ValueError as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
-
-    built = {RunConfig: rc, ToyBackendSpec: rc.backend_spec, TaskDefinition: rc.task,
-             TrainConfig: train, StyleGenConfig: train.style_gen, ArcFaceConfig: train.arcface}
-    for section, key, _, cls, name in _KEYS:
-        value = getattr(built[cls], name)
-        if isinstance(value, tuple):  # class names, or templates as their patterns
-            value = [getattr(v, "pattern", v) for v in value]
-        (rc.raw.setdefault(section, {}) if section else rc.raw)[key] = value
-    return rc

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import enum
+import hashlib
 import os
 from dataclasses import dataclass
 
@@ -154,7 +155,6 @@ class PromptTemplate:
     """
 
     pattern: str
-    id: str
 
     def __post_init__(self):
         if self.pattern.count(CLASS_PLACEHOLDER) != 1:
@@ -166,10 +166,11 @@ class PromptTemplate:
                 f"pattern must contain {STYLE_PLACEHOLDER!r} exactly once: {self.pattern!r}"
             )
 
-    @classmethod
-    def from_pattern(cls, pattern: str) -> "PromptTemplate":
-        """Build a template with a stable id derived from the pattern text."""
-        import hashlib
+    @property
+    def id(self) -> str:
+        return template_id(self.pattern)
 
-        digest = hashlib.sha256(pattern.encode("utf-8")).hexdigest()[:8]
-        return cls(pattern=pattern, id=f"tpl-{digest}")
+
+def template_id(pattern: str) -> str:
+    """A pattern's stable id: ``tpl-`` and the first 8 hex digits of its SHA-256."""
+    return f"tpl-{hashlib.sha256(pattern.encode('utf-8')).hexdigest()[:8]}"

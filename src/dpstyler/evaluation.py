@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backends import EncoderBackend, ImageDecodeError
+from .backends import EncoderBackend, ImageDecodeError, check_rows
 from .core import TaskDefinition, atomic_write, l2_normalize
 from .remover import remover_forward
 from .trainer import Checkpoint
@@ -95,9 +95,10 @@ def zeroshot_predict(
         raise ValueError(f"prompt_style must be one of {sorted(ZEROSHOT_PATTERNS)}")
     pattern = ZEROSHOT_PATTERNS[prompt_style]
     emb = l2_normalize(np.asarray(image_embedding))
-    rows = np.arange(task.num_classes)
-    text = l2_normalize(backend.encode_prompt_rows(pattern, task.class_names, None, rows))
-    return int(np.argmax(text @ emb))
+    M = task.num_classes
+    text = backend.encode_prompt_rows(pattern, task.class_names, None, np.arange(M))
+    check_rows("encode_prompt_rows", text, (M, backend.dim_joint))
+    return int(np.argmax(l2_normalize(text) @ emb))
 
 
 @dataclass(frozen=True)
@@ -174,13 +175,19 @@ def load_manifest(path_or_root) -> DatasetManifest:
 
 @dataclass
 class EvalReport:
-    per_domain_accuracy: dict[str, float]  # percent
     per_domain_counts: dict[str, tuple[int, int]]  # (correct, total scored)
-    average_accuracy: float
     decode_errors: int
     config_fingerprint: str = ""
     seed: int | None = None
     predictor: str = ""
+
+    @property
+    def per_domain_accuracy(self) -> dict[str, float]:  # percent
+        return {d: 100.0 * c / n for d, (c, n) in self.per_domain_counts.items()}
+
+    @property
+    def average_accuracy(self) -> float:
+        return float(np.mean(list(self.per_domain_accuracy.values())))
 
     def to_dict(self) -> dict:
         return {
@@ -194,13 +201,12 @@ class EvalReport:
         }
 
     def table(self) -> str:
-        width = max(len("domain"), *(len(d) for d in self.per_domain_accuracy))
+        accuracy = self.per_domain_accuracy
+        width = max(len("domain"), *(len(d) for d in accuracy))
         lines = [f"{'domain':<{width}}  top-1 (%)  correct/total"]
-        for domain in sorted(self.per_domain_accuracy):
+        for domain in sorted(accuracy):
             correct, total = self.per_domain_counts[domain]
-            lines.append(
-                f"{domain:<{width}}  {self.per_domain_accuracy[domain]:9.2f}  {correct}/{total}"
-            )
+            lines.append(f"{domain:<{width}}  {accuracy[domain]:9.2f}  {correct}/{total}")
         lines.append(f"{'average':<{width}}  {self.average_accuracy:9.2f}")
         if self.decode_errors:
             lines.append(f"decode errors: {self.decode_errors}")
@@ -218,7 +224,9 @@ def _encoded_chunks(manifest: DatasetManifest, backend: EncoderBackend):
             except (ImageDecodeError, OSError):
                 continue
             kept.append(entry)
-        yield kept, backend.encode_images(images), len(chunk) - len(kept)
+        embeddings = backend.encode_images(images)
+        check_rows("encode_images", embeddings, (len(kept), backend.dim_joint))
+        yield kept, embeddings, len(chunk) - len(kept)
 
 
 def evaluate(
@@ -250,13 +258,8 @@ def evaluate(
                 correct[domain] = correct.get(domain, 0) + 1
     if not total:
         raise ValueError("no image in the manifest could be decoded")
-    per_domain = {
-        d: 100.0 * correct.get(d, 0) / total[d] for d in total
-    }
     return EvalReport(
-        per_domain_accuracy=per_domain,
         per_domain_counts={d: (correct.get(d, 0), total[d]) for d in total},
-        average_accuracy=float(np.mean(list(per_domain.values()))),
         decode_errors=errors,
         config_fingerprint=config_fingerprint,
         seed=seed,

@@ -152,10 +152,6 @@ class LossBreakdown:
     d_features: np.ndarray  # (B, C): gradient w.r.t. the removed features
     d_head: np.ndarray  # (M, C)
 
-    @property
-    def loss_total(self) -> float:
-        return self.loss_uncertainty + self.loss_classification
-
 
 def loss_gradients(
     features: np.ndarray,

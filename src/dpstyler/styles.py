@@ -86,7 +86,6 @@ class StyleGenConfig:
 @dataclass(frozen=True)
 class StyleBank:
     styles: np.ndarray  # (K, D)
-    epoch_of_last_refresh: int
     method_of_last_refresh: str
 
     def __post_init__(self):
@@ -190,7 +189,7 @@ def refresh_bank(config: StyleGenConfig, dim: int, seed: int, epoch: int,
             coin = seeded_rng(seed, Stream.STYLE_COIN, epoch)
             strategy = "random" if coin.integers(2) == 0 else "stylemix"
         styles = _draw(strategy, config, dim, lexicon, seeded_rng(seed, Stream.STYLE_DRAWS, epoch))
-    return StyleBank(styles=styles, epoch_of_last_refresh=epoch, method_of_last_refresh=strategy)
+    return StyleBank(styles=styles, method_of_last_refresh=strategy)
 
 
 def load_lexicon(backend, path=None) -> PredefinedLexicon:

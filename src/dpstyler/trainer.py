@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .backends import EncoderBackend
+from .backends import EncoderBackend, check_rows
 from .core import (
     DEFAULT_DTYPE,
     ZERO_NORM_EPS,
@@ -35,6 +35,7 @@ from .core import (
     TaskDefinition,
     atomic_write,
     seeded_rng,
+    template_id,
 )
 from .losses import ArcFaceConfig, ClassifierHead, DomainProbe, head_init, loss_gradients
 from .remover import StyleRemoverParams, remover_forward_cached, remover_init, remover_weight_grads
@@ -104,10 +105,8 @@ class Checkpoint:
 
     remover: StyleRemoverParams
     head: ClassifierHead
-    template_id: str
     template_pattern: str
     class_names: tuple[str, ...]
-    dim_joint: int
     dim_token: int
     backend_tag: str
     seed: int
@@ -115,6 +114,14 @@ class Checkpoint:
 
     def __post_init__(self):
         self.class_names = tuple(self.class_names)
+
+    @property
+    def dim_joint(self) -> int:
+        return self.remover.dim
+
+    @property
+    def template_id(self) -> str:
+        return template_id(self.template_pattern)
 
     @functools.cached_property
     def head_row_norms(self) -> np.ndarray:
@@ -136,8 +143,11 @@ class EpochMetrics:
     epoch: int
     loss_uncertainty: float
     loss_classification: float
-    loss_total: float
     wall_time_s: float
+
+    @property
+    def loss_total(self) -> float:
+        return self.loss_uncertainty + self.loss_classification
 
     def to_json(self) -> str:
         return json.dumps(
@@ -155,7 +165,6 @@ class EpochMetrics:
 class TrainResult:
     checkpoint: Checkpoint
     metrics: list[EpochMetrics]
-    final_bank: StyleBank
 
 
 def build_prompt_set(task: TaskDefinition, num_styles: int, seed: int, epoch: int) -> np.ndarray:
@@ -179,16 +188,14 @@ def sgd_step(
     return param, velocity
 
 
-def encode_probe(backend: EncoderBackend, bank: StyleBank) -> DomainProbe:
+def encode_probe(backend: EncoderBackend, bank: StyleBank, epoch: int) -> DomainProbe:
     """The bank's style prompts encoded, checked to be (K, C) and finite.
 
-    Non-finite rows raise ``TrainingDivergedError`` at the bank's epoch."""
+    Non-finite rows raise ``TrainingDivergedError`` at ``epoch``."""
     rows = backend.encode_style_prompts(bank.styles)
-    if rows.shape != (bank.num_styles, backend.dim_joint):
-        raise ValueError(f"encode_style_prompts returned shape {rows.shape}, "
-                         f"expected {(bank.num_styles, backend.dim_joint)}")
+    check_rows("encode_style_prompts", rows, (bank.num_styles, backend.dim_joint))
     if not np.isfinite(rows).all():
-        raise TrainingDivergedError(bank.epoch_of_last_refresh, None, "encode_style_prompts rows")
+        raise TrainingDivergedError(epoch, None, "encode_style_prompts rows")
     return DomainProbe(style_text_features=rows.astype(DEFAULT_DTYPE, copy=False))
 
 
@@ -216,7 +223,7 @@ def train_one_model(
     for epoch in range(config.epochs):
         start = time.perf_counter()
         bank = refresh_bank(config.style_gen, D, config.seed, epoch, lexicon)
-        probe = encode_probe(backend, bank)
+        probe = encode_probe(backend, bank, epoch)
         flat = build_prompt_set(task, K, config.seed, epoch)
 
         sum_u = sum_c = 0.0
@@ -226,10 +233,7 @@ def train_one_model(
             # Raw encoder scale: the losses are cosine-based and normalize
             # internally, while the gate sees the encoder's native magnitudes.
             v = backend.encode_prompt_rows(template.pattern, task.class_names, bank.styles, index)
-            if v.shape != (len(index), C):
-                raise ValueError(
-                    f"encode_prompt_rows returned shape {v.shape}, expected {(len(index), C)}"
-                )
+            check_rows("encode_prompt_rows", v, (len(index), C))
             y = index // K
             removed, cache = remover_forward_cached(v, remover)
             if not np.all(np.isfinite(removed)):
@@ -247,34 +251,25 @@ def train_one_model(
             sum_u += loss_u * len(y)
             sum_c += loss_c * len(y)
 
-        mean_u, mean_c = sum_u / n_samples, sum_c / n_samples
-        metrics.append(
-            EpochMetrics(
-                epoch=epoch,
-                loss_uncertainty=mean_u,
-                loss_classification=mean_c,
-                loss_total=mean_u + mean_c,
-                wall_time_s=time.perf_counter() - start,
-            )
-        )
+        metrics.append(EpochMetrics(epoch=epoch, loss_uncertainty=sum_u / n_samples,
+                                    loss_classification=sum_c / n_samples,
+                                    wall_time_s=time.perf_counter() - start))
 
     checkpoint = Checkpoint(
         remover=remover,
         head=head,
-        template_id=template.id,
         template_pattern=template.pattern,
         class_names=task.class_names,
-        dim_joint=C,
         dim_token=D,
         backend_tag=backend_tag,
         seed=config.seed,
         config_snapshot=config_snapshot or {},
     )
-    return TrainResult(checkpoint=checkpoint, metrics=metrics, final_bank=bank)
+    return TrainResult(checkpoint=checkpoint, metrics=metrics)
 
 
-# Every checkpoint header key and its exact JSON type.  The keys named
-# like a ``Checkpoint`` field carry that field; "arrays" is ``_layout``.
+# Every checkpoint header key and its exact JSON type.  The keys named like a
+# ``Checkpoint`` attribute carry it, and ``_FIELDS`` build one; "arrays" is ``_layout``.
 _HEADER = {
     "format_version": int, "dim_joint": int, "dim_token": int, "ratio": int,
     "num_classes": int, "template_id": str, "template_pattern": str, "class_names": list,
@@ -302,9 +297,9 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
     ``_layout(dim_joint, ratio, num_classes)``; then the raw float32
     little-endian arrays W1, W2, head at the manifest's offsets, which
     are relative to the end of the header.  ``load_checkpoint`` requires
-    every ``_HEADER`` key with its type, and accepts no other manifest
-    and no trailing bytes; an array whose shape disagrees raises
-    ``ValueError`` before the file is opened.
+    every ``_HEADER`` key with its type, and accepts no other manifest, no
+    ``template_id`` but its pattern's and no trailing bytes; an array
+    whose shape disagrees raises ``ValueError`` before the file is opened.
     """
     C, ratio = checkpoint.dim_joint, checkpoint.remover.ratio
     layout = _layout(C, ratio, checkpoint.head.num_classes)
@@ -314,7 +309,7 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
         if list(arr.shape) != entry["shape"]:
             raise ValueError(f"array {entry['name']!r} has shape {arr.shape}, expected "
                              f"{tuple(entry['shape'])} for C={C}, r={ratio}")
-    header = {key: getattr(checkpoint, key) for key in _FIELDS}
+    header = {key: getattr(checkpoint, key) for key in _HEADER if hasattr(checkpoint, key)}
     header.update(format_version=CHECKPOINT_VERSION, ratio=ratio, arrays=layout,
                   num_classes=checkpoint.head.num_classes, config=checkpoint.config_snapshot)
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -413,4 +408,6 @@ def _read_header(path, blob: bytes) -> dict:
                               f"{header['dim_joint']}")
     if not all(type(name) is str for name in header["class_names"]):
         raise CheckpointError(f"{path}: header 'class_names' is not a list of strings")
+    if header["template_id"] != template_id(header["template_pattern"]):
+        raise CheckpointError(f"{path}: header 'template_id' does not match 'template_pattern'")
     return header

@@ -66,7 +66,7 @@ def task() -> TaskDefinition:
 
 @pytest.fixture(scope="session")
 def templates() -> tuple[PromptTemplate, ...]:
-    return tuple(PromptTemplate.from_pattern(p) for p in DEFAULT_TEMPLATES)
+    return tuple(PromptTemplate(p) for p in DEFAULT_TEMPLATES)
 
 
 @pytest.fixture(scope="session")

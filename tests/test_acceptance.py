@@ -308,11 +308,9 @@ def _stub_checkpoint(M):
     return Checkpoint(
         remover=StyleRemoverParams(W1=np.zeros((C, 1)), W2=np.zeros((1, C)), ratio=C),
         head=ClassifierHead(weights=np.eye(M, C) + 1e-3),
-        template_id="tpl-stub",
         template_pattern="a [class] in a S* style",
         class_names=tuple(f"c{i}" for i in range(M)),
         backend_tag="toy",
-        dim_joint=C,
         dim_token=4,
         seed=0,
     )
@@ -352,7 +350,7 @@ def test_criterion_6_end_to_end(task, templates, e2e_backend, trained_models, to
         9999,
         epoch=0,
     )
-    probe = encode_probe(e2e_backend, held)
+    probe = encode_probe(e2e_backend, held, 0)
     tn = l2_normalize(probe.style_text_features)
     feats = np.stack([
         e2e_backend.text_encode(templates[0].pattern, name, style)

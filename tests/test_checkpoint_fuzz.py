@@ -28,10 +28,8 @@ VALID = Checkpoint(
         ratio=4,
     ),
     head=ClassifierHead(weights=_rng.standard_normal((3, 8)).astype(np.float32)),
-    template_id="t0",
     template_pattern="a [class] in a S* style",
     class_names=("cat", "dog", "fish"),
-    dim_joint=8,
     dim_token=4,
     backend_tag="toy",
     seed=7,
@@ -79,7 +77,7 @@ def test_valid_blob_loads(valid_blob):
 
 def test_saved_bytes_are_pinned(valid_blob):
     # Any change to the bytes save_checkpoint writes for VALID shows here.
-    digest = "4fc351a91dfd388b60c9437a75362ffe03e394f58e9e1779f9c616c24af9d327"
+    digest = "50728b8cae6b6b33e51b4e0b2ba4d0716d51480e0409549949db7d989e38fb0a"
     assert hashlib.sha256(valid_blob[1]).hexdigest() == digest
 
 

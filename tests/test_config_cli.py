@@ -1,4 +1,5 @@
 """Run-config parsing and the command-line workflow end to end."""
+import hashlib
 import io
 import json
 import struct
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from dpstyler.cli import main
 from dpstyler.config import _KEYS, ConfigError, load_run_config
+from dpstyler.styles import LEXICON_STRATEGIES, STRATEGIES
 from dpstyler.trainer import CheckpointError, _layout, load_checkpoint
 
 SMALL_CONFIG = """
@@ -526,6 +528,17 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert "m.csv" in err and "Traceback" not in err
 
+    def test_backend_returning_a_short_image_batch_exits_2(self, workspace, capsys,
+                                                           monkeypatch):
+        from dpstyler.backends import ToyBackend
+
+        real = ToyBackend.encode_images
+        monkeypatch.setattr(ToyBackend, "encode_images", lambda self, ims: real(self, ims)[:-1])
+        cfg_path, _, _ = workspace
+        assert main(["zeroshot", "--config", str(cfg_path)]) == 2
+        assert "encode_images returned shape (11, 64), expected (12, 64)" in \
+            capsys.readouterr().err
+
     def test_export_to_missing_directory_exits_2(self, workspace, tmp_path):
         cfg_path, _, _ = workspace
         assert main([
@@ -648,6 +661,16 @@ def _command_line(command, config, checkpoint, out_dir):
     }[command]
 
 
+def _write_malformed(tmp_path, kind, variant) -> Path:
+    contents = MALFORMED[kind, variant]
+    bad = tmp_path / f"malformed-{kind}"
+    if isinstance(contents, bytes):
+        bad.write_bytes(contents)
+    else:
+        bad.write_text(contents, encoding="utf-8")
+    return bad
+
+
 def _small_config(inputs, out) -> str:
     return SMALL_CONFIG.format(manifest=inputs["manifest"], out=out).replace(
         "strategy: random_mix", f"strategy: random_mix\n  lexicon: {inputs['lexicon']}")
@@ -681,13 +704,7 @@ class TestMalformedInputs:
     def test_exits_2_or_3_without_traceback(self, good_inputs, tmp_path, capsys,
                                             command, kind, variant):
         inputs = dict(good_inputs)
-        contents = MALFORMED[kind, variant]
-        bad = tmp_path / f"malformed-{kind}"
-        if isinstance(contents, bytes):
-            bad.write_bytes(contents)
-        else:
-            bad.write_text(contents, encoding="utf-8")
-        inputs[kind] = bad
+        inputs[kind] = bad = _write_malformed(tmp_path, kind, variant)
         config = bad if kind == "config" else tmp_path / "run.yaml"
         if kind != "config":
             config.write_text(_small_config(inputs, tmp_path / "out"))
@@ -700,3 +717,103 @@ class TestMalformedInputs:
             assert err.strip(), "a refused input must say why on stderr"
         else:
             assert code == 0, err
+
+    @pytest.mark.parametrize("strategy", sorted(set(STRATEGIES) - set(LEXICON_STRATEGIES)))
+    @pytest.mark.parametrize("variant", [v for kind, v in MALFORMED if kind == "lexicon"])
+    def test_train_reads_no_lexicon_for_a_strategy_without_one(self, good_inputs, tmp_path,
+                                                               capsys, strategy, variant):
+        inputs = dict(good_inputs, lexicon=_write_malformed(tmp_path, "lexicon", variant))
+        config = tmp_path / "run.yaml"
+        config.write_text(_small_config(inputs, tmp_path / "out").replace(
+            "strategy: random_mix", f"strategy: {strategy}"))
+        assert main(["train", "--config", str(config)]) == 0, capsys.readouterr().err
+
+
+
+# One fixed config with relative paths, so its fingerprint does not
+# depend on where it runs.
+PINNED_CONFIG = """\
+backend: {dim_joint: 16, dim_token: 8, noise_level: 0.3, seed: 11}
+task: {class_names: [cat, dog, fish]}
+train: {epochs: 2, batch_size: 8, seed: 7}
+styles: {num_styles: 3, strategy: random_mix}
+templates: ['a [class] in a S* style', 'a S* style of a [class]']
+eval: {manifest: data}
+output_dir: out
+"""
+PINNED_FINGERPRINT = "c5c91fa5"
+PINNED_INFO_SHA256 = "bf8f512652929106959f4a23e58babcda4aef798b3cf6306383cc2dd8c259d55"
+PINNED_METRICS = {  # each template's metrics.jsonl rows, without wall_time_s
+    "tpl-5c468f8a": [
+        {"epoch": 0, "loss_uncertainty": -1.090601, "loss_classification": 2.918816,
+         "loss_total": 1.828215},
+        {"epoch": 1, "loss_uncertainty": -1.090938, "loss_classification": 2.668971,
+         "loss_total": 1.578034},
+    ],
+    "tpl-cf0fc483": [
+        {"epoch": 0, "loss_uncertainty": -1.090764, "loss_classification": 3.10652,
+         "loss_total": 2.015755},
+        {"epoch": 1, "loss_uncertainty": -1.090986, "loss_classification": 2.871443,
+         "loss_total": 1.780457},
+    ],
+}
+PINNED_REPORT_SHA256 = "97d96869757c5d9654aaaa101006dbf91eb10e93546d16f12cc9c816f7779bb3"
+
+
+class TestPinnedWorkflow:
+    """What ``info``, ``train`` and ``eval`` write for ``PINNED_CONFIG``, byte for byte."""
+
+    def test_outputs_are_pinned(self, tmp_path, monkeypatch, capsys):
+        from dpstyler.backends import ToyBackend, ToyBackendSpec
+        from dpstyler.core import TaskDefinition
+        from dpstyler.toydata import make_toy_dataset
+
+        monkeypatch.chdir(tmp_path)
+        names = ("cat", "dog", "fish")
+        backend = ToyBackend(ToyBackendSpec(dim_joint=16, dim_token=8, seed=11), names)
+        make_toy_dataset("data", TaskDefinition(names), backend, domains=("art", "photo"),
+                         images_per_domain=6, seed=3, confusion=1.5)
+        Path("run.yaml").write_text(PINNED_CONFIG)
+        assert load_run_config("run.yaml").fingerprint == PINNED_FINGERPRINT
+
+        assert main(["info", "--config", "run.yaml"]) == 0
+        info = capsys.readouterr()
+        assert hashlib.sha256(info.out.encode()).hexdigest() == PINNED_INFO_SHA256
+        assert info.err == f"fingerprint: {PINNED_FINGERPRINT}\n"
+
+        assert main(["train", "--config", "run.yaml"]) == 0
+        stems = [f"{tpl}-{PINNED_FINGERPRINT}" for tpl in PINNED_METRICS]
+        assert sorted(p.name for p in Path("out").iterdir()) == sorted(
+            f"{stem}.{ext}" for stem in stems for ext in ("ckpt", "metrics.jsonl"))
+        for tpl, stem in zip(PINNED_METRICS, stems):
+            lines = Path("out", f"{stem}.metrics.jsonl").read_text().splitlines()
+            rows = [json.loads(line) for line in lines]
+            assert [{k: v for k, v in row.items() if k != "wall_time_s"}
+                    for row in rows] == PINNED_METRICS[tpl]
+
+        assert main(["eval", "--config", "run.yaml", *(f"out/{s}.ckpt" for s in stems)]) == 0
+        report = Path("out", f"report-eval-max-{PINNED_FINGERPRINT}.json").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == PINNED_REPORT_SHA256
+
+    def test_config_built_in_code_describes_itself(self, tmp_path, capsys):
+        # ``info`` on the document ``raw`` prints that document back,
+        # with the fingerprint of the config built in code.
+        from dpstyler.backends import ToyBackendSpec
+        from dpstyler.config import RunConfig
+        from dpstyler.core import TaskDefinition
+        from dpstyler.styles import StyleGenConfig
+        from dpstyler.trainer import TrainConfig
+
+        rc = RunConfig(
+            backend_spec=ToyBackendSpec(dim_joint=16, dim_token=8, seed=3),
+            task=TaskDefinition(("cat", "dog")),
+            train=TrainConfig(epochs=4, seed=3, style_gen=StyleGenConfig(strategy="gaussian")),
+            output_dir="out",
+        )
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(rc.raw))
+        assert main(["info", "--config", str(path)]) == 0
+        printed = capsys.readouterr()
+        assert json.loads(printed.out) == rc.raw
+        assert printed.err == f"fingerprint: {rc.fingerprint}\n"
+        assert load_run_config(path) == rc

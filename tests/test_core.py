@@ -122,17 +122,17 @@ class TestTaskDefinition:
 
 class TestPromptTemplate:
     def test_valid_pattern(self):
-        t = PromptTemplate.from_pattern("a [class] in a S* style")
+        t = PromptTemplate("a [class] in a S* style")
         assert t.id.startswith("tpl-")
 
     def test_id_is_stable(self):
-        a = PromptTemplate.from_pattern("a [class] in a S* style")
-        b = PromptTemplate.from_pattern("a [class] in a S* style")
+        a = PromptTemplate("a [class] in a S* style")
+        b = PromptTemplate("a [class] in a S* style")
         assert a.id == b.id
 
     def test_distinct_patterns_distinct_ids(self):
-        a = PromptTemplate.from_pattern("a [class] in a S* style")
-        b = PromptTemplate.from_pattern("a S* style of a [class]")
+        a = PromptTemplate("a [class] in a S* style")
+        b = PromptTemplate("a S* style of a [class]")
         assert a.id != b.id
 
     @pytest.mark.parametrize(
@@ -147,7 +147,7 @@ class TestPromptTemplate:
     )
     def test_invalid_patterns(self, pattern):
         with pytest.raises(ValueError):
-            PromptTemplate.from_pattern(pattern)
+            PromptTemplate(pattern)
 
 
 class TestAtomicWrite:

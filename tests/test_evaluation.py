@@ -47,11 +47,9 @@ def _checkpoint(weights, C=None, remover=None, rng=None, dtype=np.float32):
     return Checkpoint(
         remover=remover,
         head=ClassifierHead(weights=weights),
-        template_id="tpl-test",
         template_pattern="a [class] in a S* style",
         class_names=tuple(f"c{i}" for i in range(M)),
         backend_tag="toy",
-        dim_joint=C,
         dim_token=32,
         seed=0,
     )
@@ -94,10 +92,10 @@ class TestPredictScores:
             W1=rng.standard_normal((8, 2)), W2=rng.standard_normal((2, 8)), ratio=4
         )
         ckpt = Checkpoint(
-            remover=p, head=ClassifierHead(weights=w), template_id="tpl-test",
+            remover=p, head=ClassifierHead(weights=w),
             template_pattern="a [class] in a S* style",
             class_names=tuple(f"c{i}" for i in range(6)), backend_tag="toy",
-            dim_joint=8, dim_token=32, seed=0,
+            dim_token=32, seed=0,
         )
         before = w.copy()
         emb = rng.standard_normal(8)
@@ -433,6 +431,33 @@ class TestEvaluate:
         report = evaluate(manifest, b, task, lambda e: zeroshot_predict(e, b, task, "PC"))
         text = report.table()
         assert "average" in text and "art" in text
+
+
+class _ShortByOneRow(ToyBackend):
+    """A toy backend whose batched encoders return one row fewer than asked for."""
+
+    def encode_images(self, images):
+        return super().encode_images(images)[:-1]
+
+    def encode_prompt_rows(self, pattern, class_names, styles, index):
+        return super().encode_prompt_rows(pattern, class_names, styles, index)[:-1]
+
+
+class TestBackendRowCounts:
+    def test_evaluate_rejects_a_short_image_batch(self, tmp_path):
+        names = ("cat", "dog")
+        backend = _ShortByOneRow(ToyBackendSpec(), names)
+        _write_toy_tree(tmp_path, backend, names)
+        with pytest.raises(ValueError,
+                           match=r"encode_images returned shape \(7, 64\), expected \(8, 64\)"):
+            evaluate(load_manifest(tmp_path), backend, TaskDefinition(names), lambda e: 0)
+
+    def test_zeroshot_rejects_short_prompt_rows(self, rng):
+        names = ("cat", "dog", "fish")
+        backend = _ShortByOneRow(ToyBackendSpec(), names)
+        with pytest.raises(ValueError, match=r"encode_prompt_rows returned shape \(2, 64\), "
+                                             r"expected \(3, 64\)"):
+            zeroshot_predict(rng.standard_normal(64), backend, TaskDefinition(names), "PC")
 
 
 class TestFrozenStateReuse:

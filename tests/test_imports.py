@@ -1,5 +1,6 @@
-"""Every module in ``src/`` and ``tests/`` uses each name it imports, and
-every private module-level name in ``src/`` is used somewhere in ``src/``.
+"""Every module in ``src/`` and ``tests/`` uses each name it imports,
+every private module-level name in ``src/`` is used somewhere in ``src/``,
+and ``src/`` imports nothing beyond the standard library, NumPy and PyYAML.
 
 A name counts as used when it appears as an identifier anywhere in the
 module, or is listed in the module's ``__all__``; a name that appears
@@ -8,6 +9,7 @@ are directives, not names.  A private name (``_x``, not a dunder) that
 only tests read is dead code in the package.
 """
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -91,3 +93,42 @@ def test_the_private_scan_sees_what_it_should():
     assert unreferenced_privates(sources) == [
         "a.py: _DEAD", "a.py: _Gone", "a.py: _counter", "b.py: _counter",
     ]
+
+
+# The package's runtime dependencies: the standard library, NumPy and PyYAML.
+ALLOWED_ROOTS = frozenset(sys.stdlib_module_names) | {"numpy", "yaml"}
+
+
+def foreign_imports(source: str) -> list[str]:
+    """``line N: root`` for each absolute import whose top-level package is not allowed."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:  # not ``from . import``
+            names = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {root}" for root in (n.partition(".")[0] for n in names)
+                  if root not in ALLOWED_ROOTS]
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_package_imports_only_the_stdlib_numpy_and_yaml(path):
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_dependency_scan_sees_what_it_should():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, scipy.linalg\n"
+        "import numpy as np\n"
+        "from yaml import safe_load\n"
+        "from . import core\n"
+        "from .core import l2_normalize\n"
+        "from torch.nn import Module\n"
+        "def f():\n"
+        "    import collections.abc, hypothesis\n"
+    )
+    assert foreign_imports(source) == ["line 2: scipy", "line 7: torch", "line 9: hypothesis"]

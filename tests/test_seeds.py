@@ -42,19 +42,29 @@ def test_seeded_rng_is_the_seed_sequence_stream():
     np.testing.assert_array_equal(seeded_rng(7, Stream.SHUFFLE, 3).random(4), want)
 
 
+class _StyleRecorder(ToyBackend):
+    """A toy backend that keeps each style bank it is asked to encode."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.banks = []
+
+    def encode_style_prompts(self, styles):
+        self.banks.append(np.array(styles))
+        return super().encode_style_prompts(styles)
+
+
 def test_master_seed_reaches_style_generation():
     task = TaskDefinition(NAMES)
-    backend = ToyBackend(ToyBackendSpec(), NAMES)
-    template = PromptTemplate.from_pattern("a [class] in a S* style")
-    banks = {
-        seed: train_one_model(task, backend, template, TrainConfig(epochs=2, seed=seed)).final_bank
-        for seed in (1, 2)
-    }
-    assert not np.array_equal(banks[1].styles, banks[2].styles)
-    # The final bank is the master seed's refresh for the last epoch.
-    cfg, lexicon = StyleGenConfig(), load_lexicon(backend)
-    want = refresh_bank(cfg, backend.dim_token, 2, 1, lexicon)
-    np.testing.assert_array_equal(banks[2].styles, want.styles)
+    template = PromptTemplate("a [class] in a S* style")
+    backends = {seed: _StyleRecorder(ToyBackendSpec(), NAMES) for seed in (1, 2)}
+    for seed, backend in backends.items():
+        train_one_model(task, backend, template, TrainConfig(epochs=2, seed=seed))
+    assert not np.array_equal(backends[1].banks[-1], backends[2].banks[-1])
+    # The last bank is the master seed's refresh for the last epoch.
+    cfg, lexicon = StyleGenConfig(), load_lexicon(backends[2])
+    want = refresh_bank(cfg, backends[2].dim_token, 2, 1, lexicon)
+    np.testing.assert_array_equal(backends[2].banks[-1], want.styles)
 
 
 def test_training_checkpoint_is_pinned(tmp_path):

@@ -152,7 +152,6 @@ class TestRefreshBank:
             bank = refresh_bank(cfg, D, 3, e, lexicon=lex)
             np.testing.assert_array_equal(bank.styles, in_order[e].styles)
             assert bank.method_of_last_refresh == in_order[e].method_of_last_refresh
-            assert bank.epoch_of_last_refresh == e
 
     def test_random_mix_coin_frequency(self, rng):
         lex = _lexicon(rng, size=8)
@@ -224,7 +223,6 @@ class TestRefreshBank:
 
     def test_metadata_updated(self, rng):
         out = refresh_bank(self._config("gaussian"), D, 0, epoch=4)
-        assert out.epoch_of_last_refresh == 4
         assert out.method_of_last_refresh == "gaussian"
 
 

@@ -11,7 +11,7 @@ from dpstyler.backends import ToyBackend, ToyBackendSpec
 from dpstyler.core import Stream, TaskDefinition, l2_normalize, seeded_rng
 from dpstyler.losses import head_init, loss_gradients, softmax
 from dpstyler.remover import remover_backward, remover_forward, remover_init
-from dpstyler.styles import STRATEGIES, StyleGenConfig, refresh_bank
+from dpstyler.styles import STRATEGIES, StyleGenConfig, load_lexicon, refresh_bank
 from dpstyler.trainer import (
     CheckpointError,
     TrainConfig,
@@ -128,8 +128,10 @@ class TestTrainOneModel:
         # High top-1 on the final epoch's own prompt features.  The
         # strongest confusable styles keep this just under 100%, so gate
         # on >= 90% (measured 95% for every default template).
+        cfg = e2e_train_config()
+        bank = refresh_bank(cfg.style_gen, e2e_backend.dim_token, cfg.seed, cfg.epochs - 1,
+                            load_lexicon(e2e_backend))
         for template, result in zip(templates, trained_models):
-            bank = result.final_bank
             feats = np.stack([
                 e2e_backend.text_encode(template.pattern, name, style)
                 for name in task.class_names
@@ -229,10 +231,8 @@ class TestTrainOneModel:
         monkeypatch.setattr(styles_mod, "_draw", spy)
         cfg = TrainConfig(epochs=3, batch_size=16, seed=3,
                           style_gen=StyleGenConfig(num_styles=4, strategy=strategy))
-        result = train_one_model(task, ToyBackend(ToyBackendSpec(), task.class_names),
-                                 templates[0], cfg)
+        train_one_model(task, ToyBackend(ToyBackendSpec(), task.class_names), templates[0], cfg)
         assert len(draws) == cfg.epochs
-        assert result.final_bank.epoch_of_last_refresh == cfg.epochs - 1
 
 
 class TestFusedTrainingStep:
@@ -253,7 +253,7 @@ class TestFusedTrainingStep:
         velocities = [np.zeros_like(p) for p in params]
         for epoch in range(cfg.epochs):
             bank = refresh_bank(cfg.style_gen, e2e_backend.dim_token, cfg.seed, epoch)
-            probe = encode_probe(e2e_backend, bank)
+            probe = encode_probe(e2e_backend, bank, epoch)
             feats = encode_grid(e2e_backend, templates[0].pattern, task.class_names, bank.styles)
             flat = build_prompt_set(task, bank.num_styles, cfg.seed, epoch)
             order = [divmod(j, bank.num_styles) for j in flat]  # (class, style) pairs
@@ -278,7 +278,7 @@ class TestDomainUncertaintyEffect:
         task = TaskDefinition(("dog", "elephant", "giraffe", "guitar", "horse"))
         backend = ToyBackend(ToyBackendSpec(), task.class_names)
         held = refresh_bank(StyleGenConfig(num_styles=8, strategy="frozen"), 32, 9999, epoch=0)
-        probe = encode_probe(backend, held)
+        probe = encode_probe(backend, held, 0)
         tn = l2_normalize(probe.style_text_features)
         feats = np.stack([
             backend.text_encode(templates[0].pattern, n, s)
@@ -419,6 +419,7 @@ class TestCheckpointPersistence:
             ("class_names", 3),
             ("class_names", [1, 2, 3, 4, 5]),
             ("template_id", 5),
+            ("template_id", "tpl-00000000"),
             ("template_pattern", None),
             ("backend_tag", [1]),
             ("seed", "x"),
@@ -427,8 +428,8 @@ class TestCheckpointPersistence:
         ],
         ids=["ratio-str", "ratio-bool", "ratio-collapses-bottleneck", "dim_joint-zero",
              "dim_token-float", "num_classes-negative", "class_names-int",
-             "class_names-not-str", "template_id-int", "template_pattern-null",
-             "backend_tag-list", "seed-str", "seed-bool", "seed-float"],
+             "class_names-not-str", "template_id-int", "template_id-mismatch",
+             "template_pattern-null", "backend_tag-list", "seed-str", "seed-bool", "seed-float"],
     )
     def test_bad_header_value_is_typed(self, trained_models, tmp_path, key, value):
         path = tmp_path / "model.ckpt"
@@ -462,8 +463,9 @@ class TestCheckpointPersistence:
             load_checkpoint(path)
 
     def test_save_rejects_shapes_that_disagree_with_dims(self, trained_models, tmp_path):
-        ckpt = dataclasses.replace(trained_models[0].checkpoint,
-                                   dim_joint=trained_models[0].checkpoint.dim_joint * 2)
+        ckpt = trained_models[0].checkpoint
+        ckpt = dataclasses.replace(ckpt, remover=dataclasses.replace(
+            ckpt.remover, ratio=ckpt.remover.ratio * 2))
         path = tmp_path / "model.ckpt"
         with pytest.raises(ValueError, match="array 'W1' has shape"):
             save_checkpoint(ckpt, path)

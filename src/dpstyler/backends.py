@@ -136,12 +136,6 @@ class ToyBackendSpec:
     # Norm of the style term relative to the unit-norm content term; >1
     # makes features style-dominated, as real encoder features are.
     style_strength: float = 1.0
-    # Norm of every emitted feature.  Downstream losses are cosine-based
-    # and therefore scale-invariant, but gradients through the removal
-    # gate grow with the feature norm, so a realistic (pretrained joint
-    # encoders emit features with norms in the tens) magnitude is needed
-    # for the gate to train within desk-scale step budgets.
-    output_gain: float = 32.0
     seed: int = 0
 
     def __post_init__(self):
@@ -149,6 +143,8 @@ class ToyBackendSpec:
             raise ValueError("dim_joint and dim_token must be >= 1")
         if self.noise_level < 0:
             raise ValueError("noise_level must be >= 0")
+        if self.seed < 0:
+            raise ValueError("backend seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -221,6 +217,12 @@ class ToyBackend(EncoderBackend):
 
     # Relative weight of per-template / per-modality content perturbations.
     PERTURBATION = 0.1
+    # Norm of every emitted feature.  Downstream losses are cosine-based
+    # and therefore scale-invariant, but gradients through the removal
+    # gate grow with the feature norm, so a realistic (pretrained joint
+    # encoders emit features with norms in the tens) magnitude is needed
+    # for the gate to train within desk-scale step budgets.
+    OUTPUT_GAIN = 32.0
 
     def __init__(self, spec: ToyBackendSpec, class_names):
         self.spec = spec
@@ -324,11 +326,11 @@ class ToyBackend(EncoderBackend):
         for row, m in zip(feature, classes):
             row[...] = self._content_vector(tag, class_names[m])
         feature += terms[columns]
-        return self.spec.output_gain * l2_normalize(feature)
+        return self.OUTPUT_GAIN * l2_normalize(feature)
 
     def encode_style_prompts(self, styles: np.ndarray) -> np.ndarray:
         feature = self._style_prompt_base + self._style_terms(styles)
-        return self.spec.output_gain * l2_normalize(feature)
+        return self.OUTPUT_GAIN * l2_normalize(feature)
 
     def _checked(self, image) -> ToyImage:
         if not isinstance(image, ToyImage):
@@ -362,7 +364,7 @@ class ToyBackend(EncoderBackend):
                 data = nuis.tobytes() + image.class_index.to_bytes(4, "little")
                 rng = _hashed_rng(self.spec.seed, data)
                 row += rng.standard_normal(C) * (self.spec.noise_level / np.sqrt(C))
-        return (self.spec.output_gain * l2_normalize(feature)).astype(DEFAULT_DTYPE)
+        return (self.OUTPUT_GAIN * l2_normalize(feature)).astype(DEFAULT_DTYPE)
 
     def style_preimage(self, target: np.ndarray) -> np.ndarray:
         """Least-squares nuisance whose style term best matches ``target``.

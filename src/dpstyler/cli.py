@@ -101,10 +101,7 @@ def cmd_eval(args) -> int:
             )
         if ckpt.class_names != cfg.task.class_names:
             raise ConfigError("checkpoint class names do not match the configured task")
-    try:
-        bundle = EnsembleBundle(members=members, fusion=cfg.fusion)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    bundle = EnsembleBundle(members=members, fusion=cfg.fusion)
     report = evaluate(
         manifest,
         backend,

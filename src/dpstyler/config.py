@@ -52,6 +52,17 @@ class RunConfig:
             raise ValueError(f"backend.variant must be 'toy', got {self.backend_variant!r}")
         if self.fusion not in FUSION_MODES:
             raise ValueError(f"fusion must be one of {FUSION_MODES}, got {self.fusion!r}")
+        C, ratio = self.backend_spec.dim_joint, self.train.ratio
+        if C // ratio < 1:
+            raise ValueError(f"train.ratio {ratio} exceeds backend.dim_joint {C}, "
+                             "which leaves the gate no hidden unit")
+        # A backend field with no key is not in ``raw``, so the fingerprint
+        # (and every output file name) could not tell two such backends apart.
+        keyed = {name for *_, cls, name in _KEYS if cls is ToyBackendSpec}
+        for f in fields(ToyBackendSpec):
+            if f.name not in keyed and getattr(self.backend_spec, f.name) != f.default:
+                raise ValueError(f"backend_spec.{f.name} has no config key, "
+                                 f"so it must keep its default {f.default!r}")
 
     @property
     def raw(self) -> dict:

@@ -2,8 +2,8 @@
 
 Everything downstream (style generation, the removal gate, the losses,
 the encoders) works with plain numpy arrays in a C-dimensional joint
-embedding space or a D-dimensional token embedding space.  The helpers
-here are the only linear-algebra surface the rest of the package uses.
+embedding space or a D-dimensional token embedding space.  ``l2_normalize``
+and ``row_norms`` are the norm helpers; both reject a zero row.
 
 Default precision is float32; callers that need tighter arithmetic
 (e.g. the finite-difference gradient checks) pass float64 arrays and the
@@ -96,6 +96,14 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
     if np.any(norms < ZERO_NORM_EPS):
         raise DegenerateEmbeddingError("cannot normalize a zero row")
     return v / norms
+
+
+def row_norms(W: np.ndarray) -> np.ndarray:
+    """(M,) norms of a head's (M, C) rows; DegenerateEmbeddingError for a zero row."""
+    norms = np.sqrt(np.einsum("mc,mc->m", W, W))
+    if np.any(norms < ZERO_NORM_EPS):
+        raise DegenerateEmbeddingError("head rows must be nonzero")
+    return norms
 
 
 def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:

@@ -54,10 +54,6 @@ class EnsembleBundle:
             if ckpt.class_names != first.class_names:
                 raise ValueError("ensemble members disagree on class names")
 
-    @property
-    def class_names(self) -> tuple[str, ...]:
-        return self.members[0].class_names
-
 
 def predict_scores(image_embedding: np.ndarray, member: Checkpoint) -> np.ndarray:
     """Per-class cosine scores of one model for one raw image embedding.
@@ -103,12 +99,12 @@ def zeroshot_predict(
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    """Resolved (path, domain, class-name) rows grouped by domain."""
+    """Resolved (path, domain, class-name) rows, sorted: the order evaluation walks."""
 
     entries: tuple[tuple[str, str, str], ...]  # (path, domain, class_name)
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
+        object.__setattr__(self, "entries", tuple(sorted(self.entries)))
         if not self.entries:
             raise ValueError("manifest is empty")
 
@@ -123,17 +119,17 @@ class DatasetManifest:
 
 
 def _subdirectories(path) -> list[os.DirEntry]:
-    """Entries of ``path`` that are directories (symlinks followed), sorted by name."""
+    """Entries of ``path`` that are directories (symlinks followed)."""
     with os.scandir(path) as it:
-        return sorted((e for e in it if e.is_dir()), key=lambda e: e.name)
+        return [e for e in it if e.is_dir()]
 
 
 def manifest_from_directory(root) -> DatasetManifest:
-    """Discover root/domain/class/image-file, sorted deterministically."""
+    """Discover root/domain/class/image-file."""
     entries = []
     for domain in _subdirectories(os.fspath(root)):
         for cls in _subdirectories(domain.path):
-            for name in sorted(os.listdir(cls.path)):
+            for name in os.listdir(cls.path):
                 entries.append((os.path.join(cls.path, name), domain.name, cls.name))
     return DatasetManifest(entries=tuple(entries))
 
@@ -162,7 +158,6 @@ def manifest_from_csv(path) -> DatasetManifest:
                 entries.append((p, domain, cls))
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
             raise ValueError(f"{path}: unreadable manifest at line {reader.line_num}: {exc}") from exc
-    entries.sort()
     return DatasetManifest(entries=tuple(entries))
 
 
@@ -214,8 +209,8 @@ class EvalReport:
 
 
 def _encoded_chunks(manifest: DatasetManifest, backend: EncoderBackend):
-    """Per chunk of the sorted entries: (decoded entries, their (n, C) embeddings, failures)."""
-    entries = sorted(manifest.entries)
+    """Per chunk of the entries: (decoded entries, their (n, C) embeddings, failures)."""
+    entries = manifest.entries
     for start in range(0, len(entries), _CHUNK):
         chunk, kept, images = entries[start : start + _CHUNK], [], []
         for entry in chunk:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_DTYPE, ZERO_NORM_EPS, DegenerateEmbeddingError, cosine_similarity,
-                   l2_normalize, softmax)
+                   l2_normalize, row_norms, softmax)
 
 # Keep |cos| away from 1 so the angle-addition identity stays differentiable.
 COS_CLAMP = 1e-7
@@ -31,9 +31,8 @@ COS_CLAMP = 1e-7
 class ClassifierHead:
     """One weight row per class; cosine similarity is taken against rows.
 
-    A zero row has no direction: the code that divides by the row norms
-    (``loss_gradients``, ``Checkpoint.head_row_norms``) rejects it with
-    ``DegenerateEmbeddingError`` where it computes them.
+    A zero row has no direction: ``core.row_norms``, which takes the row
+    norms wherever they are divided by, rejects it.
     """
 
     weights: np.ndarray  # (M, C)
@@ -78,10 +77,6 @@ class DomainProbe:
         if feats.ndim != 2 or feats.shape[0] < 1:
             raise ValueError("probe must be a non-empty (K, C) array")
         object.__setattr__(self, "style_text_features", l2_normalize(feats))
-
-    @property
-    def num_styles(self) -> int:
-        return self.style_text_features.shape[0]
 
 
 def domain_logits(feature: np.ndarray, probe: DomainProbe) -> np.ndarray:
@@ -194,9 +189,7 @@ def loss_gradients(
 
     # ArcFace part.  Head-row norms are folded into (B, M) arrays; no unit-row head is built.
     W = head.weights.astype(F.dtype, copy=False)
-    wnorms = np.sqrt(np.einsum("ij,ij->i", W, W))  # (M,)
-    if np.any(wnorms < ZERO_NORM_EPS):
-        raise DegenerateEmbeddingError("zero-norm head row")
+    wnorms = row_norms(W)  # (M,)
     cos_raw = (FN @ W.T) / wnorms  # (B, M)
     cos_c = np.clip(cos_raw, -1.0 + COS_CLAMP, 1.0 - COS_CLAMP)
     clamp_mask = (cos_raw > -1.0 + COS_CLAMP) & (cos_raw < 1.0 - COS_CLAMP)

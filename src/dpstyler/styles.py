@@ -105,25 +105,17 @@ def random_style(dist: str, dim: int, rng: np.random.Generator) -> np.ndarray:
     """Draw one style vector from a named initializer distribution.
 
     The vector is treated as a (1, dim) weight matrix, i.e. fan_in = dim
-    and fan_out = 1, which fixes the Xavier/Kaiming scales.
+    and fan_out = 1.  The scale is the std of a normal or the bound of a
+    uniform: 1 for ``normal``, else sqrt(2 / fan) for a normal and
+    sqrt(6 / fan) for a uniform, with fan = fan_in + fan_out for Xavier
+    and fan_in for Kaiming.
     """
     if dist not in RANDOM_DISTRIBUTIONS:
         raise ValueError(f"unknown distribution {dist!r}")
-    fan_in, fan_out = dim, 1
-    if dist == "normal":
-        v = rng.standard_normal(dim)
-    elif dist == "xavier_uniform":
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        v = rng.uniform(-bound, bound, size=dim)
-    elif dist == "xavier_normal":
-        std = np.sqrt(2.0 / (fan_in + fan_out))
-        v = rng.standard_normal(dim) * std
-    elif dist == "kaiming_normal":
-        std = np.sqrt(2.0 / fan_in)
-        v = rng.standard_normal(dim) * std
-    else:  # kaiming_uniform
-        bound = np.sqrt(6.0 / fan_in)
-        v = rng.uniform(-bound, bound, size=dim)
+    fan = dim + 1 if dist.startswith("xavier") else dim
+    uniform = dist.endswith("uniform")
+    scale = 1.0 if dist == "normal" else np.sqrt((6.0 if uniform else 2.0) / fan)
+    v = rng.uniform(-scale, scale, size=dim) if uniform else rng.standard_normal(dim) * scale
     return v.astype(DEFAULT_DTYPE)
 
 

@@ -19,6 +19,9 @@ import numpy as np
 from .backends import ToyBackend, ToyImage, toy_image_save
 from .core import DEFAULT_DTYPE, Stream, TaskDefinition, seeded_rng
 
+# Std of each image's deviation from its domain's base nuisance direction.
+JITTER = 0.3
+
 
 def make_toy_dataset(
     root,
@@ -27,7 +30,6 @@ def make_toy_dataset(
     domains: tuple[str, ...] = ("art", "cartoon", "photo", "sketch"),
     images_per_domain: int = 50,
     seed: int = 0,
-    jitter: float = 0.3,
     confusion: float = 0.0,
     content_strength: float = 1.0,
 ) -> None:
@@ -45,7 +47,7 @@ def make_toy_dataset(
         base /= np.linalg.norm(base)
         for idx in range(images_per_domain):
             class_index = idx % num_classes
-            nuisance = base + jitter * rng.standard_normal(dim)
+            nuisance = base + JITTER * rng.standard_normal(dim)
             nuisance /= np.linalg.norm(nuisance)
             if confusion > 0:
                 other = (class_index + 1 + rng.integers(num_classes - 1)) % num_classes

@@ -28,12 +28,12 @@ import numpy as np
 from .backends import EncoderBackend, check_rows
 from .core import (
     DEFAULT_DTYPE,
-    ZERO_NORM_EPS,
     DegenerateEmbeddingError,
     PromptTemplate,
     Stream,
     TaskDefinition,
     atomic_write,
+    row_norms,
     seeded_rng,
     template_id,
 )
@@ -88,6 +88,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.ratio < 1:
             raise ValueError("ratio must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     @property
     def num_styles(self) -> int:
@@ -130,10 +132,7 @@ class Checkpoint:
         Raises ``DegenerateEmbeddingError`` for a zero row, which
         ``predict_scores`` would divide by.
         """
-        W = self.head.weights
-        norms = np.sqrt(np.einsum("mc,mc->m", W, W))
-        if np.any(norms < ZERO_NORM_EPS):
-            raise DegenerateEmbeddingError("head rows must be nonzero")
+        norms = row_norms(self.head.weights)
         norms.flags.writeable = False
         return norms
 

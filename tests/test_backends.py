@@ -57,7 +57,7 @@ class TestTextEncode:
 
     def test_output_norm_is_gain(self, backend, rng):
         v = backend.text_encode(TEMPLATE, "cat", rng.standard_normal(32))
-        assert np.linalg.norm(v) == pytest.approx(backend.spec.output_gain, rel=1e-5)
+        assert np.linalg.norm(v) == pytest.approx(backend.OUTPUT_GAIN, rel=1e-5)
 
     def test_restart_identical(self, rng):
         s = rng.standard_normal(32)
@@ -121,7 +121,7 @@ class TestBatchedEncode:
                 norm = np.linalg.norm(style)
                 term = V @ (style / norm) if norm > 0 else 0.0
                 feature = content + backend.spec.style_strength * term
-                want = backend.spec.output_gain * feature / np.linalg.norm(feature)
+                want = backend.OUTPUT_GAIN * feature / np.linalg.norm(feature)
                 assert _rel_err(feats[m, i], want) < 1e-6
 
     def test_encode_style_prompts_matches_style_text_encode(self, backend, rng):
@@ -135,7 +135,7 @@ class TestBatchedEncode:
     def test_zero_style_row_adds_nothing(self, backend, rng):
         styles = self._styles(rng)
         feats = encode_grid(backend, TEMPLATE, NAMES, styles)
-        gain = backend.spec.output_gain
+        gain = backend.OUTPUT_GAIN
         for m, name in enumerate(NAMES):
             content = backend._content_vector("text:" + TEMPLATE, name)
             assert _rel_err(feats[m, 2], gain * l2_normalize(content)) < 1e-6
@@ -309,7 +309,7 @@ class TestEncodeImages:
         words = [int.from_bytes(digest[i : i + 8], "little") for i in range(0, 32, 8)]
         rng = seeded_rng(spec.seed, *words)
         feature += rng.standard_normal(C) * (spec.noise_level / np.sqrt(C))
-        return spec.output_gain * feature / np.linalg.norm(feature)
+        return backend.OUTPUT_GAIN * feature / np.linalg.norm(feature)
 
     def test_matches_image_encode(self, backend, rng):
         images = self._images(rng)

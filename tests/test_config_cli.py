@@ -421,7 +421,7 @@ class TestCliErrors:
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "none.yaml")]) == 2
 
-    def test_mismatched_checkpoint_classes_exit_2(self, workspace, tmp_path):
+    def test_mismatched_checkpoint_classes_exit_2(self, workspace, tmp_path, capsys):
         cfg_path, data, out = workspace
         main(["train", "--config", str(cfg_path)])
         other_cfg = tmp_path / "other.yaml"
@@ -431,7 +431,9 @@ class TestCliErrors:
             )
         )
         ckpt = str(sorted(out.glob("*.ckpt"))[0])
+        capsys.readouterr()
         assert main(["eval", "--config", str(other_cfg), ckpt]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_missing_lexicon_exits_2(self, workspace, tmp_path):
         cfg_path, data, out = workspace
@@ -462,11 +464,16 @@ class TestCliErrors:
             "task: {class_names: [a, b]}\nstyles: {alpha: .nan}\n",
             "task: {class_names: [yes, no]}\n",
             "task: {class_names: [a, b]}\nbackend: 5\n",
+            "task: {class_names: [a, b]}\nseed: -1\n",
+            "task: {class_names: [a, b]}\ntrain: {seed: -1}\n",
+            "task: {class_names: [a, b]}\nbackend: {seed: -3}\n",
+            "task: {class_names: [a, b]}\nbackend: {dim_joint: 8}\n",
         ],
         ids=["train-seed-null", "seed-list", "class_names-int", "templates-int",
              "ratio-0", "dim_token-0", "momentum-1.5", "noise_level-negative", "epochs-float",
              "epochs-bool", "batch_size-str", "learning_rate-nan", "momentum-inf", "alpha-nan",
-             "class_names-bool", "backend-not-a-mapping"],
+             "class_names-bool", "backend-not-a-mapping", "seed-negative", "train-seed-negative",
+             "backend-seed-negative", "ratio-above-dim_joint"],
     )
     def test_malformed_config_value_exits_2(self, tmp_path, capsys, doc):
         p = tmp_path / "bad.yaml"
@@ -817,3 +824,14 @@ class TestPinnedWorkflow:
         assert json.loads(printed.out) == rc.raw
         assert printed.err == f"fingerprint: {rc.fingerprint}\n"
         assert load_run_config(path) == rc
+
+    def test_backend_field_without_a_key_must_keep_its_default(self):
+        # Such a field is not in ``raw``, so it would not change the fingerprint.
+        from dpstyler.backends import ToyBackendSpec
+        from dpstyler.config import RunConfig
+        from dpstyler.core import TaskDefinition
+        from dpstyler.trainer import TrainConfig
+
+        with pytest.raises(ValueError, match="style_strength has no config key"):
+            RunConfig(backend_spec=ToyBackendSpec(style_strength=3.0),
+                      task=TaskDefinition(("cat", "dog")), train=TrainConfig())

@@ -280,6 +280,11 @@ class TestManifests:
         with pytest.raises(ValueError):
             DatasetManifest(entries=())
 
+    def test_entries_are_sorted(self):
+        entries = [(f"/d/{i:02d}.json", "art", ("cat", "dog")[i % 2]) for i in range(12)]
+        shuffled = [entries[i] for i in np.random.default_rng(0).permutation(len(entries))]
+        assert DatasetManifest(entries=shuffled).entries == tuple(sorted(entries))
+
 
 class TestCsvManifestFuzz:
     """Any manifest text gives a ``DatasetManifest`` or a ``ValueError``."""

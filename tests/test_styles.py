@@ -7,7 +7,9 @@ import pytest
 
 import dpstyler.styles as styles_mod
 from dpstyler.backends import ToyBackend, ToyBackendSpec
+from dpstyler.core import seeded_rng
 from dpstyler.styles import (
+    RANDOM_DISTRIBUTIONS,
     STRATEGIES,
     PredefinedLexicon,
     StyleGenConfig,
@@ -59,6 +61,20 @@ class TestRandomStyle:
     def test_unknown_distribution(self):
         with pytest.raises(ValueError):
             random_style("cauchy", D, np.random.default_rng(0))
+
+    DRAW_DIGESTS = {
+        "normal": "64cddc0c22fa3db525322b29b3f35c48f2fd1edde2f311f203b74e3570b0f65e",
+        "xavier_uniform": "e919607c1ddcd349c080f7cd9b4d511796d61aa251a332b2a33dd81977035eea",
+        "xavier_normal": "a50712559fc739d76f47360e72ad538e08c85410adca9135066f7e88daac0821",
+        "kaiming_normal": "20b4e4dbb9c1e38f6bc00aa516a7b0815ce32ed058e228315265512ef50bf198",
+        "kaiming_uniform": "4da18572d35f0fb2d3ed172cb39e0097e7af70cd321938d7564f072543fd32d9",
+    }
+
+    @pytest.mark.parametrize("dist", RANDOM_DISTRIBUTIONS)
+    def test_draws_are_pinned(self, dist):
+        v = random_style(dist, D, seeded_rng(0))
+        assert v.dtype == np.float32 and v.shape == (D,)
+        assert hashlib.sha256(v.tobytes()).hexdigest() == self.DRAW_DIGESTS[dist]
 
 
 class TestGaussianStyle:

@@ -51,6 +51,17 @@ def _load_config(args) -> RunConfig:
     )
 
 
+def _load_checkpoint_for(path, backend):
+    """The checkpoint at ``path``, refused unless it was trained at ``backend``'s widths."""
+    ckpt = load_checkpoint(path)
+    for name in ("dim_joint", "dim_token"):
+        trained, configured = getattr(ckpt, name), getattr(backend, name)
+        if trained != configured:
+            raise ConfigError(f"checkpoint {path} has {name} {trained}, "
+                              f"the configured backend {configured}")
+    return ckpt
+
+
 def _require_manifest(cfg: RunConfig):
     if not cfg.eval_manifest:
         raise ConfigError("eval.manifest is required for this command")
@@ -93,12 +104,8 @@ def cmd_eval(args) -> int:
     cfg = _load_config(args)
     backend = cfg.build_backend()
     manifest = _require_manifest(cfg)
-    members = tuple(load_checkpoint(p) for p in args.checkpoints)
+    members = tuple(_load_checkpoint_for(p, backend) for p in args.checkpoints)
     for ckpt in members:
-        if ckpt.dim_joint != backend.dim_joint:
-            raise ConfigError(
-                f"checkpoint C={ckpt.dim_joint} incompatible with backend C={backend.dim_joint}"
-            )
         if ckpt.class_names != cfg.task.class_names:
             raise ConfigError("checkpoint class names do not match the configured task")
     bundle = EnsembleBundle(members=members, fusion=cfg.fusion)
@@ -143,7 +150,7 @@ def cmd_export_embeddings(args) -> int:
     out_dir = os.path.dirname(os.path.abspath(args.out_file))
     if not os.path.isdir(out_dir):
         raise ConfigError(f"output directory does not exist: {out_dir}")
-    checkpoint = load_checkpoint(args.checkpoint) if args.checkpoint else None
+    checkpoint = _load_checkpoint_for(args.checkpoint, backend) if args.checkpoint else None
     rows = export_embeddings(manifest, backend, checkpoint, args.out_file)
     print(f"wrote {rows} embedding rows to {args.out_file}")
     return EXIT_OK
@@ -170,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="path to the YAML run config")
         p.add_argument("--out", help="output directory override")
-        p.add_argument("--seed", type=int, help="master seed override")
+        p.add_argument("--seed", type=int, help="train.seed override")
 
     p = sub.add_parser("train", help="train one model per prompt template")
     common(p)

@@ -108,7 +108,6 @@ _KEYS = (
     ("backend", "noise_level", float, ToyBackendSpec, "noise_level"),
     ("backend", "seed", int, ToyBackendSpec, "seed"),
     ("task", "class_names", list, TaskDefinition, "class_names"),
-    (None, "seed", int, TrainConfig, "seed"),  # train.seed, below, wins
     ("train", "seed", int, TrainConfig, "seed"),
     ("train", "epochs", int, TrainConfig, "epochs"),
     ("train", "learning_rate", float, TrainConfig, "learning_rate"),
@@ -120,7 +119,6 @@ _KEYS = (
     ("styles", "num_styles", int, StyleGenConfig, "num_styles"),
     ("styles", "strategy", str, StyleGenConfig, "strategy"),
     ("styles", "alpha", float, StyleGenConfig, "alpha"),
-    ("styles", "gaussian_std", float, StyleGenConfig, "gaussian_std"),
     ("styles", "lexicon", _PATH, RunConfig, "lexicon_path"),
     (None, "templates", list, RunConfig, "templates"),
     ("eval", "manifest", _PATH, RunConfig, "eval_manifest"),
@@ -236,11 +234,8 @@ def load_run_config(path, seed_override: int | None = None, out_override: str | 
     if not kwargs[TaskDefinition]:
         raise ConfigError("task.class_names is required")
 
-    # The master seed also seeds the backend unless set.
     if seed_override is not None:
         kwargs[TrainConfig]["seed"] = seed_override
-    seed = kwargs[TrainConfig].setdefault("seed", _default(TrainConfig, "seed"))
-    kwargs[ToyBackendSpec].setdefault("seed", seed)
     run = kwargs[RunConfig]
     if fusion_override is not None:
         run["fusion"] = fusion_override

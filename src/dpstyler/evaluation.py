@@ -35,7 +35,7 @@ _CHUNK = 64
 
 @dataclass(frozen=True)
 class EnsembleBundle:
-    """N trained models sharing one backend descriptor and class list."""
+    """N trained models that agree on the joint dimension and the class names."""
 
     members: tuple[Checkpoint, ...]
     fusion: str = "max"

@@ -10,7 +10,6 @@ Refresh strategies:
   small predefined adjective lexicon.
 - ``random_mix``: a fair coin per epoch selects Random or StyleMix for
   the whole bank.
-- ``gaussian``: i.i.d. zero-mean normal with a small std.
 - ``frozen``: one ``random`` bank, the same at every epoch.
 
 An epoch's bank is a pure function of (config, dim, seed, epoch): the
@@ -36,7 +35,7 @@ RANDOM_DISTRIBUTIONS = (
     "kaiming_uniform",
 )
 
-STRATEGIES = ("random", "stylemix", "random_mix", "gaussian", "frozen")
+STRATEGIES = ("random", "stylemix", "random_mix", "frozen")
 LEXICON_STRATEGIES = ("stylemix", "random_mix")  # the strategies that need a lexicon
 STYLEMIX_RETRIES = 16  # Beta weight draws tried before a degenerate (all ~0) draw raises
 
@@ -70,17 +69,15 @@ class StyleGenConfig:
     num_styles: int = 80
     strategy: str = "random_mix"
     alpha: float = 0.1
-    gaussian_std: float = 0.02
 
     def __post_init__(self):
         if self.num_styles < 1:
             raise ValueError("num_styles must be >= 1")
         if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
+            raise ValueError(f"unknown strategy {self.strategy!r}; "
+                             f"valid strategies: {', '.join(STRATEGIES)}")
         if self.alpha <= 0:
             raise ValueError("alpha must be > 0")
-        if self.gaussian_std <= 0:
-            raise ValueError("gaussian_std must be > 0")
 
 
 @dataclass(frozen=True)
@@ -119,13 +116,6 @@ def random_style(dist: str, dim: int, rng: np.random.Generator) -> np.ndarray:
     return v.astype(DEFAULT_DTYPE)
 
 
-def gaussian_style(dim: int, std: float, rng: np.random.Generator) -> np.ndarray:
-    """Draw one style vector i.i.d. normal(0, std^2) per coordinate."""
-    if std <= 0:
-        raise ValueError("std must be > 0")
-    return (rng.standard_normal(dim) * std).astype(DEFAULT_DTYPE)
-
-
 def stylemix_style(lexicon: PredefinedLexicon, alpha: float,
                    rng: np.random.Generator) -> np.ndarray:
     """Mix the lexicon vectors with unit-sum Beta(alpha, alpha) weights.
@@ -157,8 +147,6 @@ def _draw(strategy: str, config: StyleGenConfig, dim: int,
         return styles
     if strategy == "stylemix":
         return np.stack([stylemix_style(lexicon, config.alpha, rng) for _ in range(K)])
-    if strategy == "gaussian":
-        return np.stack([gaussian_style(dim, config.gaussian_std, rng) for _ in range(K)])
     raise ValueError(f"unknown strategy {strategy!r}")
 
 

@@ -31,6 +31,7 @@ from dpstyler.losses import (
 )
 from dpstyler.remover import StyleRemoverParams, remover_backward, remover_forward
 from dpstyler.styles import (
+    STRATEGIES,
     PredefinedLexicon,
     StyleGenConfig,
     refresh_bank,
@@ -246,7 +247,7 @@ def test_criterion_4_style_generation(monkeypatch):
     ok &= len(picked) >= 10_000
     ok &= all(abs(f - 0.2) <= 0.02 for f in freqs.values())
     # Bit-identical determinism.
-    for strategy in ("random", "stylemix", "gaussian", "random_mix"):
+    for strategy in STRATEGIES:
         scfg = StyleGenConfig(num_styles=8, strategy=strategy)
         a = refresh_bank(scfg, 16, 9, 4, lexicon=lex)
         b = refresh_bank(scfg, 16, 9, 4, lexicon=lex)

@@ -134,7 +134,6 @@ LOADER_CONFIGS = {
         "strategy: random_mix", "strategy: random_mix\n  lexicon: /data/lex.txt"),
     "flow-style": "backend: {variant: toy}\ntask: {class_names: [a, b]}\n"
                   "templates: ['a [class] in a S* style', 'a S* style of a [class]']\n",
-    "top-level-seed": "task: {class_names: [a, b]}\nseed: 12\ntrain: {epochs: 1}\n",
     "perfbench-345": _perfbench_shaped_config(),
 }
 
@@ -148,10 +147,10 @@ def _readme_config() -> str:
 # Every key the loader honours: the merged document holds each of them.
 HONOURED_KEYS = {
     "backend.variant", "backend.dim_joint", "backend.dim_token", "backend.max_classes",
-    "backend.noise_level", "backend.seed", "task.class_names", "seed", "train.seed",
+    "backend.noise_level", "backend.seed", "task.class_names", "train.seed",
     "train.epochs", "train.learning_rate", "train.momentum", "train.batch_size", "train.ratio",
     "train.arcface_scale", "train.arcface_margin", "styles.num_styles", "styles.strategy",
-    "styles.alpha", "styles.gaussian_std", "styles.lexicon", "templates", "eval.manifest",
+    "styles.alpha", "styles.lexicon", "templates", "eval.manifest",
     "eval.fusion", "output_dir",
 }
 
@@ -183,14 +182,19 @@ class TestMergedDocument:
         printed.write_text(capsys.readouterr().out)
         assert load_run_config(printed) == load_run_config(cfg_path, seed_override=5)
 
-    def test_derived_seeds_follow_the_master_seed(self, tmp_path):
+    def test_backend_seed_does_not_follow_the_master_seed(self, tmp_path):
         p = tmp_path / "run.yaml"
-        p.write_text("task: {class_names: [a, b]}\nseed: 12\n")
+        p.write_text("task: {class_names: [a, b]}\ntrain: {seed: 12}\n")
         rc = load_run_config(p, seed_override=31)
-        assert rc.train.seed == rc.backend_spec.seed == 31
-        p.write_text("task: {class_names: [a, b]}\nseed: 12\nbackend: {seed: 4}\n")
+        assert (rc.train.seed, rc.backend_spec.seed) == (31, 0)
+        p.write_text("task: {class_names: [a, b]}\nbackend: {seed: 4}\n")
         rc = load_run_config(p, seed_override=31)
         assert (rc.train.seed, rc.backend_spec.seed) == (31, 4)
+
+    def test_readme_strategy_comment_names_every_strategy(self):
+        line = next(line for line in _readme_config().splitlines()
+                    if line.strip().startswith("strategy:"))
+        assert tuple(name.strip() for name in line.split("#", 1)[1].split("|")) == STRATEGIES
 
     def test_exponent_without_dot_is_a_float(self, tmp_path):
         # PyYAML reads 1e-3 as the string "1e-3"; float keys take numeric strings.
@@ -421,19 +425,68 @@ class TestCliErrors:
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "none.yaml")]) == 2
 
-    def test_mismatched_checkpoint_classes_exit_2(self, workspace, tmp_path, capsys):
+    @staticmethod
+    def _train_and_edit_config(workspace, tmp_path, old, new):
+        """A trained checkpoint, and the workspace config with ``old`` replaced by ``new``."""
         cfg_path, data, out = workspace
         main(["train", "--config", str(cfg_path)])
         other_cfg = tmp_path / "other.yaml"
         other_cfg.write_text(
-            SMALL_CONFIG.format(manifest=data, out=tmp_path / "out2").replace(
-                "[cat, dog, fish]", "[ant, bee, cow]"
-            )
-        )
-        ckpt = str(sorted(out.glob("*.ckpt"))[0])
+            SMALL_CONFIG.format(manifest=data, out=tmp_path / "out2").replace(old, new))
+        return other_cfg, str(sorted(out.glob("*.ckpt"))[0])
+
+    @pytest.mark.parametrize(
+        "old, new, field",
+        [("[cat, dog, fish]", "[ant, bee, cow]", "class names"),
+         ("dim_token: 32", "dim_token: 16", "dim_token"),
+         ("dim_joint: 64", "dim_joint: 32", "dim_joint")],
+        ids=["class_names", "dim_token", "dim_joint"],
+    )
+    def test_mismatched_checkpoint_classes_exit_2(self, workspace, tmp_path, capsys,
+                                                  old, new, field):
+        other_cfg, ckpt = self._train_and_edit_config(workspace, tmp_path, old, new)
         capsys.readouterr()
         assert main(["eval", "--config", str(other_cfg), ckpt]) == 2
-        assert capsys.readouterr().err.startswith("config error:")
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and field in err
+
+    def test_export_refuses_a_checkpoint_of_another_token_width(self, workspace, tmp_path,
+                                                                capsys):
+        other_cfg, ckpt = self._train_and_edit_config(
+            workspace, tmp_path, "dim_token: 32", "dim_token: 16")
+        capsys.readouterr()
+        out_file = tmp_path / "emb.csv"
+        assert main(["export-embeddings", "--config", str(other_cfg), "--checkpoint", ckpt,
+                     "--out-file", str(out_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "dim_token" in err
+        assert not out_file.exists()
+
+    def test_eval_seed_does_not_change_the_encoder(self, tmp_path):
+        # No backend.seed: the encoder is backend seed 0 whatever --seed says,
+        # so the checkpoint is scored against the encoder it was trained on.
+        from dpstyler.backends import ToyBackend, ToyBackendSpec
+        from dpstyler.core import TaskDefinition
+        from dpstyler.toydata import make_toy_dataset
+
+        names = ("cat", "dog", "fish")
+        backend = ToyBackend(ToyBackendSpec(noise_level=0.0, style_strength=3.0), names)
+        data = tmp_path / "data"
+        make_toy_dataset(data, TaskDefinition(names), backend, domains=("art", "photo"),
+                         images_per_domain=6, seed=3)
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(SMALL_CONFIG.format(manifest=data, out=out).replace("  seed: 11\n", "")
+                       .replace("epochs: 3", "epochs: 40"))
+        assert main(["train", "--config", str(cfg), "--seed", "1"]) == 0
+        ckpts = [str(p) for p in sorted(out.glob("*.ckpt"))]
+        counts = {}
+        for seed in ("1", "2"):
+            assert main(["eval", "--config", str(cfg), "--seed", seed, *ckpts]) == 0
+            fingerprint = load_run_config(cfg, seed_override=int(seed)).fingerprint
+            report = json.loads((out / f"report-eval-max-{fingerprint}.json").read_text())
+            counts[seed] = report["per_domain_counts"]
+        assert counts["1"] == counts["2"] == {"art": [6, 6], "photo": [6, 6]}
 
     def test_missing_lexicon_exits_2(self, workspace, tmp_path):
         cfg_path, data, out = workspace
@@ -449,7 +502,7 @@ class TestCliErrors:
         "doc",
         [
             "task: {class_names: [a, b]}\ntrain: {seed: null}\n",
-            "task: {class_names: [a, b]}\nseed: [1]\n",
+            "task: {class_names: [a, b]}\ntrain: {seed: [1]}\n",
             "task: {class_names: 5}\n",
             "task: {class_names: [a, b]}\ntemplates: 5\n",
             "task: {class_names: [a, b]}\ntrain: {ratio: 0}\n",
@@ -464,15 +517,14 @@ class TestCliErrors:
             "task: {class_names: [a, b]}\nstyles: {alpha: .nan}\n",
             "task: {class_names: [yes, no]}\n",
             "task: {class_names: [a, b]}\nbackend: 5\n",
-            "task: {class_names: [a, b]}\nseed: -1\n",
             "task: {class_names: [a, b]}\ntrain: {seed: -1}\n",
             "task: {class_names: [a, b]}\nbackend: {seed: -3}\n",
             "task: {class_names: [a, b]}\nbackend: {dim_joint: 8}\n",
         ],
-        ids=["train-seed-null", "seed-list", "class_names-int", "templates-int",
+        ids=["train-seed-null", "train-seed-list", "class_names-int", "templates-int",
              "ratio-0", "dim_token-0", "momentum-1.5", "noise_level-negative", "epochs-float",
              "epochs-bool", "batch_size-str", "learning_rate-nan", "momentum-inf", "alpha-nan",
-             "class_names-bool", "backend-not-a-mapping", "seed-negative", "train-seed-negative",
+             "class_names-bool", "backend-not-a-mapping", "train-seed-negative",
              "backend-seed-negative", "ratio-above-dim_joint"],
     )
     def test_malformed_config_value_exits_2(self, tmp_path, capsys, doc):
@@ -494,8 +546,11 @@ class TestCliErrors:
             ("eval: {fusoin: average}\n", "eval.fusoin"),
             ("evl: {fusion: average}\n", "evl"),
             ("outputdir: runs\n", "outputdir"),
+            ("seed: 12\n", "seed"),
+            ("styles: {gaussian_std: 0.02}\n", "styles.gaussian_std"),
         ],
-        ids=["backend", "backend-gain", "task", "train", "styles", "eval", "section", "top-level"],
+        ids=["backend", "backend-gain", "task", "train", "styles", "eval", "section", "top-level",
+             "top-level-seed", "styles-gaussian_std"],
     )
     def test_unknown_key_exits_2(self, tmp_path, capsys, doc, key):
         p = tmp_path / "bad.yaml"
@@ -748,8 +803,8 @@ templates: ['a [class] in a S* style', 'a S* style of a [class]']
 eval: {manifest: data}
 output_dir: out
 """
-PINNED_FINGERPRINT = "c5c91fa5"
-PINNED_INFO_SHA256 = "bf8f512652929106959f4a23e58babcda4aef798b3cf6306383cc2dd8c259d55"
+PINNED_FINGERPRINT = "933ddbc5"
+PINNED_INFO_SHA256 = "66c9fbf0d2c1f23e23a9e5942554fb58888c2f42347f2da3b7af5da7e30dddc6"
 PINNED_METRICS = {  # each template's metrics.jsonl rows, without wall_time_s
     "tpl-5c468f8a": [
         {"epoch": 0, "loss_uncertainty": -1.090601, "loss_classification": 2.918816,
@@ -764,7 +819,7 @@ PINNED_METRICS = {  # each template's metrics.jsonl rows, without wall_time_s
          "loss_total": 1.780457},
     ],
 }
-PINNED_REPORT_SHA256 = "97d96869757c5d9654aaaa101006dbf91eb10e93546d16f12cc9c816f7779bb3"
+PINNED_REPORT_SHA256 = "f38adfa46afa75b91857763c697cacb251dabc9e3fed88fdec9247765f5fefbe"
 
 
 class TestPinnedWorkflow:
@@ -814,7 +869,7 @@ class TestPinnedWorkflow:
         rc = RunConfig(
             backend_spec=ToyBackendSpec(dim_joint=16, dim_token=8, seed=3),
             task=TaskDefinition(("cat", "dog")),
-            train=TrainConfig(epochs=4, seed=3, style_gen=StyleGenConfig(strategy="gaussian")),
+            train=TrainConfig(epochs=4, seed=3, style_gen=StyleGenConfig(strategy="frozen")),
             output_dir="out",
         )
         path = tmp_path / "run.yaml"

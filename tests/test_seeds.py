@@ -70,6 +70,7 @@ def test_master_seed_reaches_style_generation():
 def test_training_checkpoint_is_pinned(tmp_path):
     # YAML -> load_run_config -> train_one_model -> save_checkpoint with
     # random_mix covers the remover, head, shuffle and style streams.
+    # With no backend.seed the encoder is backend seed 0, not train.seed.
     path = tmp_path / "run.yaml"
     path.write_text(
         "backend: {dim_joint: 16, dim_token: 8, noise_level: 0.0}\n"
@@ -83,7 +84,7 @@ def test_training_checkpoint_is_pinned(tmp_path):
                              lexicon=rc.build_lexicon(backend), config_snapshot=rc.raw)
     save_checkpoint(result.checkpoint, tmp_path / "model.ckpt")
     digest = hashlib.sha256((tmp_path / "model.ckpt").read_bytes()).hexdigest()
-    assert digest == "0cdb218451de90c4eed073e1448205cb31064ce328747161744f338dc7dbb338"
+    assert digest == "297cd83c64c52e7c264b49092b86d81958afbfd7c663b396017385bdfdf9fc28"
 
 
 def test_toy_dataset_is_pinned(tmp_path):

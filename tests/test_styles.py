@@ -1,5 +1,5 @@
-"""Style vector generation: the five random initializers, Gaussian draws,
-StyleMix convex combinations, and each epoch's bank."""
+"""Style vector generation: the five random initializers, StyleMix convex
+combinations, and each epoch's bank."""
 import hashlib
 
 import numpy as np
@@ -13,7 +13,6 @@ from dpstyler.styles import (
     STRATEGIES,
     PredefinedLexicon,
     StyleGenConfig,
-    gaussian_style,
     load_lexicon,
     load_lexicon_words,
     random_style,
@@ -77,27 +76,6 @@ class TestRandomStyle:
         assert hashlib.sha256(v.tobytes()).hexdigest() == self.DRAW_DIGESTS[dist]
 
 
-class TestGaussianStyle:
-    def test_std_estimate(self):
-        rng = np.random.default_rng(4)
-        v = gaussian_style(100_000, 0.02, rng)
-        assert 0.0195 <= v.std() <= 0.0205
-
-    def test_scaling_identity(self):
-        scaled = gaussian_style(3, 0.02, np.random.default_rng(5))
-        unit = gaussian_style(3, 1.0, np.random.default_rng(5))
-        np.testing.assert_allclose(scaled, 0.02 * unit, rtol=1e-6)
-
-    def test_deterministic(self):
-        a = gaussian_style(D, 0.02, np.random.default_rng(6))
-        b = gaussian_style(D, 0.02, np.random.default_rng(6))
-        np.testing.assert_array_equal(a, b)
-
-    def test_nonpositive_std(self):
-        with pytest.raises(ValueError):
-            gaussian_style(D, 0.0, np.random.default_rng(0))
-
-
 class TestStylemixStyle:
     def test_convex_hull_bounds_many_draws(self, rng):
         lex = _lexicon(rng)
@@ -143,7 +121,7 @@ class TestRefreshBank:
 
     def test_bank_shape_and_finite(self, rng):
         lex = _lexicon(rng, size=8)
-        for strategy in ("random", "stylemix", "gaussian", "random_mix"):
+        for strategy in STRATEGIES:
             out = refresh_bank(self._config(strategy), D, 0, epoch=0, lexicon=lex)
             assert out.styles.shape == (8, D)
             assert np.all(np.isfinite(out.styles))
@@ -211,7 +189,6 @@ class TestRefreshBank:
         "random": "207b259a703f6a4e586c6a545f7d78c3f72437c751fedb38159da71f71d3e62e",
         "stylemix": "bc4744bca623548db39b4a32d665117554f2a6066ca4c9b691f1e758a0e9eae6",
         "random_mix": "75954ef26d005e840e693a33745438670f2a53f73047c5a861f098179088f342",
-        "gaussian": "e46cc02f1e013742cde7d537fd1e16a465c0bb438ab98572ba6926ea0650ddf0",
         "frozen": "d49676bd2f1b867c7b15cda8a0fa9d5b12a995c1370f213709a29868c8b0cd09",
     }
 
@@ -227,6 +204,9 @@ class TestRefreshBank:
                 sha.update(bank.method_of_last_refresh.encode() + bank.styles.tobytes())
         assert sha.hexdigest() == self.BANK_DIGESTS[strategy]
 
+    def test_every_strategy_has_a_bank_pin(self):
+        assert tuple(self.BANK_DIGESTS) == STRATEGIES
+
     def test_stylemix_without_lexicon_raises(self):
         with pytest.raises(ValueError, match="requires a lexicon"):
             refresh_bank(self._config("stylemix"), D, 0, 0)
@@ -238,8 +218,8 @@ class TestRefreshBank:
                 refresh_bank(self._config("random_mix"), D, 0, epoch)
 
     def test_metadata_updated(self, rng):
-        out = refresh_bank(self._config("gaussian"), D, 0, epoch=4)
-        assert out.method_of_last_refresh == "gaussian"
+        out = refresh_bank(self._config("stylemix"), D, 0, epoch=4, lexicon=_lexicon(rng))
+        assert out.method_of_last_refresh == "stylemix"
 
 
 class TestLexicon:
@@ -281,9 +261,12 @@ class TestStyleGenConfig:
             dict(num_styles=0),
             dict(strategy="learned"),
             dict(alpha=0.0),
-            dict(gaussian_std=-1.0),
         ],
     )
     def test_invalid_config(self, kwargs):
         with pytest.raises(ValueError):
             StyleGenConfig(**kwargs)
+
+    def test_unknown_strategy_lists_the_valid_ones(self):
+        with pytest.raises(ValueError, match="valid strategies: " + ", ".join(STRATEGIES)):
+            StyleGenConfig(strategy="gaussian")

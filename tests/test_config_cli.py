@@ -191,6 +191,19 @@ class TestMergedDocument:
         rc = load_run_config(p, seed_override=31)
         assert (rc.train.seed, rc.backend_spec.seed) == (31, 4)
 
+    def test_info_prints_the_backend_seed_apart_from_the_master_seed(self, tmp_path, capsys):
+        p = tmp_path / "run.yaml"
+        p.write_text("task: {class_names: [a, b]}\ntrain: {seed: 12}\n")
+        assert main(["info", "--config", str(p), "--seed", "31"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["train"]["seed"], doc["backend"]["seed"]) == (31, 0)
+        assert "seed" not in doc
+
+    def test_seed_option_help_names_train_seed(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["train", "--help"])
+        assert "train.seed override" in capsys.readouterr().out
+
     def test_readme_strategy_comment_names_every_strategy(self):
         line = next(line for line in _readme_config().splitlines()
                     if line.strip().startswith("strategy:"))
@@ -450,17 +463,35 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and field in err
 
-    def test_export_refuses_a_checkpoint_of_another_token_width(self, workspace, tmp_path,
-                                                                capsys):
-        other_cfg, ckpt = self._train_and_edit_config(
-            workspace, tmp_path, "dim_token: 32", "dim_token: 16")
+    @pytest.mark.parametrize(
+        "old, new, field",
+        [("dim_token: 32", "dim_token: 16", "dim_token"),
+         ("dim_joint: 64", "dim_joint: 32", "dim_joint")],
+        ids=["dim_token", "dim_joint"],
+    )
+    def test_export_refuses_a_checkpoint_of_another_width(self, workspace, tmp_path, capsys,
+                                                          old, new, field):
+        other_cfg, ckpt = self._train_and_edit_config(workspace, tmp_path, old, new)
         capsys.readouterr()
         out_file = tmp_path / "emb.csv"
         assert main(["export-embeddings", "--config", str(other_cfg), "--checkpoint", ckpt,
                      "--out-file", str(out_file)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and "dim_token" in err
+        assert err.startswith("config error:") and field in err
         assert not out_file.exists()
+
+    def test_export_seed_does_not_change_the_encoder(self, workspace, tmp_path):
+        # No backend.seed: --seed picks the training seed, not the encoder.
+        cfg_path, _, _ = workspace
+        cfg = tmp_path / "no-backend-seed.yaml"
+        cfg.write_text(cfg_path.read_text().replace("  seed: 11\n", "", 1))
+        written = {}
+        for seed in ("1", "2"):
+            out_file = tmp_path / f"emb-{seed}.csv"
+            assert main(["export-embeddings", "--config", str(cfg), "--seed", seed,
+                         "--out-file", str(out_file)]) == 0
+            written[seed] = out_file.read_text()
+        assert written["1"] == written["2"]
 
     def test_eval_seed_does_not_change_the_encoder(self, tmp_path):
         # No backend.seed: the encoder is backend seed 0 whatever --seed says,
@@ -520,12 +551,13 @@ class TestCliErrors:
             "task: {class_names: [a, b]}\ntrain: {seed: -1}\n",
             "task: {class_names: [a, b]}\nbackend: {seed: -3}\n",
             "task: {class_names: [a, b]}\nbackend: {dim_joint: 8}\n",
+            "task: {class_names: [a, b]}\nstyles: {strategy: gaussian}\n",
         ],
         ids=["train-seed-null", "train-seed-list", "class_names-int", "templates-int",
              "ratio-0", "dim_token-0", "momentum-1.5", "noise_level-negative", "epochs-float",
              "epochs-bool", "batch_size-str", "learning_rate-nan", "momentum-inf", "alpha-nan",
              "class_names-bool", "backend-not-a-mapping", "train-seed-negative",
-             "backend-seed-negative", "ratio-above-dim_joint"],
+             "backend-seed-negative", "ratio-above-dim_joint", "strategy-gaussian"],
     )
     def test_malformed_config_value_exits_2(self, tmp_path, capsys, doc):
         p = tmp_path / "bad.yaml"

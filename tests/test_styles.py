@@ -259,8 +259,11 @@ class TestStyleGenConfig:
         "kwargs",
         [
             dict(num_styles=0),
+            dict(num_styles=-1),
             dict(strategy="learned"),
+            dict(strategy="gaussian"),
             dict(alpha=0.0),
+            dict(alpha=-0.1),
         ],
     )
     def test_invalid_config(self, kwargs):

@@ -133,9 +133,6 @@ class ToyBackendSpec:
     dim_token: int = 32
     max_classes: int = 16
     noise_level: float = 0.1
-    # Norm of the style term relative to the unit-norm content term; >1
-    # makes features style-dominated, as real encoder features are.
-    style_strength: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -217,6 +214,9 @@ class ToyBackend(EncoderBackend):
 
     # Relative weight of per-template / per-modality content perturbations.
     PERTURBATION = 0.1
+    # Norm of the style term relative to the unit-norm content term; >1
+    # makes features style-dominated, as real encoder features are.
+    STYLE_STRENGTH = 1.0
     # Norm of every emitted feature.  Downstream losses are cosine-based
     # and therefore scale-invariant, but gradients through the removal
     # gate grow with the feature norm, so a realistic (pretrained joint
@@ -296,7 +296,7 @@ class ToyBackend(EncoderBackend):
             return self._terms
         norms = np.linalg.norm(styles, axis=1, keepdims=True)
         unit = np.divide(styles, norms, out=np.zeros_like(styles), where=norms >= ZERO_NORM_EPS)
-        terms = self.spec.style_strength * (unit @ self._V.T)
+        terms = self.STYLE_STRENGTH * (unit @ self._V.T)
         terms.flags.writeable = False
         self._terms_key, self._terms = styles.copy(), terms
         return terms

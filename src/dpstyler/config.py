@@ -19,7 +19,7 @@ from .backends import EncoderBackend, ToyBackend, ToyBackendSpec
 from .core import PromptTemplate, TaskDefinition
 from .evaluation import FUSION_MODES
 from .losses import ArcFaceConfig
-from .styles import LEXICON_STRATEGIES, PredefinedLexicon, StyleGenConfig, load_lexicon
+from .styles import PredefinedLexicon, StyleGenConfig, lexicon_for
 from .trainer import TrainConfig
 
 DEFAULT_TEMPLATES = (
@@ -56,13 +56,6 @@ class RunConfig:
         if C // ratio < 1:
             raise ValueError(f"train.ratio {ratio} exceeds backend.dim_joint {C}, "
                              "which leaves the gate no hidden unit")
-        # A backend field with no key is not in ``raw``, so the fingerprint
-        # (and every output file name) could not tell two such backends apart.
-        keyed = {name for *_, cls, name in _KEYS if cls is ToyBackendSpec}
-        for f in fields(ToyBackendSpec):
-            if f.name not in keyed and getattr(self.backend_spec, f.name) != f.default:
-                raise ValueError(f"backend_spec.{f.name} has no config key, "
-                                 f"so it must keep its default {f.default!r}")
 
     @property
     def raw(self) -> dict:
@@ -88,10 +81,8 @@ class RunConfig:
         return ToyBackend(self.backend_spec, self.task.class_names)
 
     def build_lexicon(self, backend: EncoderBackend) -> PredefinedLexicon | None:
-        """The lexicon, or None for a strategy that reads none."""
-        if self.train.style_gen.strategy not in LEXICON_STRATEGIES:
-            return None
-        return load_lexicon(backend, self.lexicon_path)
+        """The lexicon at ``styles.lexicon``, or None for a strategy that reads none."""
+        return lexicon_for(self.train.style_gen, backend, self.lexicon_path)
 
 
 _PATH = "path"  # a string handed to open() or os.makedirs()

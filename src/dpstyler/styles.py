@@ -172,6 +172,13 @@ def refresh_bank(config: StyleGenConfig, dim: int, seed: int, epoch: int,
     return StyleBank(styles=styles, method_of_last_refresh=strategy)
 
 
+def lexicon_for(config: StyleGenConfig, backend, path=None) -> PredefinedLexicon | None:
+    """``load_lexicon(backend, path)`` if ``config``'s strategy reads a lexicon, else None."""
+    if config.strategy not in LEXICON_STRATEGIES:
+        return None
+    return load_lexicon(backend, path)
+
+
 def load_lexicon(backend, path=None) -> PredefinedLexicon:
     """The word list at ``path`` (the packaged one if None), embedded via the backend."""
     if path is None:

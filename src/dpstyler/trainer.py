@@ -39,17 +39,10 @@ from .core import (
 )
 from .losses import ArcFaceConfig, ClassifierHead, DomainProbe, head_init, loss_gradients
 from .remover import StyleRemoverParams, remover_forward_cached, remover_init, remover_weight_grads
-from .styles import (
-    LEXICON_STRATEGIES,
-    PredefinedLexicon,
-    StyleBank,
-    StyleGenConfig,
-    load_lexicon,
-    refresh_bank,
-)
+from .styles import PredefinedLexicon, StyleBank, StyleGenConfig, lexicon_for, refresh_bank
 
 CHECKPOINT_MAGIC = b"DPSTYLR1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class TrainingDivergedError(RuntimeError):
@@ -209,8 +202,8 @@ def train_one_model(
 ) -> TrainResult:
     """Train remover + head for one prompt template; returns the checkpoint."""
     C, D, K = backend.dim_joint, backend.dim_token, config.num_styles
-    if config.style_gen.strategy in LEXICON_STRATEGIES and lexicon is None:
-        lexicon = load_lexicon(backend)
+    if lexicon is None:
+        lexicon = lexicon_for(config.style_gen, backend)
     remover = remover_init(C, config.ratio, seeded_rng(config.seed, Stream.REMOVER_INIT))
     head = head_init(task.num_classes, C, seeded_rng(config.seed, Stream.HEAD_INIT))
     vel_w1 = np.zeros_like(remover.W1)
@@ -268,23 +261,20 @@ def train_one_model(
 
 
 # Every checkpoint header key and its exact JSON type.  The keys named like a
-# ``Checkpoint`` attribute carry it, and ``_FIELDS`` build one; "arrays" is ``_layout``.
+# ``Checkpoint`` attribute carry it, and ``_FIELDS`` build one.
 _HEADER = {
     "format_version": int, "dim_joint": int, "dim_token": int, "ratio": int,
-    "num_classes": int, "template_id": str, "template_pattern": str, "class_names": list,
-    "backend_tag": str, "seed": int, "config": dict, "arrays": list,
+    "template_pattern": str, "class_names": list, "backend_tag": str, "seed": int,
+    "config": dict,
 }
 _FIELDS = [f.name for f in fields(Checkpoint) if f.name in _HEADER]
 
 
-def _layout(dim_joint: int, ratio: int, num_classes: int) -> list[dict]:
-    """Array manifest for these dims: W1 (C, C//r), W2 (C//r, C), head (M, C), back to back."""
-    hidden, layout, offset = dim_joint // ratio, [], 0
-    for name, shape in (("W1", [dim_joint, hidden]), ("W2", [hidden, dim_joint]),
-                        ("head", [num_classes, dim_joint])):
-        layout.append({"name": name, "shape": shape, "offset": offset})
-        offset += 4 * math.prod(shape)
-    return layout
+def _layout(dim_joint: int, ratio: int, num_classes: int) -> list[tuple[str, tuple[int, int]]]:
+    """The body's arrays in order: W1 (C, C//r), W2 (C//r, C), head (M, C)."""
+    hidden = dim_joint // ratio
+    return [("W1", (dim_joint, hidden)), ("W2", (hidden, dim_joint)),
+            ("head", (num_classes, dim_joint))]
 
 
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
@@ -292,25 +282,22 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
 
     Layout: 8-byte magic ``DPSTYLR1``; 4-byte little-endian header
     length; a UTF-8 JSON header with exactly the keys and types of
-    ``_HEADER``, whose ``arrays`` value is the manifest
-    ``_layout(dim_joint, ratio, num_classes)``; then the raw float32
-    little-endian arrays W1, W2, head at the manifest's offsets, which
-    are relative to the end of the header.  ``load_checkpoint`` requires
-    every ``_HEADER`` key with its type, and accepts no other manifest, no
-    ``template_id`` but its pattern's and no trailing bytes; an array
-    whose shape disagrees raises ``ValueError`` before the file is opened.
+    ``_HEADER``; then the raw float32 little-endian arrays W1, W2, head
+    of ``_layout(dim_joint, ratio, len(class_names))``, back to back.
+    The header stores no offsets, shapes or class count: the dims fix
+    them.  An array whose shape disagrees with those dims raises
+    ``ValueError`` before the file is opened.
     """
-    C, ratio = checkpoint.dim_joint, checkpoint.remover.ratio
-    layout = _layout(C, ratio, checkpoint.head.num_classes)
+    C, ratio, M = checkpoint.dim_joint, checkpoint.remover.ratio, len(checkpoint.class_names)
     arrays = [np.ascontiguousarray(a, dtype="<f4") for a in
               (checkpoint.remover.W1, checkpoint.remover.W2, checkpoint.head.weights)]
-    for entry, arr in zip(layout, arrays):
-        if list(arr.shape) != entry["shape"]:
-            raise ValueError(f"array {entry['name']!r} has shape {arr.shape}, expected "
-                             f"{tuple(entry['shape'])} for C={C}, r={ratio}")
+    for (name, shape), arr in zip(_layout(C, ratio, M), arrays):
+        if arr.shape != shape:
+            raise ValueError(f"array {name!r} has shape {arr.shape}, expected {shape} "
+                             f"for C={C}, r={ratio}, M={M}")
     header = {key: getattr(checkpoint, key) for key in _HEADER if hasattr(checkpoint, key)}
-    header.update(format_version=CHECKPOINT_VERSION, ratio=ratio, arrays=layout,
-                  num_classes=checkpoint.head.num_classes, config=checkpoint.config_snapshot)
+    header.update(format_version=CHECKPOINT_VERSION, ratio=ratio,
+                  config=checkpoint.config_snapshot)
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -323,8 +310,13 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
 def load_checkpoint(path) -> Checkpoint:
     """Read and validate a checkpoint written by ``save_checkpoint``.
 
-    Each array is read from the file straight into its own aligned,
-    writable float32 array, with no intermediate copy of the body.
+    Raises ``CheckpointError`` unless the header holds every ``_HEADER``
+    key with its exact type, positive dims with ``ratio <= dim_joint``
+    and a non-empty list of class names; the body is exactly the
+    ``_layout`` those dims give, with no trailing bytes; every weight is
+    finite; and every head row has a nonzero, finite norm.  Each array is
+    read from the file straight into its own aligned, writable float32
+    array, with no intermediate copy of the body.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -338,27 +330,21 @@ def load_checkpoint(path) -> Checkpoint:
         if size < body_start:
             raise CheckpointError(f"{path}: truncated header")
         header = _read_header(path, fh.read(header_len))
-        C, ratio, M = header["dim_joint"], header["ratio"], header["num_classes"]
-        layout = _layout(C, ratio, M)
-        # Compared as JSON text, so an offset of 0.0 or false is not the 0 written.
-        if json.dumps(header["arrays"], sort_keys=True) != json.dumps(layout, sort_keys=True):
-            raise CheckpointError(f"{path}: array manifest does not match C={C}, r={ratio}, M={M}")
-        if len(header["class_names"]) != M:
-            raise CheckpointError(f"{path}: class-name count != num_classes")
+        layout = _layout(header["dim_joint"], header["ratio"], len(header["class_names"]))
         # Before any allocation, since the dims come from the file.
-        body_len = layout[-1]["offset"] + 4 * math.prod(layout[-1]["shape"])
+        body_len = sum(4 * math.prod(shape) for _, shape in layout)
         if size - body_start != body_len:
             raise CheckpointError(f"{path}: body is {size - body_start} bytes, not {body_len}")
-        arrays = [np.empty(entry["shape"], dtype="<f4") for entry in layout]
-        for entry, values in zip(layout, arrays):
+        arrays = [np.empty(shape, dtype="<f4") for _, shape in layout]
+        for (name, _), values in zip(layout, arrays):
             if fh.readinto(values) != values.nbytes:
-                raise CheckpointError(f"{path}: array {entry['name']!r} is truncated")
+                raise CheckpointError(f"{path}: array {name!r} is truncated")
             if not np.isfinite(values).all():
-                raise CheckpointError(f"{path}: array {entry['name']!r} holds NaN or inf")
+                raise CheckpointError(f"{path}: array {name!r} holds NaN or inf")
 
     W1, W2, head_w = arrays
     checkpoint = Checkpoint(
-        remover=StyleRemoverParams(W1=W1, W2=W2, ratio=ratio),
+        remover=StyleRemoverParams(W1=W1, W2=W2, ratio=header["ratio"]),
         head=ClassifierHead(weights=head_w),
         config_snapshot=header["config"],
         **{key: header[key] for key in _FIELDS},
@@ -399,14 +385,13 @@ def _read_header(path, blob: bytes) -> dict:
                 f"{path}: header {key!r} is a {type(header[key]).__name__}, not {kind.__name__}"
             )
 
-    for key in ("dim_joint", "dim_token", "ratio", "num_classes"):
+    for key in ("dim_joint", "dim_token", "ratio"):
         if header[key] < 1:
             raise CheckpointError(f"{path}: header {key!r} is {header[key]}, not positive")
     if header["ratio"] > header["dim_joint"]:  # a zero-width gate, as remover_init refuses
         raise CheckpointError(f"{path}: ratio {header['ratio']} exceeds dim_joint "
                               f"{header['dim_joint']}")
-    if not all(type(name) is str for name in header["class_names"]):
-        raise CheckpointError(f"{path}: header 'class_names' is not a list of strings")
-    if header["template_id"] != template_id(header["template_pattern"]):
-        raise CheckpointError(f"{path}: header 'template_id' does not match 'template_pattern'")
+    names = header["class_names"]
+    if not names or not all(type(name) is str for name in names):
+        raise CheckpointError(f"{path}: header 'class_names' is not a non-empty list of strings")
     return header

@@ -31,13 +31,13 @@ _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="dpstyler-hypothesis-")
 set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 E2E_CLASS_NAMES = ("dog", "elephant", "giraffe", "guitar", "horse")
-E2E_BACKEND_SPEC = ToyBackendSpec(
-    dim_joint=64,
-    dim_token=32,
-    seed=11,
-    noise_level=0.3,
-    style_strength=3.0,
-)
+E2E_BACKEND_SPEC = ToyBackendSpec(dim_joint=64, dim_token=32, seed=11, noise_level=0.3)
+
+
+class E2EBackend(ToyBackend):
+    STYLE_STRENGTH = 3.0
+
+
 E2E_TRAIN_SEED = 123
 E2E_NUM_STYLES = 8
 E2E_EPOCHS = 100
@@ -71,7 +71,7 @@ def templates() -> tuple[PromptTemplate, ...]:
 
 @pytest.fixture(scope="session")
 def e2e_backend(task) -> ToyBackend:
-    return ToyBackend(E2E_BACKEND_SPEC, task.class_names)
+    return E2EBackend(E2E_BACKEND_SPEC, task.class_names)
 
 
 @pytest.fixture(scope="session")

@@ -120,7 +120,7 @@ class TestBatchedEncode:
             for i, style in enumerate(styles.astype(np.float64)):
                 norm = np.linalg.norm(style)
                 term = V @ (style / norm) if norm > 0 else 0.0
-                feature = content + backend.spec.style_strength * term
+                feature = content + backend.STYLE_STRENGTH * term
                 want = backend.OUTPUT_GAIN * feature / np.linalg.norm(feature)
                 assert _rel_err(feats[m, i], want) < 1e-6
 
@@ -300,7 +300,7 @@ class TestEncodeImages:
         ).astype(np.float64)
         norm = np.linalg.norm(nuisance.astype(np.float64))
         if norm > 0:
-            feature += spec.style_strength * (
+            feature += backend.STYLE_STRENGTH * (
                 backend._V.astype(np.float64) @ (nuisance.astype(np.float64) / norm)
             )
         digest = hashlib.sha256(

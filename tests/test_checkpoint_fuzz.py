@@ -2,7 +2,9 @@
 ``CheckpointError`` for any file content, and nothing else escapes."""
 import hashlib
 import json
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,7 +79,7 @@ def test_valid_blob_loads(valid_blob):
 
 def test_saved_bytes_are_pinned(valid_blob):
     # Any change to the bytes save_checkpoint writes for VALID shows here.
-    digest = "50728b8cae6b6b33e51b4e0b2ba4d0716d51480e0409549949db7d989e38fb0a"
+    digest = "eae5362bedbdc23695c2bdd0cdcfc8c3aa7a40201c4f45cb40ffe416fa9ba78b"
     assert hashlib.sha256(valid_blob[1]).hexdigest() == digest
 
 
@@ -88,13 +90,24 @@ def test_arbitrary_bytes(valid_blob, data):
 
 
 HEADER_KEYS = (
-    "arrays", "backend_tag", "class_names", "config", "dim_joint", "dim_token",
-    "format_version", "num_classes", "ratio", "seed", "template_id", "template_pattern",
+    "backend_tag", "class_names", "config", "dim_joint", "dim_token", "format_version",
+    "ratio", "seed", "template_pattern",
 )
 
 
 def test_header_keys_cover_the_saved_header(valid_blob):
     assert sorted(_split(valid_blob[1])[0]) == list(HEADER_KEYS) == sorted(_HEADER)
+
+
+_README_TYPES = {"integer": int, "string": str, "list of strings": list, "object": dict}
+
+
+def test_readme_lists_the_header_keys():
+    # The README's checkpoint paragraph lists each header key with its JSON type.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = re.findall(r"^- `(\w+)` \(([a-z ]+)\):", readme, flags=re.MULTILINE)
+    assert {key: _README_TYPES[kind] for key, kind in listed} == _HEADER
+    assert len(listed) == len(_HEADER)
 
 
 @pytest.mark.parametrize("key", sorted(_HEADER))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from dpstyler.cli import main
 from dpstyler.config import _KEYS, ConfigError, load_run_config
 from dpstyler.styles import LEXICON_STRATEGIES, STRATEGIES
-from dpstyler.trainer import CheckpointError, _layout, load_checkpoint
+from dpstyler.trainer import CheckpointError, load_checkpoint
 
 SMALL_CONFIG = """
 backend:
@@ -45,9 +45,7 @@ def workspace(tmp_path):
     from dpstyler.toydata import make_toy_dataset
 
     names = ("cat", "dog", "fish")
-    backend = ToyBackend(
-        ToyBackendSpec(seed=11, noise_level=0.0, style_strength=3.0), names
-    )
+    backend = ToyBackend(ToyBackendSpec(seed=11, noise_level=0.0), names)
     data = tmp_path / "data"
     make_toy_dataset(
         data, TaskDefinition(names), backend, domains=("art", "photo"),
@@ -501,7 +499,7 @@ class TestCliErrors:
         from dpstyler.toydata import make_toy_dataset
 
         names = ("cat", "dog", "fish")
-        backend = ToyBackend(ToyBackendSpec(noise_level=0.0, style_strength=3.0), names)
+        backend = ToyBackend(ToyBackendSpec(noise_level=0.0), names)
         data = tmp_path / "data"
         make_toy_dataset(data, TaskDefinition(names), backend, domains=("art", "photo"),
                          images_per_domain=6, seed=3)
@@ -660,9 +658,8 @@ class TestCliErrors:
         [
             lambda h: h.update(ratio="4"),
             lambda h: h.update(class_names=3),
-            lambda h: h["arrays"][0].update(offset=-40),
         ],
-        ids=["ratio-str", "class_names-int", "negative-offset"],
+        ids=["ratio-str", "class_names-int"],
     )
     def test_bad_checkpoint_value_exits_2(self, workspace, capsys, edit):
         cfg_path, _, out = workspace
@@ -679,16 +676,16 @@ class TestCliErrors:
         assert "Traceback" not in capsys.readouterr().err
 
     def test_zero_width_gate_checkpoint_exits_2(self, workspace, capsys):
-        # ratio > dim_joint with the manifest and body that go with it:
-        # a gate with no hidden units, which remover_init refuses to build.
+        # ratio > dim_joint with the body that goes with it: a gate with
+        # no hidden units, which remover_init refuses to build.
         cfg_path, _, out = workspace
         assert main(["train", "--config", str(cfg_path)]) == 0
         ckpt = sorted(out.glob("*.ckpt"))[0]
         blob = ckpt.read_bytes()
         end = 12 + int.from_bytes(blob[8:12], "little")
         header = json.loads(blob[12:end])
-        C, M = header["dim_joint"], header["num_classes"]
-        header.update(ratio=C + 1, arrays=_layout(C, C + 1, M))
+        C, M = header["dim_joint"], len(header["class_names"])
+        header["ratio"] = C + 1
         new_header = json.dumps(header).encode()
         head = blob[len(blob) - 4 * M * C :]
         ckpt.write_bytes(blob[:8] + len(new_header).to_bytes(4, "little") + new_header + head)
@@ -698,19 +695,14 @@ class TestCliErrors:
         assert main(["eval", "--config", str(cfg_path), str(ckpt)]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
-    @pytest.mark.parametrize("case", ["W1-offset-1", "W1-first-nan", "trailing-bytes"])
+    @pytest.mark.parametrize("case", ["W1-first-nan", "trailing-bytes"])
     def test_misplaced_or_non_finite_array_exits_2(self, workspace, capsys, case):
         cfg_path, _, out = workspace
         assert main(["train", "--config", str(cfg_path)]) == 0
         ckpt = sorted(out.glob("*.ckpt"))[0]
         blob = bytearray(ckpt.read_bytes())
         end = 12 + int.from_bytes(blob[8:12], "little")
-        if case == "W1-offset-1":
-            header = json.loads(blob[12:end])
-            header["arrays"][0]["offset"] = 1
-            new_header = json.dumps(header).encode()
-            blob[8:end] = len(new_header).to_bytes(4, "little") + new_header
-        elif case == "W1-first-nan":  # W1 is the first array of the body
+        if case == "W1-first-nan":  # W1 is the first array of the body
             blob[end : end + 4] = struct.pack("<f", float("nan"))
         else:
             blob += bytes(8)
@@ -738,6 +730,7 @@ MALFORMED = {  # (kind, variant) -> the malformed file's contents
     ("manifest", "not-utf8"): b"path,domain,class\n\xff\xfe,art,cat\n",
     ("checkpoint", "truncated"): b"DPSTYLR1\x10\x00",
     ("checkpoint", "bad-magic"): b"not a checkpoint at all",
+    ("checkpoint", "format-v1"): b"DPSTYLR1\x15\x00\x00\x00" + b'{"format_version": 1}',
     ("lexicon", "one-word"): "white  # and nothing else\n",
     ("lexicon", "two-token-word"): "white\noil painting\n",
     ("lexicon", "not-utf8"): b"white\n\xff\xfe\n",
@@ -912,13 +905,12 @@ class TestPinnedWorkflow:
         assert printed.err == f"fingerprint: {rc.fingerprint}\n"
         assert load_run_config(path) == rc
 
-    def test_backend_field_without_a_key_must_keep_its_default(self):
-        # Such a field is not in ``raw``, so it would not change the fingerprint.
-        from dpstyler.backends import ToyBackendSpec
-        from dpstyler.config import RunConfig
-        from dpstyler.core import TaskDefinition
-        from dpstyler.trainer import TrainConfig
+    def test_every_backend_field_has_a_key(self):
+        # A field with no key would not be in ``raw``, so the fingerprint (and
+        # every output file name) could not tell two backends apart by it.
+        from dataclasses import fields
 
-        with pytest.raises(ValueError, match="style_strength has no config key"):
-            RunConfig(backend_spec=ToyBackendSpec(style_strength=3.0),
-                      task=TaskDefinition(("cat", "dog")), train=TrainConfig())
+        from dpstyler.backends import ToyBackendSpec
+
+        keyed = {name for *_, cls, name in _KEYS if cls is ToyBackendSpec}
+        assert keyed == {f.name for f in fields(ToyBackendSpec)}

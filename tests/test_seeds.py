@@ -84,7 +84,7 @@ def test_training_checkpoint_is_pinned(tmp_path):
                              lexicon=rc.build_lexicon(backend), config_snapshot=rc.raw)
     save_checkpoint(result.checkpoint, tmp_path / "model.ckpt")
     digest = hashlib.sha256((tmp_path / "model.ckpt").read_bytes()).hexdigest()
-    assert digest == "297cd83c64c52e7c264b49092b86d81958afbfd7c663b396017385bdfdf9fc28"
+    assert digest == "6cd1e22cbfbe8d904a4a44ae779b1111670b9285878a5d63aca7a2d49f576840"
 
 
 def test_toy_dataset_is_pinned(tmp_path):

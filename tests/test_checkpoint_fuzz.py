@@ -162,6 +162,34 @@ def test_header_integer_beyond_the_digit_limit(valid_blob):
         load_checkpoint(path)
 
 
+@given(key=st.sampled_from(["dim_joint", "dim_token", "ratio"]), value=st.integers())
+@example(key="dim_joint", value=2**62)  # a body of exabytes: refused before allocation
+@example(key="ratio", value=0)
+def test_one_dim_replaced_by_any_integer(valid_blob, key, value):
+    path, blob = valid_blob
+    header, body = _split(blob)
+    header[key] = value
+    _loads_or_typed_error(path.with_name("dims.ckpt"), _join(header, body))
+
+
+def test_format_v1_file_is_refused(valid_blob):
+    # A whole version 1 file: the same body, and a header that also held
+    # the array manifest, the class count and the template id.
+    path, blob = valid_blob
+    header, body = _split(blob)
+    C, M, hidden = 8, 3, 2
+    header.update(
+        format_version=1, num_classes=M, template_id=VALID.template_id,
+        arrays=[{"name": "W1", "shape": [C, hidden], "offset": 0},
+                {"name": "W2", "shape": [hidden, C], "offset": 4 * C * hidden},
+                {"name": "head", "shape": [M, C], "offset": 8 * C * hidden}],
+    )
+    path = path.with_name("v1.ckpt")
+    path.write_bytes(_join(header, body))
+    with pytest.raises(CheckpointError, match=r"unsupported format version 1 \(expected 2\)"):
+        load_checkpoint(path)
+
+
 @given(data=st.data())
 def test_body_bytes_overwritten(valid_blob, data):
     path, blob = valid_blob

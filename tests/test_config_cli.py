@@ -658,8 +658,9 @@ class TestCliErrors:
         [
             lambda h: h.update(ratio="4"),
             lambda h: h.update(class_names=3),
+            lambda h: h.update(ratio=0),
         ],
-        ids=["ratio-str", "class_names-int"],
+        ids=["ratio-str", "class_names-int", "ratio-zero"],
     )
     def test_bad_checkpoint_value_exits_2(self, workspace, capsys, edit):
         cfg_path, _, out = workspace
@@ -695,7 +696,7 @@ class TestCliErrors:
         assert main(["eval", "--config", str(cfg_path), str(ckpt)]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
-    @pytest.mark.parametrize("case", ["W1-first-nan", "trailing-bytes"])
+    @pytest.mark.parametrize("case", ["W1-first-nan", "trailing-bytes", "one-more-class"])
     def test_misplaced_or_non_finite_array_exits_2(self, workspace, capsys, case):
         cfg_path, _, out = workspace
         assert main(["train", "--config", str(cfg_path)]) == 0
@@ -704,8 +705,13 @@ class TestCliErrors:
         end = 12 + int.from_bytes(blob[8:12], "little")
         if case == "W1-first-nan":  # W1 is the first array of the body
             blob[end : end + 4] = struct.pack("<f", float("nan"))
-        else:
+        elif case == "trailing-bytes":
             blob += bytes(8)
+        else:  # the header's class count no longer fits the head it is saved with
+            header = json.loads(blob[12:end])
+            header["class_names"].append("zebra")
+            new_header = json.dumps(header).encode()
+            blob[8:end] = len(new_header).to_bytes(4, "little") + new_header
         ckpt.write_bytes(bytes(blob))
         capsys.readouterr()
         assert main(["eval", "--config", str(cfg_path), str(ckpt)]) == 2

@@ -8,7 +8,8 @@ import pytest
 
 import dpstyler.styles as styles_mod
 from dpstyler.backends import ToyBackend, ToyBackendSpec
-from dpstyler.core import Stream, TaskDefinition, l2_normalize, seeded_rng
+from dpstyler.config import DEFAULT_TEMPLATES
+from dpstyler.core import Stream, TaskDefinition, l2_normalize, seeded_rng, template_id
 from dpstyler.losses import head_init, loss_gradients, softmax
 from dpstyler.remover import remover_backward, remover_forward, remover_init
 from dpstyler.styles import STRATEGIES, StyleGenConfig, load_lexicon, refresh_bank
@@ -412,7 +413,11 @@ class TestCheckpointPersistence:
             ("ratio", "4"),
             ("ratio", True),
             ("ratio", 1000),
+            ("ratio", 0),
+            ("ratio", -16),
             ("dim_joint", 0),
+            ("dim_joint", -64),
+            ("dim_token", 0),
             ("dim_token", 2.5),
             ("class_names", 3),
             ("class_names", [1, 2, 3, 4, 5]),
@@ -423,7 +428,8 @@ class TestCheckpointPersistence:
             ("seed", True),
             ("seed", 1.0),
         ],
-        ids=["ratio-str", "ratio-bool", "ratio-collapses-bottleneck", "dim_joint-zero",
+        ids=["ratio-str", "ratio-bool", "ratio-collapses-bottleneck", "ratio-zero",
+             "ratio-negative", "dim_joint-zero", "dim_joint-negative", "dim_token-zero",
              "dim_token-float", "class_names-int", "class_names-not-str", "class_names-empty",
              "template_pattern-null", "backend_tag-list", "seed-str", "seed-bool", "seed-float"],
     )
@@ -441,6 +447,64 @@ class TestCheckpointPersistence:
         path.write_bytes(path.read_bytes() + extra)
         with pytest.raises(CheckpointError, match="body is"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: h.update(dim_joint=h["dim_joint"] + 1),
+            lambda h: h.update(dim_joint=h["dim_joint"] - 1),
+            lambda h: h.update(ratio=h["ratio"] * 2),
+            lambda h: h.update(ratio=h["ratio"] // 2),
+            lambda h: h["class_names"].append("zebra"),
+            lambda h: h["class_names"].pop(),
+        ],
+        ids=["dim_joint-plus-1", "dim_joint-minus-1", "ratio-doubled", "ratio-halved",
+             "one-more-class", "one-fewer-class"],
+    )
+    def test_dims_that_disagree_with_the_body_are_typed(self, trained_models, tmp_path, edit):
+        # The header stores no shapes: its dims alone say where each array
+        # lies, so a dim edited without its arrays must not be read.
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(trained_models[0].checkpoint, path)
+        _edit_header(path, edit)
+        with pytest.raises(CheckpointError, match="body is"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("cut", ["last-float", "head", "W2", "W1"])
+    def test_truncated_body_is_typed(self, trained_models, tmp_path, cut):
+        # The file ends at the last float, or just before the named array.
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(trained_models[0].checkpoint, path)
+        blob = path.read_bytes()
+        end = len(blob) - 4 if cut == "last-float" else _locate(path, cut)[0]
+        path.write_bytes(blob[:end])
+        with pytest.raises(CheckpointError, match="body is"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("index", range(len(DEFAULT_TEMPLATES)))
+    def test_loaded_checkpoint_derives_what_the_file_omits(self, trained_models, tmp_path,
+                                                         index):
+        # The class count, the template id and the dims of every array
+        # are derived from the stored facts, and agree with the saved model.
+        ckpt = trained_models[index].checkpoint
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, path)
+        assert not {"arrays", "num_classes", "template_id"} & set(_read_header(path))
+        back = load_checkpoint(path)
+        assert back.template_id == template_id(back.template_pattern) == ckpt.template_id
+        assert back.head.num_classes == len(back.class_names) == ckpt.head.num_classes
+        assert back.dim_joint == ckpt.dim_joint == back.head.weights.shape[1]
+        arrays = (back.remover.W1, back.remover.W2, back.head.weights)
+        for name, array in zip(("W1", "W2", "head"), arrays):
+            assert _locate(path, name)[1] == array.shape
+
+    def test_template_id_follows_the_stored_pattern(self, trained_models, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(trained_models[0].checkpoint, path)
+        _edit_header(path, lambda h: h.update(template_pattern="a sketch of a [class]"))
+        back = load_checkpoint(path)
+        assert back.template_id == template_id("a sketch of a [class]")
+        assert back.template_id != trained_models[0].checkpoint.template_id
 
     def test_save_rejects_shapes_that_disagree_with_dims(self, trained_models, tmp_path):
         ckpt = trained_models[0].checkpoint

@@ -45,9 +45,9 @@ EXIT_NUMERIC = 3
 def _load_config(args) -> RunConfig:
     return load_run_config(
         args.config,
-        seed_override=getattr(args, "seed", None),
-        out_override=getattr(args, "out", None),
-        fusion_override=getattr(args, "fusion", None),
+        seed_override=args.seed,
+        out_override=args.out,
+        fusion_override=getattr(args, "fusion", None),  # eval's flag only
     )
 
 

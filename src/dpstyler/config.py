@@ -230,7 +230,7 @@ def load_run_config(path, seed_override: int | None = None, out_override: str | 
     run = kwargs[RunConfig]
     if fusion_override is not None:
         run["fusion"] = fusion_override
-    if out_override:
+    if out_override is not None:
         run["output_dir"] = out_override
     try:
         if "templates" in run:

@@ -108,15 +108,6 @@ class DatasetManifest:
         if not self.entries:
             raise ValueError("manifest is empty")
 
-    @property
-    def class_names(self) -> tuple[str, ...]:
-        return tuple(sorted({cls for _, _, cls in self.entries}))
-
-    def validate_against(self, task: TaskDefinition) -> None:
-        unknown = set(self.class_names) - set(task.class_names)
-        if unknown:
-            raise ValueError(f"manifest labels not in task: {sorted(unknown)}")
-
 
 def _subdirectories(path) -> list[os.DirEntry]:
     """Entries of ``path`` that are directories (symlinks followed)."""
@@ -240,8 +231,10 @@ def evaluate(
     Embeddings are passed at encoder scale; predictors normalize where
     their scoring requires it.
     """
-    manifest.validate_against(task)
     class_index = {name: i for i, name in enumerate(task.class_names)}
+    unknown = {cls for _, _, cls in manifest.entries} - class_index.keys()
+    if unknown:
+        raise ValueError(f"manifest labels not in task: {sorted(unknown)}")
     correct: dict[str, int] = {}
     total: dict[str, int] = {}
     errors = 0

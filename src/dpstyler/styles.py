@@ -1,7 +1,7 @@
 """Style word vector generation: each epoch's style bank.
 
-A style bank holds K vectors in the token-embedding space (dimension D).
-Refresh strategies:
+A style bank is a (K, D) float32 array: K vectors in the token-embedding
+space (dimension D).  Refresh strategies:
 
 - ``random``: each vector sampled from one of five classic initializer
   distributions (normal, xavier uniform/normal, kaiming normal/uniform),
@@ -57,8 +57,10 @@ class PredefinedLexicon:
             raise ValueError("lexicon labels must be unique")
         if vecs.ndim != 2 or vecs.shape[0] != len(self.labels):
             raise ValueError("lexicon vectors must be an (L, D) array")
-        if not np.all(np.isfinite(vecs)):
-            raise ValueError("lexicon vectors must be finite")
+        # Finite in float32, the dtype StyleMix mixes into: a convex mix of
+        # such vectors then stays finite too.
+        if not np.all(np.abs(vecs) <= np.finfo(DEFAULT_DTYPE).max):
+            raise ValueError("lexicon vectors must be finite in float32")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -78,24 +80,6 @@ class StyleGenConfig:
                              f"valid strategies: {', '.join(STRATEGIES)}")
         if self.alpha <= 0:
             raise ValueError("alpha must be > 0")
-
-
-@dataclass(frozen=True)
-class StyleBank:
-    styles: np.ndarray  # (K, D)
-    method_of_last_refresh: str
-
-    def __post_init__(self):
-        arr = np.asarray(self.styles)
-        object.__setattr__(self, "styles", arr)
-        if arr.ndim != 2:
-            raise ValueError("styles must be a (K, D) array")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("style vectors must be finite")
-
-    @property
-    def num_styles(self) -> int:
-        return self.styles.shape[0]
 
 
 def random_style(dist: str, dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -137,7 +121,8 @@ def stylemix_style(lexicon: PredefinedLexicon, alpha: float,
 
 def _draw(strategy: str, config: StyleGenConfig, dim: int,
           lexicon: PredefinedLexicon | None, rng: np.random.Generator) -> np.ndarray:
-    """``config.num_styles`` style vectors drawn by ``strategy``: (K, dim) float32."""
+    """(K, dim) float32: ``config.num_styles`` vectors drawn by ``strategy``,
+    which is ``random`` or ``stylemix``."""
     K = config.num_styles
     if strategy == "random":
         styles = np.empty((K, dim), dtype=DEFAULT_DTYPE)
@@ -145,14 +130,12 @@ def _draw(strategy: str, config: StyleGenConfig, dim: int,
             dist = RANDOM_DISTRIBUTIONS[rng.integers(len(RANDOM_DISTRIBUTIONS))]
             styles[i] = random_style(dist, dim, rng)
         return styles
-    if strategy == "stylemix":
-        return np.stack([stylemix_style(lexicon, config.alpha, rng) for _ in range(K)])
-    raise ValueError(f"unknown strategy {strategy!r}")
+    return np.stack([stylemix_style(lexicon, config.alpha, rng) for _ in range(K)])
 
 
 def refresh_bank(config: StyleGenConfig, dim: int, seed: int, epoch: int,
-                 lexicon: PredefinedLexicon | None = None) -> StyleBank:
-    """Epoch ``epoch``'s bank of ``config.num_styles`` (K, dim) vectors.
+                 lexicon: PredefinedLexicon | None = None) -> np.ndarray:
+    """Epoch ``epoch``'s bank: ``config.num_styles`` vectors, a (K, dim) float32 array.
 
     A pure function of its arguments: the RNG state comes from (seed,
     epoch) only, and ``frozen`` draws the one ``random`` bank of its own
@@ -163,13 +146,11 @@ def refresh_bank(config: StyleGenConfig, dim: int, seed: int, epoch: int,
     if strategy in LEXICON_STRATEGIES and lexicon is None:
         raise ValueError(f"the {strategy} strategy requires a lexicon")
     if strategy == "frozen":
-        styles = _draw("random", config, dim, lexicon, seeded_rng(seed, Stream.STYLE_FROZEN))
-    else:
-        if strategy == "random_mix":
-            coin = seeded_rng(seed, Stream.STYLE_COIN, epoch)
-            strategy = "random" if coin.integers(2) == 0 else "stylemix"
-        styles = _draw(strategy, config, dim, lexicon, seeded_rng(seed, Stream.STYLE_DRAWS, epoch))
-    return StyleBank(styles=styles, method_of_last_refresh=strategy)
+        return _draw("random", config, dim, lexicon, seeded_rng(seed, Stream.STYLE_FROZEN))
+    if strategy == "random_mix":
+        coin = seeded_rng(seed, Stream.STYLE_COIN, epoch)
+        strategy = "random" if coin.integers(2) == 0 else "stylemix"
+    return _draw(strategy, config, dim, lexicon, seeded_rng(seed, Stream.STYLE_DRAWS, epoch))
 
 
 def lexicon_for(config: StyleGenConfig, backend, path=None) -> PredefinedLexicon | None:

@@ -39,7 +39,7 @@ from .core import (
 )
 from .losses import ArcFaceConfig, ClassifierHead, DomainProbe, head_init, loss_gradients
 from .remover import StyleRemoverParams, remover_forward_cached, remover_init, remover_weight_grads
-from .styles import PredefinedLexicon, StyleBank, StyleGenConfig, lexicon_for, refresh_bank
+from .styles import PredefinedLexicon, StyleGenConfig, lexicon_for, refresh_bank
 
 CHECKPOINT_MAGIC = b"DPSTYLR1"
 CHECKPOINT_VERSION = 2
@@ -180,12 +180,12 @@ def sgd_step(
     return param, velocity
 
 
-def encode_probe(backend: EncoderBackend, bank: StyleBank, epoch: int) -> DomainProbe:
-    """The bank's style prompts encoded, checked to be (K, C) and finite.
+def encode_probe(backend: EncoderBackend, styles: np.ndarray, epoch: int) -> DomainProbe:
+    """The (K, D) style bank's style prompts encoded, checked to be (K, C) and finite.
 
     Non-finite rows raise ``TrainingDivergedError`` at ``epoch``."""
-    rows = backend.encode_style_prompts(bank.styles)
-    check_rows("encode_style_prompts", rows, (bank.num_styles, backend.dim_joint))
+    rows = backend.encode_style_prompts(styles)
+    check_rows("encode_style_prompts", rows, (len(styles), backend.dim_joint))
     if not np.isfinite(rows).all():
         raise TrainingDivergedError(epoch, None, "encode_style_prompts rows")
     return DomainProbe(style_text_features=rows.astype(DEFAULT_DTYPE, copy=False))
@@ -214,8 +214,8 @@ def train_one_model(
 
     for epoch in range(config.epochs):
         start = time.perf_counter()
-        bank = refresh_bank(config.style_gen, D, config.seed, epoch, lexicon)
-        probe = encode_probe(backend, bank, epoch)
+        styles = refresh_bank(config.style_gen, D, config.seed, epoch, lexicon)
+        probe = encode_probe(backend, styles, epoch)
         flat = build_prompt_set(task, K, config.seed, epoch)
 
         sum_u = sum_c = 0.0
@@ -224,7 +224,7 @@ def train_one_model(
             index = flat[start_idx : start_idx + config.batch_size]
             # Raw encoder scale: the losses are cosine-based and normalize
             # internally, while the gate sees the encoder's native magnitudes.
-            v = backend.encode_prompt_rows(template.pattern, task.class_names, bank.styles, index)
+            v = backend.encode_prompt_rows(template.pattern, task.class_names, styles, index)
             check_rows("encode_prompt_rows", v, (len(index), C))
             y = index // K
             removed, cache = remover_forward_cached(v, remover)

@@ -222,12 +222,18 @@ def test_criterion_4_style_generation(monkeypatch):
     for seed in range(100):
         v = stylemix_style(const_lex, 0.1, np.random.default_rng(seed))
         ok &= bool(np.abs(v - c).max() < 1e-6)
-    # Random-Mix coin over 1e4 epochs.
-    cfg = StyleGenConfig(num_styles=1, strategy="random_mix")
-    random_epochs = sum(
-        refresh_bank(cfg, 16, 5, e, lexicon=lex).method_of_last_refresh == "random"
-        for e in range(10_000)
-    )
+    # Random-Mix coin over 1e4 epochs.  Both branches draw from the same
+    # (seed, epoch) stream, so each epoch's bank equals exactly one branch's
+    # bank, and the coin is read from which.
+    random_epochs = 0
+    for e in range(10_000):
+        mixed, random_bank, stylemix_bank = (
+            refresh_bank(StyleGenConfig(num_styles=1, strategy=s), 16, 5, e, lexicon=lex)
+            for s in ("random_mix", "random", "stylemix")
+        )
+        is_random = np.array_equal(mixed, random_bank)
+        ok &= is_random != np.array_equal(mixed, stylemix_bank)
+        random_epochs += is_random
     coin = random_epochs / 10_000
     ok &= abs(coin - 0.5) <= 0.02
     # Five-distribution selection over >= 1e4 draws.
@@ -251,7 +257,7 @@ def test_criterion_4_style_generation(monkeypatch):
         scfg = StyleGenConfig(num_styles=8, strategy=strategy)
         a = refresh_bank(scfg, 16, 9, 4, lexicon=lex)
         b = refresh_bank(scfg, 16, 9, 4, lexicon=lex)
-        ok &= bool(np.array_equal(a.styles, b.styles))
+        ok &= bool(np.array_equal(a, b))
     elapsed = time.perf_counter() - start
     print(f"\n  coin frequency {coin:.3f}; distribution spread {freqs}")
     _verdict("4 (style-generation suite)", bool(ok) and elapsed < 60.0)
@@ -356,7 +362,7 @@ def test_criterion_6_end_to_end(task, templates, e2e_backend, trained_models, to
     feats = np.stack([
         e2e_backend.text_encode(templates[0].pattern, name, style)
         for name in task.class_names
-        for style in held.styles
+        for style in held
     ])
 
     def mean_lu(x):

@@ -277,6 +277,11 @@ class TestImageEncode:
         with pytest.raises(ImageDecodeError):
             backend.image_encode("not an image")
 
+    @pytest.mark.parametrize("shape", [(63,), (64, 1), ()], ids=["short", "2d", "scalar"])
+    def test_style_preimage_target_shape(self, backend, shape):
+        with pytest.raises(ValueError, match="target shape"):
+            backend.style_preimage(np.ones(shape))
+
 
 class TestEncodeImages:
     """The batched image encoder against per-image calls and a float64 reference."""
@@ -359,8 +364,9 @@ class TestLoadImage:
             '{"class_index": 0, "nuisance": [0.5, 0.25]}',
             '{"class_index": 3, "nuisance": [%s]}' % ", ".join(["0.5"] * 32),
             '{"class_index": 0, "nuisance": [0.5, 0.2',
+            '{"class_index": 0, "nuisance": [[0.5, 0.25], [0.5, 0.25]], "content_strength": 1}',
         ],
-        ids=["short-nuisance", "class-index-out-of-range", "truncated-json"],
+        ids=["short-nuisance", "class-index-out-of-range", "truncated-json", "2d-nuisance"],
     )
     def test_unencodable_record_is_a_decode_error(self, backend, tmp_path, text):
         path = tmp_path / "bad.json"

@@ -6,6 +6,7 @@ import struct
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import example, given, settings
@@ -82,6 +83,15 @@ class TestRunConfig:
     def test_fusion_override(self, workspace):
         cfg_path, _, _ = workspace
         assert load_run_config(cfg_path, fusion_override="average").fusion == "average"
+
+    @pytest.mark.parametrize("out", ["elsewhere", ""], ids=["path", "empty"])
+    def test_out_override_is_applied_like_the_seed_and_fusion(self, workspace, tmp_path, out):
+        # An empty --out is kept, as an empty output_dir in the YAML is.
+        cfg_path, _, _ = workspace
+        assert load_run_config(cfg_path, out_override=out).output_dir == out
+        same = tmp_path / "same.yaml"
+        same.write_text(f"task: {{class_names: [a, b]}}\noutput_dir: '{out}'\n")
+        assert load_run_config(same).output_dir == out
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -339,6 +349,14 @@ class TestCliWorkflow:
             lines = m.read_text().splitlines()
             assert len(lines) == 3
             json.loads(lines[0])
+
+    def test_train_out_replaces_the_configured_output_dir(self, workspace, tmp_path):
+        cfg_path, _, out = workspace
+        other = tmp_path / "elsewhere"
+        assert main(["train", "--config", str(cfg_path), "--out", str(other)]) == 0
+        assert not out.exists()
+        assert len(list(other.glob("*.ckpt"))) == 3
+        assert len(list(other.glob("*.metrics.jsonl"))) == 3
 
     def test_eval_and_report(self, workspace, capsys):
         cfg_path, _, out = workspace
@@ -631,6 +649,19 @@ class TestCliErrors:
         assert "encode_images returned shape (11, 64), expected (12, 64)" in \
             capsys.readouterr().err
 
+    def test_diverged_training_exits_3(self, workspace, capsys, monkeypatch):
+        from dpstyler.backends import ToyBackend
+
+        real = ToyBackend.encode_prompt_rows
+        monkeypatch.setattr(ToyBackend, "encode_prompt_rows",
+                            lambda self, *args: np.full_like(real(self, *args), np.nan))
+        cfg_path, _, out = workspace
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:") and "Traceback" not in err
+        assert list(out.iterdir()) == []  # no checkpoint, no metrics.jsonl
+
     def test_export_to_missing_directory_exits_2(self, workspace, tmp_path):
         cfg_path, _, _ = workspace
         assert main([
@@ -719,8 +750,8 @@ class TestCliErrors:
 
 
 # The inputs each command reads.  Every command is run against every
-# malformed input: one it reads must exit 2 or 3, one it ignores must not
-# stop it, and neither may leave a traceback.
+# malformed input: one it reads must exit 2 and name the fault, one it
+# ignores must not stop it, and neither may leave a traceback.
 READS = {
     "train": {"config", "lexicon"},
     "eval": {"config", "manifest", "checkpoint"},
@@ -728,19 +759,35 @@ READS = {
     "export-embeddings": {"config", "manifest", "checkpoint"},
     "info": {"config"},
 }
-MALFORMED = {  # (kind, variant) -> the malformed file's contents
-    ("config", "epochs-list"): "task: {class_names: [cat, dog, fish]}\ntrain: {epochs: [3]}\n",
-    ("config", "unclosed-flow"): "task: {class_names: [cat, dog\n",
-    ("manifest", "bad-header"): "path,domain\nimg.json,art\n",
-    ("manifest", "short-row"): "path,domain,class\nimg.json,art\n",
-    ("manifest", "not-utf8"): b"path,domain,class\n\xff\xfe,art,cat\n",
-    ("checkpoint", "truncated"): b"DPSTYLR1\x10\x00",
-    ("checkpoint", "bad-magic"): b"not a checkpoint at all",
-    ("checkpoint", "format-v1"): b"DPSTYLR1\x15\x00\x00\x00" + b'{"format_version": 1}',
-    ("lexicon", "one-word"): "white  # and nothing else\n",
-    ("lexicon", "two-token-word"): "white\noil painting\n",
-    ("lexicon", "not-utf8"): b"white\n\xff\xfe\n",
+# (kind, variant) -> (the malformed file's contents, the refusal's message).
+# None for contents: no file at the path.
+MALFORMED = {
+    ("config", "epochs-list"): ("task: {class_names: [cat, dog, fish]}\ntrain: {epochs: [3]}\n",
+                                "train.epochs must be an integer"),
+    ("config", "unclosed-flow"): ("task: {class_names: [cat, dog\n", "cannot parse"),
+    ("config", "top-level-list"): ("- task\n- train\n", "top level must be a mapping"),
+    ("config", "no-class-names"): ("train: {epochs: 1}\n", "task.class_names is required"),
+    ("manifest", "unset"): (None, "eval.manifest is required"),  # eval.manifest left empty
+    ("manifest", "no-such-file"): (None, "manifest path not found"),
+    ("manifest", "label-not-in-task"): ("path,domain,class\nimg.json,art,zebra\n",
+                                        "manifest labels not in task: ['zebra']"),
+    ("manifest", "nothing-decodes"): ("path,domain,class\nimg.json,art,cat\n",
+                                      "no image in the manifest could be decoded"),
+    ("manifest", "bad-header"): ("path,domain\nimg.json,art\n",
+                                 "manifest header must be 'path,domain,class'"),
+    ("manifest", "short-row"): ("path,domain,class\nimg.json,art\n", "malformed manifest row"),
+    ("manifest", "not-utf8"): (b"path,domain,class\n\xff\xfe,art,cat\n", "can't decode"),
+    ("checkpoint", "truncated"): (b"DPSTYLR1\x10\x00", "truncated file"),
+    ("checkpoint", "bad-magic"): (b"not a checkpoint at all", "bad magic"),
+    ("checkpoint", "format-v1"): (b"DPSTYLR1\x15\x00\x00\x00" + b'{"format_version": 1}',
+                                  "unsupported format version 1 (expected 2)"),
+    ("lexicon", "one-word"): ("white  # and nothing else\n", "must list at least 2 words"),
+    ("lexicon", "two-token-word"): ("white\noil painting\n", "must be single tokens"),
+    ("lexicon", "not-utf8"): (b"white\n\xff\xfe\n", "can't decode"),
 }
+# export-embeddings writes each record it decodes under the manifest's own
+# label and reports the row count, so it refuses neither of these.
+EXPORT_ACCEPTS = {("manifest", "label-not-in-task"), ("manifest", "nothing-decodes")}
 
 
 def _command_line(command, config, checkpoint, out_dir):
@@ -754,12 +801,15 @@ def _command_line(command, config, checkpoint, out_dir):
     }[command]
 
 
-def _write_malformed(tmp_path, kind, variant) -> Path:
-    contents = MALFORMED[kind, variant]
+def _write_malformed(tmp_path, kind, variant) -> Path | str:
+    """The path the config names for the input; '' (a YAML null) when it is unset."""
+    if variant == "unset":
+        return ""
+    contents, _ = MALFORMED[kind, variant]
     bad = tmp_path / f"malformed-{kind}"
     if isinstance(contents, bytes):
         bad.write_bytes(contents)
-    else:
+    elif contents is not None:
         bad.write_text(contents, encoding="utf-8")
     return bad
 
@@ -805,9 +855,11 @@ class TestMalformedInputs:
         code = main(_command_line(command, str(config), str(inputs["checkpoint"]), tmp_path))
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        if kind in READS[command]:
-            assert code in (2, 3), err
-            assert err.strip(), "a refused input must say why on stderr"
+        refused = kind in READS[command] and not (
+            command == "export-embeddings" and (kind, variant) in EXPORT_ACCEPTS)
+        if refused:
+            assert code == 2, err
+            assert MALFORMED[kind, variant][1] in err
         else:
             assert code == 0, err
 

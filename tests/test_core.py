@@ -34,6 +34,10 @@ class TestL2Normalize:
         with pytest.raises(DegenerateEmbeddingError):
             l2_normalize(np.full(4, 1e-14))
 
+    def test_zero_row_of_a_batch_rejected(self):
+        with pytest.raises(DegenerateEmbeddingError, match="zero row"):
+            l2_normalize(np.array([[3.0, 4.0], [0.0, 0.0]]))
+
     def test_unit_norm_and_idempotent(self, rng):
         for _ in range(20):
             v = rng.standard_normal(16)
@@ -90,6 +94,11 @@ class TestSoftmax:
         z = rng.uniform(-20, 20, size=9)
         naive = np.exp(z) / np.exp(z).sum()
         np.testing.assert_allclose(softmax(z), naive, atol=1e-6)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            softmax(np.array([[0.0, 1.0], [bad, 0.0]]))
 
     def test_no_overflow_at_large_magnitude(self):
         p = softmax(np.array([1e4, -1e4, 0.0]))

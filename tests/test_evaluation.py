@@ -172,6 +172,16 @@ class TestEnsemblePredict:
         with pytest.raises(ValueError):
             EnsembleBundle((a, b), fusion="max")
 
+    def test_empty_bundle_rejected(self):
+        with pytest.raises(ValueError, match="at least one member"):
+            EnsembleBundle((), fusion="max")
+
+    def test_members_of_different_widths_rejected(self, rng):
+        a = _checkpoint(rng.standard_normal((3, 8)))
+        b = _checkpoint(rng.standard_normal((3, 16)))
+        with pytest.raises(ValueError, match="joint dimension"):
+            EnsembleBundle((a, b), fusion="max")
+
     def test_invalid_fusion(self, rng):
         ckpt = _checkpoint(rng.standard_normal((3, 8)))
         with pytest.raises(ValueError):
@@ -224,7 +234,6 @@ class TestManifests:
         _write_toy_tree(tmp_path, b, names)
         m = manifest_from_directory(tmp_path)
         assert len(m.entries) == 8
-        assert m.class_names == ("cat", "dog")
 
     def test_directory_walk_matches_listdir_reference(self, tmp_path):
         names = ("cat", "dog", "eel")
@@ -336,6 +345,7 @@ class TestEvaluate:
         report = evaluate(manifest, b, task, lambda e: zeroshot_predict(e, b, task, "PC"))
         assert report.decode_errors == 1
         assert report.per_domain_counts["art"][1] == 3
+        assert report.table().splitlines()[-1] == "decode errors: 1"
 
     def test_non_finite_records_are_decode_errors(self, tmp_path):
         b, task, manifest = self._setup(tmp_path)
@@ -436,6 +446,7 @@ class TestEvaluate:
         report = evaluate(manifest, b, task, lambda e: zeroshot_predict(e, b, task, "PC"))
         text = report.table()
         assert "average" in text and "art" in text
+        assert "decode errors" not in text
 
 
 class _ShortByOneRow(ToyBackend):

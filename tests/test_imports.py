@@ -59,6 +59,23 @@ def test_the_scan_sees_what_it_should():
     assert unused_imports(source) == ["line 2: sys", "line 4: loads", "line 9: re"]
 
 
+def test_package_exports_are_sorted_and_each_resolves():
+    # The scan above counts every ``__all__`` entry as used, so an entry
+    # left behind after its import went would pass it, and then break
+    # ``from dpstyler import *``.
+    import dpstyler
+
+    tree = ast.parse((ROOT / "src/dpstyler/__init__.py").read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names]
+    assert dpstyler.__all__ == sorted(set(dpstyler.__all__))
+    assert dpstyler.__all__ == sorted(imported)
+    namespace: dict = {}
+    exec("from dpstyler import *", namespace)  # raises for a name that does not resolve
+    assert all(namespace[name] is getattr(dpstyler, name) for name in dpstyler.__all__)
+
+
 def unreferenced_privates(sources: dict[str, str]) -> list[str]:
     """``module: name`` for each private top-level name no module reads."""
     defined, read = [], set()

@@ -236,6 +236,37 @@ class TestLossGradients:
         with pytest.raises(ValueError):
             loss_gradients(features[:, :4], probe, head, targets, cfg)
 
+    @pytest.mark.parametrize(
+        "edit, error, match",
+        [
+            (lambda f, t: (f[0], t), ValueError, r"features must be \(B, C\)"),
+            (lambda f, t: (f, t[:-1]), ValueError, r"targets must be \(B,\)"),
+            (lambda f, t: (f, t[:, None]), ValueError, r"targets must be \(B,\)"),
+            (lambda f, t: (f, np.where(np.arange(len(t)) == 0, 3, t)), ValueError,
+             "target index out of range"),
+            (lambda f, t: (f, np.where(np.arange(len(t)) == 0, -1, t)), ValueError,
+             "target index out of range"),
+            (lambda f, t: (np.vstack([np.zeros(f.shape[1]), f[1:]]), t),
+             DegenerateEmbeddingError, "zero-norm feature"),
+        ],
+        ids=["features-1d", "targets-short", "targets-2d", "target-too-large",
+             "target-negative", "zero-feature"],
+    )
+    def test_malformed_batch_rejected(self, rng, edit, error, match):
+        features, probe, head, targets = self._random_instance(rng)
+        features, targets = edit(features, targets)
+        with pytest.raises(error, match=match):
+            loss_gradients(features, probe, head, targets, ArcFaceConfig())
+
+    def test_one_dimensional_head_rejected(self, rng):
+        with pytest.raises(ValueError, match=r"head weights must be \(M, C\)"):
+            ClassifierHead(weights=rng.standard_normal(4))
+
+    @pytest.mark.parametrize("shape", [(0, 4), (4,)], ids=["empty", "1d"])
+    def test_empty_or_one_dimensional_probe_rejected(self, shape):
+        with pytest.raises(ValueError, match="non-empty"):
+            DomainProbe(style_text_features=np.ones(shape))
+
     def test_raw_probe_equals_prenormalized_probe(self, rng):
         cfg = ArcFaceConfig(5.0, 0.5)
         features, probe, head, targets = self._random_instance(rng, B=5, C=8, K=4, M=3)

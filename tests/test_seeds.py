@@ -64,7 +64,7 @@ def test_master_seed_reaches_style_generation():
     # The last bank is the master seed's refresh for the last epoch.
     cfg, lexicon = StyleGenConfig(), load_lexicon(backends[2])
     want = refresh_bank(cfg, backends[2].dim_token, 2, 1, lexicon)
-    np.testing.assert_array_equal(backends[2].banks[-1], want.styles)
+    np.testing.assert_array_equal(backends[2].banks[-1], want)
 
 
 def test_training_checkpoint_is_pinned(tmp_path):

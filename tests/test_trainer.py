@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import dpstyler.styles as styles_mod
+import dpstyler.trainer as trainer_mod
 from dpstyler.backends import ToyBackend, ToyBackendSpec
 from dpstyler.config import DEFAULT_TEMPLATES
 from dpstyler.core import Stream, TaskDefinition, l2_normalize, seeded_rng, template_id
@@ -130,18 +131,18 @@ class TestTrainOneModel:
         # strongest confusable styles keep this just under 100%, so gate
         # on >= 90% (measured 95% for every default template).
         cfg = e2e_train_config()
-        bank = refresh_bank(cfg.style_gen, e2e_backend.dim_token, cfg.seed, cfg.epochs - 1,
-                            load_lexicon(e2e_backend))
+        styles = refresh_bank(cfg.style_gen, e2e_backend.dim_token, cfg.seed, cfg.epochs - 1,
+                              load_lexicon(e2e_backend))
         for template, result in zip(templates, trained_models):
             feats = np.stack([
                 e2e_backend.text_encode(template.pattern, name, style)
                 for name in task.class_names
-                for style in bank.styles
+                for style in styles
             ])
             removed = remover_forward(feats, result.checkpoint.remover)
             wn = l2_normalize(result.checkpoint.head.weights)
             pred = np.argmax(l2_normalize(removed) @ wn.T, axis=1)
-            expected = np.repeat(np.arange(task.num_classes), bank.num_styles)
+            expected = np.repeat(np.arange(task.num_classes), len(styles))
             assert np.mean(pred == expected) >= 0.9
 
     def test_frozen_backend_untouched(self, task, templates):
@@ -162,6 +163,18 @@ class TestTrainOneModel:
         backend = NaNBackend(ToyBackendSpec(), task.class_names)
         with pytest.raises(TrainingDivergedError):
             train_one_model(task, backend, templates[0], e2e_train_config(epochs=1))
+
+    def test_non_finite_loss_diverges(self, task, templates, monkeypatch):
+        real = trainer_mod.loss_gradients
+
+        def nan_classification_loss(*args):
+            return dataclasses.replace(real(*args), loss_classification=float("nan"))
+
+        monkeypatch.setattr(trainer_mod, "loss_gradients", nan_classification_loss)
+        backend = ToyBackend(ToyBackendSpec(), task.class_names)
+        with pytest.raises(TrainingDivergedError, match="L_C=nan at epoch 0, batch 0") as info:
+            train_one_model(task, backend, templates[0], e2e_train_config(epochs=1))
+        assert (info.value.epoch, info.value.batch) == (0, 0)
 
     def test_non_finite_style_prompts_diverge(self, task, templates):
         # A NaN domain probe is a numeric failure at the epoch that drew it,
@@ -253,11 +266,11 @@ class TestFusedTrainingStep:
         params = [remover.W1, remover.W2, head.weights]
         velocities = [np.zeros_like(p) for p in params]
         for epoch in range(cfg.epochs):
-            bank = refresh_bank(cfg.style_gen, e2e_backend.dim_token, cfg.seed, epoch)
-            probe = encode_probe(e2e_backend, bank, epoch)
-            feats = encode_grid(e2e_backend, templates[0].pattern, task.class_names, bank.styles)
-            flat = build_prompt_set(task, bank.num_styles, cfg.seed, epoch)
-            order = [divmod(j, bank.num_styles) for j in flat]  # (class, style) pairs
+            styles = refresh_bank(cfg.style_gen, e2e_backend.dim_token, cfg.seed, epoch)
+            probe = encode_probe(e2e_backend, styles, epoch)
+            feats = encode_grid(e2e_backend, templates[0].pattern, task.class_names, styles)
+            flat = build_prompt_set(task, len(styles), cfg.seed, epoch)
+            order = [divmod(j, len(styles)) for j in flat]  # (class, style) pairs
             for start in range(0, len(order), cfg.batch_size):
                 batch = order[start : start + cfg.batch_size]
                 v = np.stack([feats[m, i] for m, i in batch])
@@ -284,7 +297,7 @@ class TestDomainUncertaintyEffect:
         feats = np.stack([
             backend.text_encode(templates[0].pattern, n, s)
             for n in task.class_names
-            for s in held.styles
+            for s in held
         ])
 
         def mean_lu(x):

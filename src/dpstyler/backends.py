@@ -240,8 +240,10 @@ class ToyBackend(EncoderBackend):
         # per-channel gate has something real to suppress.  Built in float64
         # and cast: a float32 build is bitwise the same, but frees no 4 MB
         # block during set-up, so glibc's dynamic mmap threshold stays lower
-        # and training maps and faults its buffers afresh (about 2,000 more
-        # minor faults per 5-epoch M=7 run).
+        # and training maps and faults its buffers afresh: over 40 train-pacs
+        # units (seed 5, 1 BLAS thread, resource.getrusage per unit), a mean
+        # of 66 minor faults per unit (median 0) with this build, against
+        # ~1,460 and ~3 ms more system time per unit with a float32 one.
         block = C // 2
         V = np.zeros((C, D))
         V[block:] = rng.standard_normal((C - block, D)) / np.sqrt(C - block)

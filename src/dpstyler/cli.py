@@ -151,8 +151,8 @@ def cmd_export_embeddings(args) -> int:
     if not os.path.isdir(out_dir):
         raise ConfigError(f"output directory does not exist: {out_dir}")
     checkpoint = _load_checkpoint_for(args.checkpoint, backend) if args.checkpoint else None
-    rows = export_embeddings(manifest, backend, checkpoint, args.out_file)
-    print(f"wrote {rows} embedding rows to {args.out_file}")
+    rows, failures = export_embeddings(manifest, backend, checkpoint, args.out_file)
+    print(f"wrote {rows} embedding rows to {args.out_file}; decode errors: {failures}")
     return EXIT_OK
 
 

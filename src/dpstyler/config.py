@@ -141,7 +141,7 @@ def _checked(kind, name: str, value):
             number = math.nan
         if math.isfinite(number):
             return number
-    if kind in (str, _PATH) and isinstance(value, str):
+    if kind in (str, _PATH) and isinstance(value, str) and (value or kind is str):
         return value
     if kind is list and isinstance(value, list) and value \
             and all(isinstance(v, str) for v in value):
@@ -215,6 +215,12 @@ def load_run_config(path, seed_override: int | None = None, out_override: str | 
     unknown = [_name(s, k) for s, sec in sections.items() for k in sec if (s, k) not in _KNOWN]
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+    # A CLI override stands in for its YAML value and passes the same checks.
+    for section, key, value in (("train", "seed", seed_override),
+                                ("eval", "fusion", fusion_override),
+                                (None, "output_dir", out_override)):
+        if value is not None:
+            sections[section][key] = value
 
     kwargs = {row[3]: {} for row in _KEYS}
     for section, key, kind, cls, name in _KEYS:
@@ -225,13 +231,7 @@ def load_run_config(path, seed_override: int | None = None, out_override: str | 
     if not kwargs[TaskDefinition]:
         raise ConfigError("task.class_names is required")
 
-    if seed_override is not None:
-        kwargs[TrainConfig]["seed"] = seed_override
     run = kwargs[RunConfig]
-    if fusion_override is not None:
-        run["fusion"] = fusion_override
-    if out_override is not None:
-        run["output_dir"] = out_override
     try:
         if "templates" in run:
             run["templates"] = tuple(map(PromptTemplate, run["templates"]))

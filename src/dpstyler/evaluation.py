@@ -9,7 +9,7 @@ score images directly against class-name prompts.
 Evaluation walks a dataset manifest (directory layout root/domain/class/
 file, or a CSV with path,domain,class columns) and reports per-domain
 top-1 accuracy plus the across-domain mean.  Decode failures are
-counted and excluded rather than aborting the run.
+counted and excluded; only a manifest in which nothing decodes aborts.
 """
 
 from __future__ import annotations
@@ -71,13 +71,10 @@ def predict_scores(image_embedding: np.ndarray, member: Checkpoint) -> np.ndarra
 
 
 def ensemble_predict(image_embedding: np.ndarray, bundle: EnsembleBundle) -> int:
-    """Fused class prediction; ties go to the lowest class then member index."""
+    """Fused class prediction; ties go to the lowest class."""
     scores = np.stack([predict_scores(image_embedding, m) for m in bundle.members])
-    if bundle.fusion == "average":
-        return int(np.argmax(scores.mean(axis=0)))
-    # argmax over the class-major flattening: the first maximum has the
-    # lowest class, then the lowest member.
-    return int(np.argmax(scores.T.ravel())) // len(scores)
+    fused = scores.mean(axis=0) if bundle.fusion == "average" else scores.max(axis=0)
+    return int(np.argmax(fused))
 
 
 def zeroshot_predict(
@@ -200,8 +197,11 @@ class EvalReport:
 
 
 def _encoded_chunks(manifest: DatasetManifest, backend: EncoderBackend):
-    """Per chunk of the entries: (decoded entries, their (n, C) embeddings, failures)."""
-    entries = manifest.entries
+    """Per chunk of the entries: (decoded entries, their (n, C) embeddings, failures).
+
+    Raises ``ValueError`` after the last chunk if no entry decoded.
+    """
+    entries, decoded = manifest.entries, 0
     for start in range(0, len(entries), _CHUNK):
         chunk, kept, images = entries[start : start + _CHUNK], [], []
         for entry in chunk:
@@ -212,7 +212,10 @@ def _encoded_chunks(manifest: DatasetManifest, backend: EncoderBackend):
             kept.append(entry)
         embeddings = backend.encode_images(images)
         check_rows("encode_images", embeddings, (len(kept), backend.dim_joint))
+        decoded += len(kept)
         yield kept, embeddings, len(chunk) - len(kept)
+    if not decoded:
+        raise ValueError("no image in the manifest could be decoded")
 
 
 def evaluate(
@@ -244,8 +247,6 @@ def evaluate(
             total[domain] = total.get(domain, 0) + 1
             if predict_fn(embedding) == class_index[cls]:
                 correct[domain] = correct.get(domain, 0) + 1
-    if not total:
-        raise ValueError("no image in the manifest could be decoded")
     return EvalReport(
         per_domain_counts={d: (correct.get(d, 0), total[d]) for d in total},
         decode_errors=errors,
@@ -260,27 +261,28 @@ def export_embeddings(
     backend: EncoderBackend,
     checkpoint: Checkpoint | None,
     path,
-) -> int:
+) -> tuple[int, int]:
     """Write per-image raw (and optionally removed) embeddings as CSV.
 
-    Returns the number of rows written; decode failures are skipped.
-    Floats use 9 significant digits.
+    Returns (rows written, decode failures); a record that fails to
+    decode is skipped.  Floats use 9 significant digits.
     """
     C = backend.dim_joint
     columns = ["path", "domain", "class"] + [f"raw_{i}" for i in range(C)]
     if checkpoint is not None:
         columns += [f"removed_{i}" for i in range(C)]
-    rows = 0
+    rows = failures = 0
     try:
         with atomic_write(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(columns)
-            for kept, emb, _ in _encoded_chunks(manifest, backend):
+            for kept, emb, failed in _encoded_chunks(manifest, backend):
                 if checkpoint is not None:  # one gate call per chunk
                     emb = np.hstack([emb, remover_forward(emb, checkpoint.remover)])
                 for entry, values in zip(kept, emb):
                     writer.writerow([*entry, *(f"{x:.9g}" for x in values)])
                 rows += len(kept)
+                failures += failed
     except OSError as exc:
         raise OSError(f"failed writing embeddings to {path}: {exc}") from exc
-    return rows
+    return rows, failures

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -154,31 +155,19 @@ def refresh_bank(config: StyleGenConfig, dim: int, seed: int, epoch: int,
 
 
 def lexicon_for(config: StyleGenConfig, backend, path=None) -> PredefinedLexicon | None:
-    """``load_lexicon(backend, path)`` if ``config``'s strategy reads a lexicon, else None."""
+    """The word list at ``path`` (the packaged one if None), embedded via ``backend``,
+    if ``config``'s strategy reads a lexicon; else None, and no file is opened.
+
+    One adjective per line; '#' starts a comment.
+    """
     if config.strategy not in LEXICON_STRATEGIES:
         return None
-    return load_lexicon(backend, path)
-
-
-def load_lexicon(backend, path=None) -> PredefinedLexicon:
-    """The word list at ``path`` (the packaged one if None), embedded via the backend."""
-    if path is None:
-        with resources.as_file(resources.files("dpstyler") / "data/lexicon.txt") as packaged:
-            words = load_lexicon_words(packaged)
-    else:
-        words = load_lexicon_words(path)
+    source = resources.files("dpstyler") / "data/lexicon.txt" if path is None else Path(path)
+    # read_text translates newlines as file iteration does; str.splitlines
+    # would also split at form feeds and Unicode line separators.
+    lines = source.read_text(encoding="utf-8").split("\n")
+    words = [w for w in (line.split("#", 1)[0].strip() for line in lines) if w]
+    if len(words) < 2:
+        raise ValueError(f"lexicon file {source} must list at least 2 words")
     vectors = np.stack([backend.token_embedding_lookup(w) for w in words])
     return PredefinedLexicon(labels=tuple(words), vectors=vectors)
-
-
-def load_lexicon_words(path) -> list[str]:
-    """Read a lexicon word list: one adjective per line, '#' comments."""
-    words: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            word = line.split("#", 1)[0].strip()
-            if word:
-                words.append(word)
-    if len(words) < 2:
-        raise ValueError(f"lexicon file {path} must list at least 2 words")
-    return words

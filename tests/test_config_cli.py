@@ -86,12 +86,18 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("out", ["elsewhere", ""], ids=["path", "empty"])
     def test_out_override_is_applied_like_the_seed_and_fusion(self, workspace, tmp_path, out):
-        # An empty --out is kept, as an empty output_dir in the YAML is.
+        # --out and output_dir in the YAML pass one check, so they agree:
+        # both keep a path, and both refuse an empty one.
         cfg_path, _, _ = workspace
-        assert load_run_config(cfg_path, out_override=out).output_dir == out
         same = tmp_path / "same.yaml"
         same.write_text(f"task: {{class_names: [a, b]}}\noutput_dir: '{out}'\n")
-        assert load_run_config(same).output_dir == out
+        for load in (lambda: load_run_config(cfg_path, out_override=out),
+                     lambda: load_run_config(same)):
+            if out:
+                assert load().output_dir == out
+            else:
+                with pytest.raises(ConfigError, match="output_dir must be a path string, got ''"):
+                    load()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -390,13 +396,16 @@ class TestCliWorkflow:
             payload = json.loads(next(out.glob(f"report-zeroshot-{tag}-*.json")).read_text())
             assert payload["average_accuracy"] == 100.0
 
-    def test_export_embeddings_with_and_without_checkpoint(self, workspace, tmp_path):
-        cfg_path, _, out = workspace
+    def test_export_embeddings_with_and_without_checkpoint(self, workspace, tmp_path, capsys):
+        cfg_path, data, out = workspace
         main(["train", "--config", str(cfg_path)])
         ckpt = str(sorted(out.glob("*.ckpt"))[0])
         raw_csv = tmp_path / "raw.csv"
         both_csv = tmp_path / "both.csv"
+        (data / "art" / "cat" / "broken.json").write_text("not an image")
+        capsys.readouterr()
         assert main(["export-embeddings", "--config", str(cfg_path), "--out-file", str(raw_csv)]) == 0
+        assert f"wrote 12 embedding rows to {raw_csv}; decode errors: 1" in capsys.readouterr().out
         assert main([
             "export-embeddings", "--config", str(cfg_path),
             "--checkpoint", ckpt, "--out-file", str(both_csv),
@@ -616,9 +625,12 @@ class TestCliErrors:
             "styles: {lexicon: 5}\n",
             "styles: {strategy: stylemix, lexicon: 0}\n",
             "eval: {manifest: [data]}\n",
+            "output_dir: ''\n",
+            "styles: {lexicon: ''}\n",
+            "eval: {manifest: ''}\n",
         ],
         ids=["output_dir-int", "output_dir-null", "lexicon-int", "lexicon-stdin",
-             "manifest-list"],
+             "manifest-list", "output_dir-empty", "lexicon-empty", "manifest-empty"],
     )
     def test_non_string_path_exits_2(self, tmp_path, capsys, doc):
         p = tmp_path / "bad.yaml"
@@ -785,9 +797,10 @@ MALFORMED = {
     ("lexicon", "two-token-word"): ("white\noil painting\n", "must be single tokens"),
     ("lexicon", "not-utf8"): (b"white\n\xff\xfe\n", "can't decode"),
 }
-# export-embeddings writes each record it decodes under the manifest's own
-# label and reports the row count, so it refuses neither of these.
-EXPORT_ACCEPTS = {("manifest", "label-not-in-task"), ("manifest", "nothing-decodes")}
+# export-embeddings reads no label space: it writes each record it decodes
+# under the manifest's own label, so it refuses this row only because its
+# record does not exist.
+EXPORT_MESSAGES = {("manifest", "label-not-in-task"): "no image in the manifest could be decoded"}
 
 
 def _command_line(command, config, checkpoint, out_dir):
@@ -855,11 +868,13 @@ class TestMalformedInputs:
         code = main(_command_line(command, str(config), str(inputs["checkpoint"]), tmp_path))
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        refused = kind in READS[command] and not (
-            command == "export-embeddings" and (kind, variant) in EXPORT_ACCEPTS)
-        if refused:
+        if kind in READS[command]:
+            message = MALFORMED[kind, variant][1]
+            if command == "export-embeddings":
+                message = EXPORT_MESSAGES.get((kind, variant), message)
             assert code == 2, err
-            assert MALFORMED[kind, variant][1] in err
+            assert message in err
+            assert not list(tmp_path.glob("emb.csv*"))  # export leaves no file behind
         else:
             assert code == 0, err
 

@@ -530,13 +530,19 @@ class TestExportEmbeddings:
         names = ("cat", "dog")
         b = ToyBackend(ToyBackendSpec(), names)
         _write_toy_tree(tmp_path, b, names)
+        # Export reads no label space: a decodable record under a label the
+        # task lacks is written; a record that fails to decode is counted.
+        (tmp_path / "art" / "zebra").mkdir()
+        toy_image_save(ToyImage(0, rng.standard_normal(32)), tmp_path / "art" / "zebra" / "0.json")
+        (tmp_path / "photo" / "cat" / "broken.json").write_text("not an image")
         out = tmp_path / "emb.csv"
-        n = export_embeddings(load_manifest(tmp_path), b, None, out)
-        assert n == 8
+        assert export_embeddings(load_manifest(tmp_path), b, None, out) == (9, 1)
         with open(out) as fh:
             rows = list(csv.reader(fh))
         assert rows[0][:3] == ["path", "domain", "class"]
-        assert len(rows) == 9
+        assert len(rows) == 10
+        assert [row[1:3] for row in rows].count(["art", "zebra"]) == 1
+        assert not any(row[0].endswith("broken.json") for row in rows)
         assert not any(c.startswith("removed_") for c in rows[0])
 
     def test_removed_columns_match_remover(self, tmp_path, rng):
@@ -585,7 +591,7 @@ class TestExportEmbeddings:
             export_embeddings(manifest, FailsOnSecondChunk(ToyBackendSpec(), names), None, target)
         assert target.read_text() == "previous export\n"
         assert [p.name for p in out.iterdir()] == ["emb.csv"]
-        assert export_embeddings(manifest, b, None, target) == 4 * _CHUNK
+        assert export_embeddings(manifest, b, None, target) == (4 * _CHUNK, 0)
         assert len(target.read_text().splitlines()) == 4 * _CHUNK + 1
 
     def test_io_error(self, tmp_path):

@@ -13,7 +13,7 @@ import numpy as np
 from dpstyler.backends import ToyBackend, ToyBackendSpec
 from dpstyler.config import load_run_config
 from dpstyler.core import PromptTemplate, Stream, TaskDefinition, seeded_rng
-from dpstyler.styles import StyleGenConfig, load_lexicon, refresh_bank
+from dpstyler.styles import StyleGenConfig, lexicon_for, refresh_bank
 from dpstyler.toydata import make_toy_dataset
 from dpstyler.trainer import TrainConfig, save_checkpoint, train_one_model
 
@@ -62,7 +62,8 @@ def test_master_seed_reaches_style_generation():
         train_one_model(task, backend, template, TrainConfig(epochs=2, seed=seed))
     assert not np.array_equal(backends[1].banks[-1], backends[2].banks[-1])
     # The last bank is the master seed's refresh for the last epoch.
-    cfg, lexicon = StyleGenConfig(), load_lexicon(backends[2])
+    cfg = StyleGenConfig()
+    lexicon = lexicon_for(cfg, backends[2])
     want = refresh_bank(cfg, backends[2].dim_token, 2, 1, lexicon)
     np.testing.assert_array_equal(backends[2].banks[-1], want)
 

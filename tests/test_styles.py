@@ -13,8 +13,7 @@ from dpstyler.styles import (
     STRATEGIES,
     PredefinedLexicon,
     StyleGenConfig,
-    load_lexicon,
-    load_lexicon_words,
+    lexicon_for,
     random_style,
     refresh_bank,
     stylemix_style,
@@ -227,14 +226,15 @@ class TestRefreshBank:
 
 
 class TestLexicon:
-    def test_load_words_skips_comments(self, tmp_path):
+    def test_load_words_skips_comments(self, task, tmp_path):
+        backend = ToyBackend(ToyBackendSpec(), task.class_names)
         p = tmp_path / "lex.txt"
         p.write_text("# comment\nwhite\ncartoon\n\nsketchy\n")
-        assert load_lexicon_words(p) == ["white", "cartoon", "sketchy"]
+        assert lexicon_for(StyleGenConfig(), backend, p).labels == ("white", "cartoon", "sketchy")
 
     def test_default_lexicon_has_eight_single_token_words(self, task):
         backend = ToyBackend(ToyBackendSpec(), task.class_names)
-        lex = load_lexicon(backend)
+        lex = lexicon_for(StyleGenConfig(), backend)
         assert len(lex) == 8
         assert lex.vectors.shape == (8, backend.dim_token)
         assert all(" " not in w for w in lex.labels)
@@ -243,7 +243,7 @@ class TestLexicon:
         backend = ToyBackend(ToyBackendSpec(), task.class_names)
         p = tmp_path / "lex.txt"
         p.write_text("sketchy\n# comment\nwhite\ncartoon\n")
-        lex = load_lexicon(backend, p)
+        lex = lexicon_for(StyleGenConfig(), backend, p)
         assert lex.labels == ("sketchy", "white", "cartoon")
         np.testing.assert_array_equal(
             lex.vectors, np.stack([backend.token_embedding_lookup(w) for w in lex.labels])

@@ -13,7 +13,7 @@ from dpstyler.config import DEFAULT_TEMPLATES
 from dpstyler.core import Stream, TaskDefinition, l2_normalize, seeded_rng, template_id
 from dpstyler.losses import head_init, loss_gradients, softmax
 from dpstyler.remover import remover_backward, remover_forward, remover_init
-from dpstyler.styles import STRATEGIES, StyleGenConfig, load_lexicon, refresh_bank
+from dpstyler.styles import STRATEGIES, StyleGenConfig, lexicon_for, refresh_bank
 from dpstyler.trainer import (
     CheckpointError,
     TrainConfig,
@@ -132,7 +132,7 @@ class TestTrainOneModel:
         # on >= 90% (measured 95% for every default template).
         cfg = e2e_train_config()
         styles = refresh_bank(cfg.style_gen, e2e_backend.dim_token, cfg.seed, cfg.epochs - 1,
-                              load_lexicon(e2e_backend))
+                              lexicon_for(cfg.style_gen, e2e_backend))
         for template, result in zip(templates, trained_models):
             feats = np.stack([
                 e2e_backend.text_encode(template.pattern, name, style)

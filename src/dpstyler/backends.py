@@ -34,7 +34,6 @@ from __future__ import annotations
 import abc
 import hashlib
 import json
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -183,8 +182,9 @@ def toy_image_load(path) -> ToyImage:
         raise ImageDecodeError(f"malformed toy image {path}: {exc}") from exc
     if nuisance.ndim != 1:
         raise ImageDecodeError(f"malformed toy image {path}: nuisance must be 1-D")
-    # json.load accepts NaN and Infinity, which the encoder cannot take.
-    if not (np.isfinite(nuisance).all() and math.isfinite(strength)):
+    # json.load accepts NaN and Infinity, which the encoder cannot take; a
+    # content_strength beyond float32 range is refused as the nuisance is.
+    if not (np.isfinite(nuisance).all() and abs(strength) <= float(np.finfo(DEFAULT_DTYPE).max)):
         raise ImageDecodeError(f"malformed toy image {path}: non-finite value")
     if strength < 0:
         raise ImageDecodeError(f"malformed toy image {path}: negative content_strength")

@@ -43,11 +43,11 @@ EXIT_NUMERIC = 3
 
 
 def _load_config(args) -> RunConfig:
-    return load_run_config(
+    return load_run_config(  # a command lacks the flags of settings it does not read
         args.config,
-        seed_override=args.seed,
-        out_override=args.out,
-        fusion_override=getattr(args, "fusion", None),  # eval's flag only
+        seed_override=getattr(args, "seed", None),
+        out_override=getattr(args, "out", None),
+        fusion_override=getattr(args, "fusion", None),
     )
 
 
@@ -174,10 +174,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dpstyler", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, overrides=True):
         p.add_argument("--config", required=True, help="path to the YAML run config")
-        p.add_argument("--out", help="output directory override")
-        p.add_argument("--seed", type=int, help="train.seed override")
+        if overrides:  # export-embeddings reads neither output_dir nor train.seed
+            p.add_argument("--out", help="output directory override")
+            p.add_argument("--seed", type=int, help="train.seed override")
 
     p = sub.add_parser("train", help="train one model per prompt template")
     common(p)
@@ -193,8 +194,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_zeroshot)
 
-    p = sub.add_parser("export-embeddings", help="dump raw/removed embeddings to CSV")
-    common(p)
+    # No abbreviations, so --out is refused rather than read as --out-file.
+    p = sub.add_parser("export-embeddings", help="dump raw/removed embeddings to CSV",
+                       allow_abbrev=False)
+    common(p, overrides=False)
     p.add_argument("--checkpoint", help="optional checkpoint for removed embeddings")
     p.add_argument("--out-file", required=True, help="CSV output path")
     p.set_defaults(func=cmd_export_embeddings)

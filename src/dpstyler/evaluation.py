@@ -65,8 +65,8 @@ def predict_scores(image_embedding: np.ndarray, member: Checkpoint) -> np.ndarra
     if emb.shape != (member.dim_joint,):
         raise ValueError(f"embedding shape {emb.shape} != (C={member.dim_joint},)")
     rn = l2_normalize(remover_forward(emb, member.remover))
-    # The member's cached head-row norms scale the (M,) result; no unit-row
-    # (M, C) head is built.
+    # The head-row norms the member kept at construction scale the (M,)
+    # result; no unit-row (M, C) head is built.
     return (member.head.weights @ rn) / member.head_row_norms
 
 

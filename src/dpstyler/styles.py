@@ -167,7 +167,9 @@ def lexicon_for(config: StyleGenConfig, backend, path=None) -> PredefinedLexicon
     # would also split at form feeds and Unicode line separators.
     lines = source.read_text(encoding="utf-8").split("\n")
     words = [w for w in (line.split("#", 1)[0].strip() for line in lines) if w]
-    if len(words) < 2:
-        raise ValueError(f"lexicon file {source} must list at least 2 words")
-    vectors = np.stack([backend.token_embedding_lookup(w) for w in words])
-    return PredefinedLexicon(labels=tuple(words), vectors=vectors)
+    # np.array, not np.stack: an empty list reaches PredefinedLexicon's count check.
+    vectors = np.array([backend.token_embedding_lookup(w) for w in words])
+    try:
+        return PredefinedLexicon(labels=tuple(words), vectors=vectors)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from exc

@@ -15,7 +15,6 @@ at ``save_checkpoint``.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -28,7 +27,6 @@ import numpy as np
 from .backends import EncoderBackend, check_rows
 from .core import (
     DEFAULT_DTYPE,
-    DegenerateEmbeddingError,
     PromptTemplate,
     Stream,
     TaskDefinition,
@@ -46,7 +44,7 @@ CHECKPOINT_VERSION = 2
 
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when a loss or feature turns non-finite; carries (epoch, batch or None)."""
+    """Raised when a loss, feature or weight turns non-finite; carries (epoch, batch or None)."""
 
     def __init__(self, epoch: int, batch: int | None, what: str):
         where = f"epoch {epoch}" if batch is None else f"epoch {epoch}, batch {batch}"
@@ -93,9 +91,12 @@ class TrainConfig:
 class Checkpoint:
     """One trained (remover, head) pair with its provenance.
 
-    The head is frozen once the checkpoint is scored: ``head_row_norms``
-    is computed at first use and kept, so do not write to
-    ``head.weights`` in place after that.
+    Built by training, in code or by ``load_checkpoint``, it raises
+    ``ValueError`` unless the gate has a hidden unit, the arrays have the
+    ``_layout`` shapes of (dim_joint, ratio, class count), every weight is
+    finite and every head row norm is nonzero and finite in float32.  It
+    keeps those norms, read-only, as ``head_row_norms`` for scoring: do
+    not write to ``head.weights`` in place after construction.
     """
 
     remover: StyleRemoverParams
@@ -106,9 +107,28 @@ class Checkpoint:
     backend_tag: str
     seed: int
     config_snapshot: dict = field(default_factory=dict)
+    head_row_norms: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.class_names = tuple(self.class_names)
+        C, ratio, M = self.dim_joint, self.remover.ratio, len(self.class_names)
+        if not 1 <= ratio <= C:
+            raise ValueError(f"ratio {ratio} exceeds dim_joint {C} or is below 1: "
+                             "the gate has no hidden unit")
+        arrays = (self.remover.W1, self.remover.W2, self.head.weights)
+        for (name, shape), arr in zip(_layout(C, ratio, M), arrays):
+            if arr.shape != shape:
+                raise ValueError(f"array {name!r} has shape {arr.shape}, expected {shape} "
+                                 f"for C={C}, r={ratio}, M={M}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"array {name!r} holds NaN or inf")
+        # Finite rows near the float32 limit overflow their norm.
+        with np.errstate(over="ignore"):
+            norms = row_norms(self.head.weights)
+        if not np.isfinite(norms).all():
+            raise ValueError("head row norm overflows float32")
+        norms.flags.writeable = False
+        self.head_row_norms = norms
 
     @property
     def dim_joint(self) -> int:
@@ -117,17 +137,6 @@ class Checkpoint:
     @property
     def template_id(self) -> str:
         return template_id(self.template_pattern)
-
-    @functools.cached_property
-    def head_row_norms(self) -> np.ndarray:
-        """(M,) Euclidean norms of the head rows, read-only.
-
-        Raises ``DegenerateEmbeddingError`` for a zero row, which
-        ``predict_scores`` would divide by.
-        """
-        norms = row_norms(self.head.weights)
-        norms.flags.writeable = False
-        return norms
 
 
 @dataclass
@@ -247,16 +256,14 @@ def train_one_model(
                                     loss_classification=sum_c / n_samples,
                                     wall_time_s=time.perf_counter() - start))
 
-    checkpoint = Checkpoint(
-        remover=remover,
-        head=head,
-        template_pattern=template.pattern,
-        class_names=task.class_names,
-        dim_token=D,
-        backend_tag=backend_tag,
-        seed=config.seed,
-        config_snapshot=config_snapshot or {},
-    )
+    try:  # no per-batch check sees the weights the last SGD step leaves
+        checkpoint = Checkpoint(
+            remover=remover, head=head, template_pattern=template.pattern,
+            class_names=task.class_names, dim_token=D, backend_tag=backend_tag,
+            seed=config.seed, config_snapshot=config_snapshot or {},
+        )
+    except ValueError as exc:
+        raise TrainingDivergedError(config.epochs - 1, None, f"weights ({exc})") from exc
     return TrainResult(checkpoint=checkpoint, metrics=metrics)
 
 
@@ -285,18 +292,13 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
     ``_HEADER``; then the raw float32 little-endian arrays W1, W2, head
     of ``_layout(dim_joint, ratio, len(class_names))``, back to back.
     The header stores no offsets, shapes or class count: the dims fix
-    them.  An array whose shape disagrees with those dims raises
-    ``ValueError`` before the file is opened.
+    them, and the ``Checkpoint`` constructor has checked the arrays
+    against them.
     """
-    C, ratio, M = checkpoint.dim_joint, checkpoint.remover.ratio, len(checkpoint.class_names)
     arrays = [np.ascontiguousarray(a, dtype="<f4") for a in
               (checkpoint.remover.W1, checkpoint.remover.W2, checkpoint.head.weights)]
-    for (name, shape), arr in zip(_layout(C, ratio, M), arrays):
-        if arr.shape != shape:
-            raise ValueError(f"array {name!r} has shape {arr.shape}, expected {shape} "
-                             f"for C={C}, r={ratio}, M={M}")
     header = {key: getattr(checkpoint, key) for key in _HEADER if hasattr(checkpoint, key)}
-    header.update(format_version=CHECKPOINT_VERSION, ratio=ratio,
+    header.update(format_version=CHECKPOINT_VERSION, ratio=checkpoint.remover.ratio,
                   config=checkpoint.config_snapshot)
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with atomic_write(path, "wb") as fh:
@@ -311,12 +313,11 @@ def load_checkpoint(path) -> Checkpoint:
     """Read and validate a checkpoint written by ``save_checkpoint``.
 
     Raises ``CheckpointError`` unless the header holds every ``_HEADER``
-    key with its exact type, positive dims with ``ratio <= dim_joint``
-    and a non-empty list of class names; the body is exactly the
-    ``_layout`` those dims give, with no trailing bytes; every weight is
-    finite; and every head row has a nonzero, finite norm.  Each array is
-    read from the file straight into its own aligned, writable float32
-    array, with no intermediate copy of the body.
+    key with its exact type, positive dims and a non-empty list of class
+    names; the body is exactly the ``_layout`` those dims give, with no
+    trailing bytes; and the ``Checkpoint`` constructor accepts the model.
+    Each array is read from the file straight into its own aligned,
+    writable float32 array, with no intermediate copy of the body.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -339,26 +340,17 @@ def load_checkpoint(path) -> Checkpoint:
         for (name, _), values in zip(layout, arrays):
             if fh.readinto(values) != values.nbytes:
                 raise CheckpointError(f"{path}: array {name!r} is truncated")
-            if not np.isfinite(values).all():
-                raise CheckpointError(f"{path}: array {name!r} holds NaN or inf")
 
     W1, W2, head_w = arrays
-    checkpoint = Checkpoint(
-        remover=StyleRemoverParams(W1=W1, W2=W2, ratio=header["ratio"]),
-        head=ClassifierHead(weights=head_w),
-        config_snapshot=header["config"],
-        **{key: header[key] for key in _FIELDS},
-    )
-    # The scoring norms are computed here, once, and checked: finite rows
-    # near the float32 limit overflow their norm.
     try:
-        with np.errstate(over="ignore"):
-            norms = checkpoint.head_row_norms
-    except DegenerateEmbeddingError as exc:
-        raise CheckpointError(f"{path}: head has a zero row") from exc
-    if not np.isfinite(norms).all():
-        raise CheckpointError(f"{path}: head row norm overflows float32")
-    return checkpoint
+        return Checkpoint(
+            remover=StyleRemoverParams(W1=W1, W2=W2, ratio=header["ratio"]),
+            head=ClassifierHead(weights=head_w),
+            config_snapshot=header["config"],
+            **{key: header[key] for key in _FIELDS},
+        )
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
 
 
 def _read_header(path, blob: bytes) -> dict:
@@ -388,9 +380,6 @@ def _read_header(path, blob: bytes) -> dict:
     for key in ("dim_joint", "dim_token", "ratio"):
         if header[key] < 1:
             raise CheckpointError(f"{path}: header {key!r} is {header[key]}, not positive")
-    if header["ratio"] > header["dim_joint"]:  # a zero-width gate, as remover_init refuses
-        raise CheckpointError(f"{path}: ratio {header['ratio']} exceeds dim_joint "
-                              f"{header['dim_joint']}")
     names = header["class_names"]
     if not names or not all(type(name) is str for name in names):
         raise CheckpointError(f"{path}: header 'class_names' is not a non-empty list of strings")

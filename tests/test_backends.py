@@ -376,8 +376,9 @@ class TestLoadImage:
 
     @pytest.mark.parametrize(
         "nuisance_head, strength",
-        [("NaN", "1.0"), ("Infinity", "1.0"), ("0.5", "NaN"), ("1e300", "1.0")],
-        ids=["nan-nuisance", "inf-nuisance", "nan-content-strength", "float32-overflow"],
+        [("NaN", "1.0"), ("Infinity", "1.0"), ("0.5", "NaN"), ("1e300", "1.0"), ("0.5", "1e300")],
+        ids=["nan-nuisance", "inf-nuisance", "nan-content-strength", "float32-overflow",
+             "content-strength-float32-overflow"],
     )
     def test_non_finite_record_is_a_decode_error(self, backend, tmp_path, nuisance_head, strength):
         # json.load accepts NaN and Infinity; the encoder must not.

@@ -505,18 +505,19 @@ class TestCliErrors:
         assert err.startswith("config error:") and field in err
         assert not out_file.exists()
 
-    def test_export_seed_does_not_change_the_encoder(self, workspace, tmp_path):
-        # No backend.seed: --seed picks the training seed, not the encoder.
+    @pytest.mark.parametrize("flag", [["--seed", "1"], ["--out", "elsewhere"]],
+                             ids=["seed", "out"])
+    def test_export_refuses_out_and_seed(self, workspace, tmp_path, capsys, flag):
+        # Export reads neither train.seed nor output_dir, so it takes no
+        # override of them; --out is not read as an abbreviated --out-file.
         cfg_path, _, _ = workspace
-        cfg = tmp_path / "no-backend-seed.yaml"
-        cfg.write_text(cfg_path.read_text().replace("  seed: 11\n", "", 1))
-        written = {}
-        for seed in ("1", "2"):
-            out_file = tmp_path / f"emb-{seed}.csv"
-            assert main(["export-embeddings", "--config", str(cfg), "--seed", seed,
-                         "--out-file", str(out_file)]) == 0
-            written[seed] = out_file.read_text()
-        assert written["1"] == written["2"]
+        out_file = tmp_path / "emb.csv"
+        with pytest.raises(SystemExit) as info:
+            main(["export-embeddings", "--config", str(cfg_path), *flag,
+                  "--out-file", str(out_file)])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out_file.exists()
 
     def test_eval_seed_does_not_change_the_encoder(self, tmp_path):
         # No backend.seed: the encoder is backend seed 0 whatever --seed says,
@@ -674,6 +675,18 @@ class TestCliErrors:
         assert err.startswith("numeric failure:") and "Traceback" not in err
         assert list(out.iterdir()) == []  # no checkpoint, no metrics.jsonl
 
+    def test_last_step_overflow_exits_3(self, workspace, capsys):
+        # One epoch of one batch: no forward pass sees the weights the only
+        # SGD step leaves, and their head row norms overflow float32.
+        cfg_path, _, out = workspace
+        cfg_path.write_text(cfg_path.read_text().replace(
+            "epochs: 3", "epochs: 1\n  learning_rate: 1e38"))
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:") and err.endswith("at epoch 0\n")
+        assert not list(out.glob("*.ckpt"))
+
     def test_export_to_missing_directory_exits_2(self, workspace, tmp_path):
         cfg_path, _, _ = workspace
         assert main([
@@ -793,7 +806,10 @@ MALFORMED = {
     ("checkpoint", "bad-magic"): (b"not a checkpoint at all", "bad magic"),
     ("checkpoint", "format-v1"): (b"DPSTYLR1\x15\x00\x00\x00" + b'{"format_version": 1}',
                                   "unsupported format version 1 (expected 2)"),
-    ("lexicon", "one-word"): ("white  # and nothing else\n", "must list at least 2 words"),
+    ("lexicon", "one-word"): ("white  # and nothing else\n",
+                              "malformed-lexicon: lexicon needs at least 2 entries"),
+    ("lexicon", "repeated-word"): ("white\nsketchy\nwhite\n",
+                                   "malformed-lexicon: lexicon labels must be unique"),
     ("lexicon", "two-token-word"): ("white\noil painting\n", "must be single tokens"),
     ("lexicon", "not-utf8"): (b"white\n\xff\xfe\n", "can't decode"),
 }

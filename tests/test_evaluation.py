@@ -15,7 +15,7 @@ from dpstyler.backends import (
     toy_image_load,
     toy_image_save,
 )
-from dpstyler.core import DegenerateEmbeddingError, TaskDefinition, l2_normalize
+from dpstyler.core import DegenerateEmbeddingError, TaskDefinition, l2_normalize, row_norms
 from dpstyler.evaluation import (
     _CHUNK,
     ZEROSHOT_PATTERNS,
@@ -117,16 +117,16 @@ class TestPredictScores:
         W = ckpt.head.weights
         emb = rng.standard_normal(8).astype(dtype)
         want = (W @ l2_normalize(remover_forward(emb, p))) / np.sqrt(np.einsum("mc,mc->m", W, W))
-        for _ in range(2):  # the first call fills the norm cache, the second reads it
+        for _ in range(2):  # both calls read the norms kept at construction
             got = predict_scores(emb, ckpt)
             assert got.dtype == dtype
             assert np.array_equal(got, want)
 
 
     def test_zero_head_row_rejected(self):
-        ckpt = _checkpoint(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        # At construction, so no member can score with a zero norm.
         with pytest.raises(DegenerateEmbeddingError, match="nonzero"):
-            predict_scores(np.array([1.0, 0.5]), ckpt)
+            _checkpoint(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
 class TestEnsemblePredict:
@@ -354,6 +354,7 @@ class TestEvaluate:
             ("art/cat/0.json", "NaN, " + good[5:], "1.0"),
             ("art/dog/1.json", "Infinity, " + good[5:], "1.0"),
             ("photo/cat/1.json", good, "NaN"),
+            ("photo/dog/0.json", good, "1e300"),  # beyond float32
         ]:
             (tmp_path / rel).write_text(
                 '{"class_index": 0, "nuisance": [%s], "content_strength": %s}'
@@ -366,10 +367,10 @@ class TestEvaluate:
             return zeroshot_predict(e, b, task, "PC")
 
         report = evaluate(manifest, b, task, predictor)
-        assert report.decode_errors == 3
+        assert report.decode_errors == 4
         assert report.per_domain_counts["art"][1] == 2
-        assert report.per_domain_counts["photo"][1] == 3
-        assert len(seen) == 5 and all(np.isfinite(e).all() for e in seen)
+        assert report.per_domain_counts["photo"][1] == 2
+        assert len(seen) == 4 and all(np.isfinite(e).all() for e in seen)
 
     def test_row_order_invariance(self, tmp_path):
         b, task, manifest = self._setup(tmp_path)
@@ -490,14 +491,21 @@ class TestFrozenStateReuse:
 
     def test_head_row_norms_cached_per_member(self, tmp_path):
         b, task, manifest, bundle = self._setup(tmp_path)
-        assert not any("head_row_norms" in m.__dict__ for m in bundle.members)
+        # Set at construction, read-only, and row_norms' values.
+        kept = [m.head_row_norms for m in bundle.members]
+        for m, norms in zip(bundle.members, kept):
+            assert not norms.flags.writeable
+            assert np.array_equal(norms, row_norms(m.head.weights))
         fn = lambda e: ensemble_predict(e, bundle)
         first = evaluate(manifest, b, task, fn)
-        cached = [m.__dict__["head_row_norms"] for m in bundle.members]
-        assert not any(c.flags.writeable for c in cached)
         second = evaluate(manifest, b, task, fn)
-        assert all(m.__dict__["head_row_norms"] is c for m, c in zip(bundle.members, cached))
+        assert all(m.head_row_norms is norms for m, norms in zip(bundle.members, kept))
         assert first.to_dict() == second.to_dict()
+        # predict_scores divides by that array; halving it doubles the scores.
+        member, emb = bundle.members[0], np.random.default_rng(5).standard_normal(64)
+        want = predict_scores(emb, member)
+        member.head_row_norms = kept[0] / 2
+        assert np.array_equal(predict_scores(emb, member), 2 * want)
 
     def test_content_vectors_built_once_per_class(self, tmp_path, monkeypatch):
         import dpstyler.backends as backends

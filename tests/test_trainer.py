@@ -337,7 +337,7 @@ class TestCheckpointPersistence:
         for i, a in enumerate(loaded):
             for b in loaded[i + 1 :]:
                 assert not np.shares_memory(a, b)
-        # The scoring norms were computed and checked at load, and cached.
+        # The scoring norms were computed and checked at construction, and kept.
         norms = vars(back)["head_row_norms"]
         W = back.head.weights
         assert np.array_equal(norms, np.sqrt(np.einsum("mc,mc->m", W, W)))
@@ -520,22 +520,53 @@ class TestCheckpointPersistence:
         assert back.template_id != trained_models[0].checkpoint.template_id
 
     def test_save_rejects_shapes_that_disagree_with_dims(self, trained_models, tmp_path):
+        # The constructor refuses the model, so there is nothing to save.
         ckpt = trained_models[0].checkpoint
-        ckpt = dataclasses.replace(ckpt, remover=dataclasses.replace(
-            ckpt.remover, ratio=ckpt.remover.ratio * 2))
-        path = tmp_path / "model.ckpt"
         with pytest.raises(ValueError, match="array 'W1' has shape"):
-            save_checkpoint(ckpt, path)
+            save_checkpoint(dataclasses.replace(ckpt, remover=dataclasses.replace(
+                ckpt.remover, ratio=ckpt.remover.ratio * 2)), tmp_path / "model.ckpt")
         assert list(tmp_path.iterdir()) == []
 
     def test_save_rejects_a_head_of_another_class_count(self, trained_models, tmp_path):
         # The file stores the class names, and the head's row count is theirs.
         ckpt = trained_models[0].checkpoint
-        ckpt = dataclasses.replace(ckpt, class_names=ckpt.class_names[:-1])
-        path = tmp_path / "model.ckpt"
         with pytest.raises(ValueError, match="array 'head' has shape"):
-            save_checkpoint(ckpt, path)
+            save_checkpoint(dataclasses.replace(ckpt, class_names=ckpt.class_names[:-1]),
+                            tmp_path / "model.ckpt")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("zero-head-row", "head rows must be nonzero"),
+            ("head-row-times-1e20", "head row norm overflows float32"),
+            ("W1-nan", "array 'W1' holds NaN or inf"),
+            ("head-inf", "array 'head' holds NaN or inf"),
+            ("ratio-exceeds-dim_joint", "ratio 65 exceeds dim_joint 64"),
+        ],
+        ids=["zero-head-row", "head-row-times-1e20", "W1-nan", "head-inf",
+             "ratio-exceeds-dim_joint"],
+    )
+    def test_construction_refuses_a_broken_model(self, trained_models, case, message):
+        # Training, code and load_checkpoint all build a model this way.
+        ckpt = trained_models[0].checkpoint
+        W1, W2, head = (a.copy() for a in (ckpt.remover.W1, ckpt.remover.W2,
+                                             ckpt.head.weights))
+        ratio = ckpt.remover.ratio
+        if case == "zero-head-row":
+            head[1] = 0.0
+        elif case == "head-row-times-1e20":  # finite weights, an overflowing norm
+            head[1] *= 1e20
+        elif case == "W1-nan":
+            W1[0, 0] = np.nan
+        elif case == "head-inf":
+            head[-1, -1] = np.inf
+        else:  # a gate with no hidden unit
+            W1, W2, ratio = W1[:, :0], W2[:0], ckpt.dim_joint + 1
+        remover = dataclasses.replace(ckpt.remover, W1=W1, W2=W2, ratio=ratio)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(ckpt, remover=remover, head=dataclasses.replace(
+                ckpt.head, weights=head))
 
     @pytest.mark.parametrize(
         "array, index, value",
@@ -557,7 +588,7 @@ class TestCheckpointPersistence:
         path = tmp_path / "model.ckpt"
         save_checkpoint(trained_models[0].checkpoint, path)
         _set_second_head_row(path, 0.0)
-        with pytest.raises(CheckpointError, match="zero row"):
+        with pytest.raises(CheckpointError, match="head rows must be nonzero"):
             load_checkpoint(path)
 
     def test_overflowing_head_row_is_typed(self, trained_models, tmp_path):

@@ -9,9 +9,7 @@ embedding.  Training encodes each batch's B prompts as it reaches them,
 so every (class, style) pair is encoded once per epoch and the M*K grid
 is never held.  Zero-shot scoring encodes its M class prompts as rows
 0..M-1 of a pattern with no style slot, and evaluation encodes images a
-chunk at a time.  ``text_encode``, ``style_text_encode`` and
-``image_encode`` encode one prompt or image through the batched
-methods.  Backends are immutable after construction; ``ToyBackend``
+chunk at a time.  Backends are immutable after construction; ``ToyBackend``
 fills a memo of read-only content vectors as classes are first encoded,
 and keeps the projection of the last style matrix it saw, neither of
 which changes any output.
@@ -84,13 +82,10 @@ class EncoderBackend(abc.ABC):
     def text_encode(
         self, pattern: str, class_name: str, style: np.ndarray | None = None
     ) -> np.ndarray:
-        """Encode one filled prompt, injecting ``style`` at the style token."""
+        """Encode one prompt, ``style`` at the style token.  Only perfbench's
+        zero-shot oracle calls it; ROADMAP item 11b deletes it once 11a lands."""
         styles = None if style is None else np.asarray(style)[None]
         return self.encode_prompt_rows(pattern, (class_name,), styles, np.arange(1))[0]
-
-    def style_text_encode(self, style: np.ndarray) -> np.ndarray:
-        """Encode the style-only prompt for one style vector."""
-        return self.encode_style_prompts(np.asarray(style)[None])[0]
 
     @abc.abstractmethod
     def load_image(self, path):
@@ -99,10 +94,6 @@ class EncoderBackend(abc.ABC):
     @abc.abstractmethod
     def encode_images(self, images: Sequence) -> np.ndarray:
         """Encode loaded images into the joint space: (N, C), or (0, C) for none."""
-
-    def image_encode(self, image) -> np.ndarray:
-        """Encode one loaded image into the joint space."""
-        return self.encode_images([image])[0]
 
     @abc.abstractmethod
     def token_embedding_lookup(self, word: str) -> np.ndarray:
@@ -366,7 +357,10 @@ class ToyBackend(EncoderBackend):
                 data = nuis.tobytes() + image.class_index.to_bytes(4, "little")
                 rng = _hashed_rng(self.spec.seed, data)
                 row += rng.standard_normal(C) * (self.spec.noise_level / np.sqrt(C))
-        return (self.OUTPUT_GAIN * l2_normalize(feature)).astype(DEFAULT_DTYPE)
+        # A zero feature stays zero, for the caller to count, not failing the batch.
+        norms = np.linalg.norm(feature, axis=1, keepdims=True)
+        unit = np.divide(feature, norms, out=np.zeros_like(feature), where=norms >= ZERO_NORM_EPS)
+        return (self.OUTPUT_GAIN * unit).astype(DEFAULT_DTYPE)
 
     def style_preimage(self, target: np.ndarray) -> np.ndarray:
         """Least-squares nuisance whose style term best matches ``target``.

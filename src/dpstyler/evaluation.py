@@ -8,8 +8,9 @@ score images directly against class-name prompts.
 
 Evaluation walks a dataset manifest (directory layout root/domain/class/
 file, or a CSV with path,domain,class columns) and reports per-domain
-top-1 accuracy plus the across-domain mean.  Decode failures are
-counted and excluded; only a manifest in which nothing decodes aborts.
+top-1 accuracy plus the across-domain mean.  Records that fail to decode
+or encode to a zero or non-finite row are counted and excluded; only a
+manifest in which no record is kept aborts.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backends import EncoderBackend, ImageDecodeError, check_rows
-from .core import TaskDefinition, atomic_write, l2_normalize
+from .core import ZERO_NORM_EPS, TaskDefinition, atomic_write, l2_normalize
 from .remover import remover_forward
 from .trainer import Checkpoint
 
@@ -91,6 +92,8 @@ def zeroshot_predict(
     M = task.num_classes
     text = backend.encode_prompt_rows(pattern, task.class_names, None, np.arange(M))
     check_rows("encode_prompt_rows", text, (M, backend.dim_joint))
+    if not np.isfinite(text).all():
+        raise ValueError("encode_prompt_rows returned a non-finite class-prompt row")
     return int(np.argmax(l2_normalize(text) @ emb))
 
 
@@ -197,9 +200,10 @@ class EvalReport:
 
 
 def _encoded_chunks(manifest: DatasetManifest, backend: EncoderBackend):
-    """Per chunk of the entries: (decoded entries, their (n, C) embeddings, failures).
+    """Per chunk of the entries: (kept entries, their (n, C) embeddings, failures).
 
-    Raises ``ValueError`` after the last chunk if no entry decoded.
+    An entry fails if it does not decode or its embedding has a zero or
+    non-finite norm.  Raises ``ValueError`` after the last chunk if none was kept.
     """
     entries, decoded = manifest.entries, 0
     for start in range(0, len(entries), _CHUNK):
@@ -212,6 +216,10 @@ def _encoded_chunks(manifest: DatasetManifest, backend: EncoderBackend):
             kept.append(entry)
         embeddings = backend.encode_images(images)
         check_rows("encode_images", embeddings, (len(kept), backend.dim_joint))
+        with np.errstate(over="ignore"):  # a norm past float range is inf, so dropped
+            norms = np.linalg.norm(embeddings, axis=1)
+        good = np.isfinite(norms) & (norms >= ZERO_NORM_EPS)
+        kept, embeddings = [e for e, g in zip(kept, good) if g], embeddings[good]
         decoded += len(kept)
         yield kept, embeddings, len(chunk) - len(kept)
     if not decoded:
@@ -229,8 +237,8 @@ def evaluate(
 ) -> EvalReport:
     """Per-domain top-1 accuracy of ``predict_fn(raw_embedding)``.
 
-    Iteration order is the manifest's sorted order; unreadable images
-    are counted as decode errors and excluded from the accuracy.
+    Iteration order is the manifest's sorted order; the records that
+    ``_encoded_chunks`` drops are decode errors, excluded from the accuracy.
     Embeddings are passed at encoder scale; predictors normalize where
     their scoring requires it.
     """
@@ -264,8 +272,8 @@ def export_embeddings(
 ) -> tuple[int, int]:
     """Write per-image raw (and optionally removed) embeddings as CSV.
 
-    Returns (rows written, decode failures); a record that fails to
-    decode is skipped.  Floats use 9 significant digits.
+    Returns (rows written, failures); a record that ``_encoded_chunks``
+    drops is skipped.  Floats use 9 significant digits.
     """
     C = backend.dim_joint
     columns = ["path", "domain", "class"] + [f"raw_{i}" for i in range(C)]

@@ -134,10 +134,6 @@ def arcface_loss(
     return float(-log_probs[target]), logits
 
 
-def total_loss(loss_uncertainty: float, loss_classification: float) -> float:
-    return loss_uncertainty + loss_classification
-
-
 @dataclass
 class LossBreakdown:
     """Mean losses over a batch plus gradients for the trainable tensors."""

@@ -44,7 +44,7 @@ from dpstyler.trainer import (
     train_one_model,
 )
 
-from conftest import E2E_NUM_STYLES, e2e_train_config
+from conftest import E2E_NUM_STYLES, e2e_train_config, encode_grid
 
 
 def _verdict(criterion: str, ok: bool) -> None:
@@ -359,11 +359,8 @@ def test_criterion_6_end_to_end(task, templates, e2e_backend, trained_models, to
     )
     probe = encode_probe(e2e_backend, held, 0)
     tn = l2_normalize(probe.style_text_features)
-    feats = np.stack([
-        e2e_backend.text_encode(templates[0].pattern, name, style)
-        for name in task.class_names
-        for style in held
-    ])
+    feats = encode_grid(e2e_backend, templates[0].pattern, task.class_names, held)
+    feats = feats.reshape(-1, e2e_backend.dim_joint)
 
     def mean_lu(x):
         p = softmax(l2_normalize(x) @ tn.T)
@@ -398,8 +395,10 @@ def test_criterion_7_determinism(task, templates, e2e_backend, tmp_path):
         probe_rng = np.random.default_rng(99)
         for _ in range(10):
             s = probe_rng.standard_normal(e2e_backend.dim_token)
-            h.update(e2e_backend.text_encode(templates[0].pattern, task.class_names[0], s).tobytes())
-            h.update(e2e_backend.style_text_encode(s).tobytes())
+            row = e2e_backend.encode_prompt_rows(
+                templates[0].pattern, task.class_names[:1], s[None], np.arange(1))[0]
+            h.update(row.tobytes())
+            h.update(e2e_backend.encode_style_prompts(s[None])[0].tobytes())
         return h.hexdigest()
 
     before = encoder_hash()

@@ -28,59 +28,65 @@ def backend():
     return ToyBackend(ToyBackendSpec(), NAMES)
 
 
+def _prompt(backend, pattern, name, style):
+    """The one prompt for class ``name`` with ``style`` (or none) at its style token."""
+    styles = None if style is None else np.asarray(style)[None]
+    return backend.encode_prompt_rows(pattern, (name,), styles, np.arange(1))[0]
+
+
 class TestTextEncode:
     def test_deterministic(self, backend, rng):
         s = rng.standard_normal(32)
-        a = backend.text_encode(TEMPLATE, "cat", s)
-        b = backend.text_encode(TEMPLATE, "cat", s)
-        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(
+            _prompt(backend, TEMPLATE, "cat", s), _prompt(backend, TEMPLATE, "cat", s)
+        )
 
     def test_distinct_classes_distinct_features(self, backend, rng):
-        s = rng.standard_normal(32)
-        a = backend.text_encode(TEMPLATE, "cat", s)
-        b = backend.text_encode(TEMPLATE, "dog", s)
+        a, b = encode_grid(backend, TEMPLATE, ("cat", "dog"), rng.standard_normal((1, 32)))[:, 0]
         assert float(l2_normalize(a) @ l2_normalize(b)) < 1 - 1e-3
 
     def test_zero_style_depends_on_class_only(self, backend):
-        a = backend.text_encode(TEMPLATE, "cat", np.zeros(32))
-        b = backend.text_encode("a photo of a [class]", "cat", None)
+        a = _prompt(backend, TEMPLATE, "cat", np.zeros(32))
+        b = _prompt(backend, "a photo of a [class]", "cat", None)
         # Same class content; different template perturbation only.
         assert float(l2_normalize(a) @ l2_normalize(b)) > 0.9
 
     def test_missing_style_for_style_slot(self, backend):
         with pytest.raises(ValueError):
-            backend.text_encode(TEMPLATE, "cat", None)
+            _prompt(backend, TEMPLATE, "cat", None)
 
     def test_wrong_style_length(self, backend):
         with pytest.raises(ValueError):
-            backend.text_encode(TEMPLATE, "cat", np.zeros(31))
+            _prompt(backend, TEMPLATE, "cat", np.zeros(31))
 
     def test_output_norm_is_gain(self, backend, rng):
-        v = backend.text_encode(TEMPLATE, "cat", rng.standard_normal(32))
+        v = _prompt(backend, TEMPLATE, "cat", rng.standard_normal(32))
         assert np.linalg.norm(v) == pytest.approx(backend.OUTPUT_GAIN, rel=1e-5)
 
     def test_restart_identical(self, rng):
         s = rng.standard_normal(32)
-        a = ToyBackend(ToyBackendSpec(seed=4), NAMES).text_encode(TEMPLATE, "cat", s)
-        b = ToyBackend(ToyBackendSpec(seed=4), NAMES).text_encode(TEMPLATE, "cat", s)
+        a = _prompt(ToyBackend(ToyBackendSpec(seed=4), NAMES), TEMPLATE, "cat", s)
+        b = _prompt(ToyBackend(ToyBackendSpec(seed=4), NAMES), TEMPLATE, "cat", s)
         np.testing.assert_array_equal(a, b)
 
 
 class TestStyleTextEncode:
     def test_deterministic(self, backend, rng):
-        s = rng.standard_normal(32)
+        s = rng.standard_normal((1, 32))
         np.testing.assert_array_equal(
-            backend.style_text_encode(s), backend.style_text_encode(s)
+            backend.encode_style_prompts(s), backend.encode_style_prompts(s)
         )
 
     def test_equal_styles_equal_features(self, backend, rng):
-        s = rng.standard_normal(32)
+        s = rng.standard_normal((1, 32))
         np.testing.assert_array_equal(
-            backend.style_text_encode(s), backend.style_text_encode(s.copy())
+            backend.encode_style_prompts(s), backend.encode_style_prompts(s.copy())
         )
 
     def test_four_random_styles_distinct_units(self, backend, rng):
-        feats = [l2_normalize(backend.style_text_encode(rng.standard_normal(32))) for _ in range(4)]
+        feats = backend.encode_style_prompts(rng.standard_normal((4, 32)))
+        assert feats.shape == (4, 64) and feats.dtype == np.float32
+        feats = l2_normalize(feats)
         for f in feats:
             assert np.linalg.norm(f) == pytest.approx(1.0, abs=1e-6)
         for i in range(4):
@@ -100,14 +106,14 @@ class TestBatchedEncode:
         styles[2] = 0.0
         return styles
 
-    def test_encode_prompts_matches_text_encode(self, backend, rng):
+    def test_encode_prompts_matches_one_prompt_calls(self, backend, rng):
         styles = self._styles(rng)
         feats = encode_grid(backend, TEMPLATE, NAMES, styles)
         assert feats.shape == (len(NAMES), len(styles), 64)
         assert feats.dtype == np.float32
         for m, name in enumerate(NAMES):
             for i, style in enumerate(styles):
-                assert _rel_err(feats[m, i], backend.text_encode(TEMPLATE, name, style)) < 1e-6
+                assert _rel_err(feats[m, i], _prompt(backend, TEMPLATE, name, style)) < 1e-6
 
     def test_encode_prompts_matches_float64_reference(self, backend, rng):
         # l2(content(class, template) + strength * V @ l2(style)) * gain,
@@ -124,14 +130,6 @@ class TestBatchedEncode:
                 want = backend.OUTPUT_GAIN * feature / np.linalg.norm(feature)
                 assert _rel_err(feats[m, i], want) < 1e-6
 
-    def test_encode_style_prompts_matches_style_text_encode(self, backend, rng):
-        styles = self._styles(rng)
-        feats = backend.encode_style_prompts(styles)
-        assert feats.shape == (len(styles), 64)
-        assert feats.dtype == np.float32
-        for i, style in enumerate(styles):
-            assert _rel_err(feats[i], backend.style_text_encode(style)) < 1e-6
-
     def test_zero_style_row_adds_nothing(self, backend, rng):
         styles = self._styles(rng)
         feats = encode_grid(backend, TEMPLATE, NAMES, styles)
@@ -147,7 +145,7 @@ class TestBatchedEncode:
         assert feats.shape == (len(NAMES), 1, 64)
         for m, name in enumerate(NAMES):
             np.testing.assert_array_equal(
-                feats[m, 0], backend.text_encode("a photo of a [class]", name, None)
+                feats[m, 0], _prompt(backend, "a photo of a [class]", name, None)
             )
 
     def test_prompt_rows_equal_grid_rows(self, backend, rng):
@@ -253,29 +251,27 @@ class TestTokenLookup:
 class TestImageEncode:
     def test_deterministic(self, backend, rng):
         img = ToyImage(0, rng.standard_normal(32))
-        np.testing.assert_array_equal(backend.image_encode(img), backend.image_encode(img))
+        np.testing.assert_array_equal(backend.encode_images([img]), backend.encode_images([img]))
 
     def test_class_alignment_100_draws(self, backend, rng):
-        text = np.stack([
-            l2_normalize(backend.text_encode("a photo of a [class]", n, None)) for n in NAMES
-        ])
+        text = l2_normalize(encode_grid(backend, "a photo of a [class]", NAMES, None)[:, 0])
         for _ in range(100):
             ci = int(rng.integers(len(NAMES)))
-            e = l2_normalize(backend.image_encode(ToyImage(ci, rng.standard_normal(32))))
+            e = l2_normalize(backend.encode_images([ToyImage(ci, rng.standard_normal(32))])[0])
             cos = text @ e
             assert cos[ci] == cos.max()
 
     def test_bad_class_index(self, backend, rng):
         with pytest.raises(ImageDecodeError):
-            backend.image_encode(ToyImage(7, rng.standard_normal(32)))
+            backend.encode_images([ToyImage(7, rng.standard_normal(32))])
 
     def test_bad_nuisance_length(self, backend, rng):
         with pytest.raises(ImageDecodeError):
-            backend.image_encode(ToyImage(0, rng.standard_normal(30)))
+            backend.encode_images([ToyImage(0, rng.standard_normal(30))])
 
     def test_non_toy_input(self, backend):
         with pytest.raises(ImageDecodeError):
-            backend.image_encode("not an image")
+            backend.encode_images(["not an image"])
 
     @pytest.mark.parametrize("shape", [(63,), (64, 1), ()], ids=["short", "2d", "scalar"])
     def test_style_preimage_target_shape(self, backend, shape):
@@ -316,17 +312,12 @@ class TestEncodeImages:
         feature += rng.standard_normal(C) * (spec.noise_level / np.sqrt(C))
         return backend.OUTPUT_GAIN * feature / np.linalg.norm(feature)
 
-    def test_matches_image_encode(self, backend, rng):
+    def test_matches_float64_reference(self, backend, rng):
         images = self._images(rng)
         feats = backend.encode_images(images)
         assert feats.shape == (len(images), 64)
         assert feats.dtype == np.float32
         for feat, image in zip(feats, images):
-            assert _rel_err(feat, backend.image_encode(image)) < 1e-6
-
-    def test_matches_float64_reference(self, backend, rng):
-        images = self._images(rng)
-        for feat, image in zip(backend.encode_images(images), images):
             assert _rel_err(feat, self._reference(backend, image)) < 1e-6
 
     def test_independent_of_batch_mates(self, backend, rng):
@@ -337,6 +328,14 @@ class TestEncodeImages:
         last = backend.encode_images(others + images[:1])[-1]
         assert _rel_err(first, alone) < 1e-6
         assert _rel_err(last, alone) < 1e-6
+
+    def test_zero_feature_stays_zero(self, rng):
+        # No content, no style and no noise: that row is zero, its batch mates unchanged.
+        backend = ToyBackend(ToyBackendSpec(noise_level=0.0), NAMES)
+        images = self._images(rng)
+        feats = backend.encode_images(images[:2] + [ToyImage(0, np.zeros(32), 0.0)] + images[2:])
+        assert not feats[2].any()
+        assert np.delete(feats, 2, axis=0).tobytes() == backend.encode_images(images).tobytes()
 
     def test_empty_batch(self, backend):
         feats = backend.encode_images([])
@@ -354,8 +353,8 @@ class TestLoadImage:
         img = ToyImage(1, rng.standard_normal(32).astype(np.float32), content_strength=0.6)
         toy_image_save(img, tmp_path / "img.json")
         np.testing.assert_array_equal(
-            backend.image_encode(backend.load_image(tmp_path / "img.json")),
-            backend.image_encode(img),
+            backend.encode_images([backend.load_image(tmp_path / "img.json")]),
+            backend.encode_images([img]),
         )
 
     @pytest.mark.parametrize(
@@ -499,10 +498,9 @@ class TestJointSpaceStructure:
         b = ToyBackend(ToyBackendSpec(dim_joint=C, dim_token=32), names)
         rng = np.random.default_rng(5)
         per = 20
-        X = np.stack([
-            l2_normalize(b.text_encode(TEMPLATE, n, rng.standard_normal(32)))
+        X = np.concatenate([
+            l2_normalize(encode_grid(b, TEMPLATE, (n,), rng.standard_normal((per, 32)))[0])
             for n in names
-            for _ in range(per)
         ])
         Y = np.repeat(np.eye(M), per, axis=0)
         W, *_ = np.linalg.lstsq(X, Y, rcond=None)
@@ -513,14 +511,12 @@ class TestJointSpaceStructure:
         # Matching-class cosine beats non-matching by >= 0.2 on average
         # under the default spec (noise level 0.1).
         b = ToyBackend(ToyBackendSpec(), NAMES)
-        text = np.stack([
-            l2_normalize(b.text_encode("a photo of a [class]", n, None)) for n in NAMES
-        ])
+        text = l2_normalize(encode_grid(b, "a photo of a [class]", NAMES, None)[:, 0])
         rng = np.random.default_rng(6)
         gaps = []
         for _ in range(100):
             ci = int(rng.integers(len(NAMES)))
-            e = l2_normalize(b.image_encode(ToyImage(ci, rng.standard_normal(32))))
+            e = l2_normalize(b.encode_images([ToyImage(ci, rng.standard_normal(32))])[0])
             cos = text @ e
             gaps.append(cos[ci] - np.delete(cos, ci).mean())
         assert np.mean(gaps) >= 0.2

@@ -662,6 +662,66 @@ class TestCliErrors:
         assert "encode_images returned shape (11, 64), expected (12, 64)" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval", "zeroshot", "export-embeddings"])
+    @pytest.mark.parametrize("row", ["nan", "inf", "zero"])
+    def test_unscorable_image_row_is_counted(self, workspace, tmp_path, capsys, monkeypatch,
+                                             command, row):
+        from dpstyler.backends import ToyBackend
+        from dpstyler.evaluation import load_manifest
+
+        cfg_path, data, out = workspace
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        ckpts = [str(p) for p in sorted(out.glob("*.ckpt"))]
+        first = load_manifest(data).entries[0][0]  # the first row of the only chunk
+        if row == "zero":  # no content, no style and, at noise_level 0, no noise
+            record = json.loads(Path(first).read_text())
+            record.update(content_strength=0, nuisance=[0.0] * len(record["nuisance"]))
+            Path(first).write_text(json.dumps(record))
+        else:
+            real = ToyBackend.encode_images
+
+            def poisoned(self, images):
+                rows = real(self, images)
+                rows[0, 0] = np.nan if row == "nan" else np.inf
+                return rows
+
+            monkeypatch.setattr(ToyBackend, "encode_images", poisoned)
+        emb = tmp_path / "emb.csv"
+        argv = {"eval": ["eval", "--config", str(cfg_path), *ckpts],
+                "zeroshot": ["zeroshot", "--config", str(cfg_path)],
+                "export-embeddings": ["export-embeddings", "--config", str(cfg_path),
+                                      "--checkpoint", ckpts[0], "--out-file", str(emb)]}
+        capsys.readouterr()
+        assert main(argv[command]) == 0, capsys.readouterr().err
+        if command == "export-embeddings":
+            assert f"wrote 11 embedding rows to {emb}; decode errors: 1" in capsys.readouterr().out
+            paths = [line.split(",")[0] for line in emb.read_text().splitlines()[1:]]
+            assert len(paths) == 11 and first not in paths
+        else:
+            reports = sorted(out.glob("report-*.json"))
+            assert len(reports) == (1 if command == "eval" else 2)
+            for report in reports:
+                payload = json.loads(report.read_text())
+                assert payload["decode_errors"] == 1
+                assert sum(n for _, n in payload["per_domain_counts"].values()) == 11
+
+    def test_non_finite_class_prompt_row_exits_2(self, workspace, capsys, monkeypatch):
+        from dpstyler.backends import ToyBackend
+
+        real = ToyBackend.encode_prompt_rows
+
+        def poisoned(self, *args):
+            rows = real(self, *args)
+            rows[-1, 0] = np.nan
+            return rows
+
+        monkeypatch.setattr(ToyBackend, "encode_prompt_rows", poisoned)
+        cfg_path, _, out = workspace
+        assert main(["zeroshot", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "encode_prompt_rows returned a non-finite class-prompt row" in err
+        assert "Traceback" not in err and not list(out.glob("report-*"))
+
     def test_diverged_training_exits_3(self, workspace, capsys, monkeypatch):
         from dpstyler.backends import ToyBackend
 

@@ -8,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dpstyler.backends import (
+    EncoderBackend,
     ImageDecodeError,
     ToyBackend,
     ToyBackendSpec,
@@ -15,7 +16,9 @@ from dpstyler.backends import (
     toy_image_load,
     toy_image_save,
 )
-from dpstyler.core import DegenerateEmbeddingError, TaskDefinition, l2_normalize, row_norms
+from dpstyler.config import DEFAULT_TEMPLATES
+from dpstyler.core import (DegenerateEmbeddingError, PromptTemplate, TaskDefinition, l2_normalize,
+                           row_norms)
 from dpstyler.evaluation import (
     _CHUNK,
     ZEROSHOT_PATTERNS,
@@ -32,7 +35,9 @@ from dpstyler.evaluation import (
 )
 from dpstyler.losses import ClassifierHead
 from dpstyler.remover import StyleRemoverParams, remover_forward
-from dpstyler.trainer import Checkpoint
+from dpstyler.styles import StyleGenConfig
+from dpstyler.toydata import make_toy_dataset
+from dpstyler.trainer import Checkpoint, TrainConfig, save_checkpoint, train_one_model
 
 
 def _checkpoint(weights, C=None, remover=None, rng=None, dtype=np.float32):
@@ -196,7 +201,7 @@ class TestZeroshot:
         rng = np.random.default_rng(1)
         for mode in ("C", "PC"):
             for ci in range(3):
-                emb = b.image_encode(ToyImage(ci, rng.standard_normal(32)))
+                emb = b.encode_images([ToyImage(ci, rng.standard_normal(32))])[0]
                 assert zeroshot_predict(emb, b, task, mode) == ci
 
     def test_identical_prompts_tie_to_class_zero(self, monkeypatch):
@@ -413,11 +418,11 @@ class TestEvaluate:
         def predictor(e):
             return int(np.argmax(e[:3]))
 
-        # Reference: one record at a time through the single-image calls.
+        # Reference: one record at a time, each encoded alone.
         correct, total, errors = {}, {}, 0
         for path, domain, cls in entries:
             try:
-                embedding = b.image_encode(toy_image_load(path))
+                embedding = b.encode_images([toy_image_load(path)])[0]
             except ImageDecodeError:
                 errors += 1
                 continue
@@ -432,11 +437,7 @@ class TestEvaluate:
             calls["encode_images"] += 1
             return encode_images(images)
 
-        def forbidden(image):
-            raise AssertionError("evaluate encodes one image at a time")
-
         monkeypatch.setattr(b, "encode_images", counting)
-        monkeypatch.setattr(b, "image_encode", forbidden)
         report = evaluate(manifest, b, task, predictor)
         assert report.decode_errors == len(bad)
         assert report.per_domain_counts == {d: (correct[d], total[d]) for d in total}
@@ -475,6 +476,73 @@ class TestBackendRowCounts:
         with pytest.raises(ValueError, match=r"encode_prompt_rows returned shape \(2, 64\), "
                                              r"expected \(3, 64\)"):
             zeroshot_predict(rng.standard_normal(64), backend, TaskDefinition(names), "PC")
+
+
+class _AbstractOnly(EncoderBackend):
+    """Each abstract method of ``EncoderBackend``, delegated to a ``ToyBackend``; nothing else."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    dim_joint = property(lambda self: self._inner.dim_joint)
+    dim_token = property(lambda self: self._inner.dim_token)
+
+    def encode_prompt_rows(self, pattern, class_names, styles, index):
+        return self._inner.encode_prompt_rows(pattern, class_names, styles, index)
+
+    def encode_style_prompts(self, styles):
+        return self._inner.encode_style_prompts(styles)
+
+    def load_image(self, path):
+        return self._inner.load_image(path)
+
+    def encode_images(self, images):
+        return self._inner.encode_images(images)
+
+    def token_embedding_lookup(self, word):
+        return self._inner.token_embedding_lookup(word)
+
+
+class TestAbstractMethodsSuffice:
+    """A backend with only the abstract methods runs the whole pipeline, bit for bit."""
+
+    def _run(self, backend, task, manifest, out):
+        config = TrainConfig(epochs=3, seed=5,
+                             style_gen=StyleGenConfig(num_styles=4, strategy="random_mix"))
+        members = []
+        for i, pattern in enumerate(DEFAULT_TEMPLATES):
+            result = train_one_model(task, backend, PromptTemplate(pattern), config)
+            save_checkpoint(result.checkpoint, out / f"{i}.ckpt")
+            members.append(result.checkpoint)
+        bundle = EnsembleBundle(tuple(members))
+        reports = [evaluate(manifest, backend, task, lambda e: ensemble_predict(e, bundle))]
+        for style in ZEROSHOT_PATTERNS:
+            reports.append(evaluate(manifest, backend, task,
+                                    lambda e: zeroshot_predict(e, backend, task, style)))
+        export_embeddings(manifest, backend, members[0], out / "emb.csv")
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        return [r.to_dict() for r in reports], files
+
+    def test_matches_the_toy_backend(self, tmp_path, monkeypatch):
+        assert {k for k in vars(_AbstractOnly) if not k.startswith("_")} \
+            == EncoderBackend.__abstractmethods__
+        # No inherited method is reached either: the base keeps only its abstract ones.
+        for name in set(vars(EncoderBackend)) - EncoderBackend.__abstractmethods__:
+            if not name.startswith("_"):
+                monkeypatch.delattr(EncoderBackend, name)
+        names = ("cat", "dog", "fish")
+        task = TaskDefinition(names)
+        make_toy_dataset(tmp_path / "data", task, ToyBackend(ToyBackendSpec(), names),
+                         domains=("art", "photo"), images_per_domain=6, seed=3)
+        manifest = load_manifest(tmp_path / "data")
+        runs = []
+        for backend in (ToyBackend(ToyBackendSpec(), names),
+                        _AbstractOnly(ToyBackend(ToyBackendSpec(), names))):
+            out = tmp_path / f"out{len(runs)}"
+            out.mkdir()
+            runs.append(self._run(backend, task, manifest, out))
+        assert runs[0] == runs[1]
+        assert len(runs[0][1]) == len(DEFAULT_TEMPLATES) + 1
 
 
 class TestFrozenStateReuse:

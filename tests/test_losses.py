@@ -13,7 +13,6 @@ from dpstyler.losses import (
     domain_uncertainty_loss,
     head_init,
     loss_gradients,
-    total_loss,
 )
 
 COS_CLAMP = 1.0 - 1e-7
@@ -132,17 +131,6 @@ class TestArcFaceLoss:
             ArcFaceConfig(scale=0.0)
         with pytest.raises(ValueError):
             ArcFaceConfig(margin=4.0)
-
-
-class TestTotalLoss:
-    def test_zero(self):
-        assert total_loss(0.0, 0.0) == 0.0
-
-    def test_sum_example(self):
-        assert total_loss(-4.38203, 0.012339) == pytest.approx(-4.36969, abs=1e-5)
-
-    def test_commutative(self):
-        assert total_loss(1.5, -0.25) == total_loss(-0.25, 1.5)
 
 
 class TestLossGradients:

@@ -134,11 +134,8 @@ class TestTrainOneModel:
         styles = refresh_bank(cfg.style_gen, e2e_backend.dim_token, cfg.seed, cfg.epochs - 1,
                               lexicon_for(cfg.style_gen, e2e_backend))
         for template, result in zip(templates, trained_models):
-            feats = np.stack([
-                e2e_backend.text_encode(template.pattern, name, style)
-                for name in task.class_names
-                for style in styles
-            ])
+            feats = encode_grid(e2e_backend, template.pattern, task.class_names, styles)
+            feats = feats.reshape(-1, e2e_backend.dim_joint)
             removed = remover_forward(feats, result.checkpoint.remover)
             wn = l2_normalize(result.checkpoint.head.weights)
             pred = np.argmax(l2_normalize(removed) @ wn.T, axis=1)
@@ -148,12 +145,10 @@ class TestTrainOneModel:
     def test_frozen_backend_untouched(self, task, templates):
         backend = ToyBackend(ToyBackendSpec(seed=2), task.class_names)
         rng = np.random.default_rng(0)
-        probes = [rng.standard_normal(32) for _ in range(5)]
-        before = [backend.style_text_encode(s).copy() for s in probes]
+        probes = rng.standard_normal((5, 32))
+        before = backend.encode_style_prompts(probes).copy()
         train_one_model(task, backend, templates[0], e2e_train_config(epochs=2))
-        after = [backend.style_text_encode(s) for s in probes]
-        for x, y in zip(before, after):
-            np.testing.assert_array_equal(x, y)
+        np.testing.assert_array_equal(backend.encode_style_prompts(probes), before)
 
     def test_divergence_raises(self, task, templates):
         class NaNBackend(ToyBackend):
@@ -294,11 +289,8 @@ class TestDomainUncertaintyEffect:
         held = refresh_bank(StyleGenConfig(num_styles=8, strategy="frozen"), 32, 9999, epoch=0)
         probe = encode_probe(backend, held, 0)
         tn = l2_normalize(probe.style_text_features)
-        feats = np.stack([
-            backend.text_encode(templates[0].pattern, n, s)
-            for n in task.class_names
-            for s in held
-        ])
+        feats = encode_grid(backend, templates[0].pattern, task.class_names, held)
+        feats = feats.reshape(-1, backend.dim_joint)
 
         def mean_lu(x):
             p = softmax(l2_normalize(x) @ tn.T)

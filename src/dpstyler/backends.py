@@ -10,9 +10,9 @@ so every (class, style) pair is encoded once per epoch and the M*K grid
 is never held.  Zero-shot scoring encodes its M class prompts as rows
 0..M-1 of a pattern with no style slot, and evaluation encodes images a
 chunk at a time.  Backends are immutable after construction; ``ToyBackend``
-fills a memo of read-only content vectors as classes are first encoded,
-and keeps the projection of the last style matrix it saw, neither of
-which changes any output.
+builds one read-only (M, C) content table per (context, class list) at
+its first encode, and keeps the projection of the last style matrix it
+saw, neither of which changes any output.
 
 ``ToyBackend`` is a seeded linear construction for desk-scale tests.
 Text features are ``l2(content(class, template) + V @ l2(style))`` and
@@ -199,8 +199,8 @@ class ToyBackend(EncoderBackend):
 
     All frozen matrices derive from (spec, seed) via hashed seed
     sequences, so identically-configured backends produce bit-identical
-    features across processes.  Each (tag, class) content vector is
-    built at first use and kept read-only for the backend's lifetime.
+    features across processes.  Content is one read-only (M, C) table per
+    (context, class list), built at first use and gathered by class index.
     """
 
     # Relative weight of per-template / per-modality content perturbations.
@@ -241,7 +241,7 @@ class ToyBackend(EncoderBackend):
         self._V = V.astype(DEFAULT_DTYPE)
         rng = _tagged_rng(spec.seed, "style-prompt-base")
         self._style_prompt_base = (rng.standard_normal(C) * scale).astype(DEFAULT_DTYPE)
-        self._content: dict[tuple[str, str], np.ndarray] = {}
+        self._content: dict[tuple[str, tuple[str, ...]], np.ndarray] = {}
         # The last styles projected, as a private copy, and their terms.
         self._terms_key: np.ndarray | None = None
         self._terms: np.ndarray | None = None
@@ -254,24 +254,21 @@ class ToyBackend(EncoderBackend):
     def dim_token(self) -> int:
         return self.spec.dim_token
 
-    def _content_vector(self, tag: str, class_name: str) -> np.ndarray:
-        """Base per-class vector plus a small context-specific perturbation.
-
-        Memoized per (tag, class) and read-only, so no caller can change
-        what a later encode sees.
-        """
-        vector = self._content.get((tag, class_name))
-        if vector is None:
+    def _content_table(self, tag: str, class_names: tuple[str, ...]) -> np.ndarray:
+        """(M, C) read-only content of context ``tag``: row m is the base vector of
+        ``class_names[m]`` plus a small perturbation of the (tag, class) pair."""
+        table = self._content.get((tag, class_names))
+        if table is None:
             C = self.spec.dim_joint
             scale = 1.0 / np.sqrt(C)
-            base_rng = _tagged_rng(self.spec.seed, "content", class_name)
-            base = base_rng.standard_normal(C) * scale
-            pert_rng = _tagged_rng(self.spec.seed, "pert", tag, class_name)
-            pert = pert_rng.standard_normal(C) * scale
-            vector = (base + self.PERTURBATION * pert).astype(DEFAULT_DTYPE)
-            vector.flags.writeable = False
-            self._content[(tag, class_name)] = vector
-        return vector
+            table = np.empty((len(class_names), C), dtype=DEFAULT_DTYPE)
+            for row, name in zip(table, class_names):
+                base = _tagged_rng(self.spec.seed, "content", name).standard_normal(C) * scale
+                pert = _tagged_rng(self.spec.seed, "pert", tag, name).standard_normal(C) * scale
+                row[...] = base + self.PERTURBATION * pert
+            table.flags.writeable = False
+            self._content[(tag, class_names)] = table
+        return table
 
     def _style_terms(self, styles: np.ndarray) -> np.ndarray:
         """(K, C) projections of the direction-normalized style rows, read-only.
@@ -314,10 +311,7 @@ class ToyBackend(EncoderBackend):
                 or (index.size and not 0 <= index.min() <= index.max() < count):
             raise ValueError(f"prompt index must be 1-D integers in [0, {count})")
         classes, columns = np.divmod(index, len(terms))
-        tag = "text:" + pattern
-        feature = np.empty((len(index), C), dtype=DEFAULT_DTYPE)
-        for row, m in zip(feature, classes):
-            row[...] = self._content_vector(tag, class_names[m])
+        feature = self._content_table("text:" + pattern, tuple(class_names))[classes]
         feature += terms[columns]
         return self.OUTPUT_GAIN * l2_normalize(feature)
 
@@ -343,20 +337,21 @@ class ToyBackend(EncoderBackend):
         return self._checked(toy_image_load(path))
 
     def encode_images(self, images) -> np.ndarray:
-        images = [self._checked(image) for image in images]
-        C = self.spec.dim_joint
-        if not images:
-            return np.empty((0, C), dtype=DEFAULT_DTYPE)
-        names = {image.class_index: self.class_names[image.class_index] for image in images}
-        content = {i: self._content_vector("image", n).astype(np.float64) for i, n in names.items()}
-        feature = np.array([im.content_strength * content[im.class_index] for im in images])
-        nuisance = np.array([image.nuisance for image in images], dtype=DEFAULT_DTYPE)
+        C, n = self.spec.dim_joint, len(images)
+        classes, strength = np.empty(n, dtype=np.intp), np.empty((n, 1))
+        nuisance = np.empty((n, self.spec.dim_token), dtype=DEFAULT_DTYPE)
+        noise, sigma = np.zeros((n, C)), self.spec.noise_level / np.sqrt(C)
+        # Each image's noise has its own generator, seeded by its record.
+        for j, image in enumerate(map(self._checked, images)):
+            classes[j], strength[j], nuisance[j] = \
+                image.class_index, image.content_strength, image.nuisance
+            if sigma > 0:
+                data = nuisance[j].tobytes() + image.class_index.to_bytes(4, "little")
+                noise[j] = _hashed_rng(self.spec.seed, data).standard_normal(C) * sigma
+        feature = strength * self._content_table("image", self.class_names)[classes]
         feature += self._style_terms(nuisance)
-        if self.spec.noise_level > 0:
-            for row, nuis, image in zip(feature, nuisance, images):
-                data = nuis.tobytes() + image.class_index.to_bytes(4, "little")
-                rng = _hashed_rng(self.spec.seed, data)
-                row += rng.standard_normal(C) * (self.spec.noise_level / np.sqrt(C))
+        if sigma > 0:
+            feature += noise
         # A zero feature stays zero, for the caller to count, not failing the batch.
         norms = np.linalg.norm(feature, axis=1, keepdims=True)
         unit = np.divide(feature, norms, out=np.zeros_like(feature), where=norms >= ZERO_NORM_EPS)
@@ -377,7 +372,8 @@ class ToyBackend(EncoderBackend):
 
     def class_content_direction(self, class_name: str) -> np.ndarray:
         """The image-modality content vector for a class, read-only (test-data hook)."""
-        return self._content_vector("image", class_name)
+        names = self.class_names if class_name in self.class_names else (class_name,)
+        return self._content_table("image", names)[names.index(class_name)]
 
     def token_embedding_lookup(self, word: str) -> np.ndarray:
         if not word or len(word.split()) != 1:

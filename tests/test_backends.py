@@ -122,7 +122,7 @@ class TestBatchedEncode:
         feats = encode_grid(backend, TEMPLATE, NAMES, styles)
         V = backend._V.astype(np.float64)
         for m, name in enumerate(NAMES):
-            content = backend._content_vector("text:" + TEMPLATE, name).astype(np.float64)
+            content = backend._content_table("text:" + TEMPLATE, NAMES)[m].astype(np.float64)
             for i, style in enumerate(styles.astype(np.float64)):
                 norm = np.linalg.norm(style)
                 term = V @ (style / norm) if norm > 0 else 0.0
@@ -135,7 +135,7 @@ class TestBatchedEncode:
         feats = encode_grid(backend, TEMPLATE, NAMES, styles)
         gain = backend.OUTPUT_GAIN
         for m, name in enumerate(NAMES):
-            content = backend._content_vector("text:" + TEMPLATE, name)
+            content = backend._content_table("text:" + TEMPLATE, NAMES)[m]
             assert _rel_err(feats[m, 2], gain * l2_normalize(content)) < 1e-6
         base = backend._style_prompt_base
         assert _rel_err(backend.encode_style_prompts(styles)[2], gain * l2_normalize(base)) < 1e-6

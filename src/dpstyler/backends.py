@@ -106,6 +106,14 @@ def check_rows(what: str, rows: np.ndarray, shape: tuple) -> None:
         raise ValueError(f"{what} returned shape {np.shape(rows)}, expected {shape}")
 
 
+def usable_rows(what: str, rows: np.ndarray, shape: tuple) -> np.ndarray:
+    """``check_rows``, then the mask of rows whose norm is finite and at least ``ZERO_NORM_EPS``."""
+    check_rows(what, rows, shape)
+    with np.errstate(over="ignore"):  # a norm past float range is inf, so not usable
+        norms = np.linalg.norm(rows, axis=1)
+    return np.isfinite(norms) & (norms >= ZERO_NORM_EPS)
+
+
 def _hashed_rng(seed: int, data: bytes) -> np.random.Generator:
     """A generator seeded by ``seed`` and the four 64-bit words of SHA-256(``data``)."""
     h = hashlib.sha256(data).digest()

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backends import EncoderBackend, ImageDecodeError, check_rows
+from .backends import EncoderBackend, ImageDecodeError, usable_rows
 from .core import ZERO_NORM_EPS, TaskDefinition, atomic_write, l2_normalize
 from .remover import remover_forward
 from .trainer import Checkpoint
@@ -91,9 +91,12 @@ def zeroshot_predict(
     emb = l2_normalize(np.asarray(image_embedding))
     M = task.num_classes
     text = backend.encode_prompt_rows(pattern, task.class_names, None, np.arange(M))
-    check_rows("encode_prompt_rows", text, (M, backend.dim_joint))
-    if not np.isfinite(text).all():
-        raise ValueError("encode_prompt_rows returned a non-finite class-prompt row")
+    good = usable_rows("encode_prompt_rows", text, (M, backend.dim_joint))
+    if not good.all():
+        row = int(np.argmin(good))
+        kind = "zero" if np.linalg.norm(text[row]) < ZERO_NORM_EPS else "non-finite"
+        raise ValueError(f"encode_prompt_rows returned a {kind} class-prompt row: "
+                         f"row {row} ({task.class_names[row]!r})")
     return int(np.argmax(l2_normalize(text) @ emb))
 
 
@@ -215,10 +218,7 @@ def _encoded_chunks(manifest: DatasetManifest, backend: EncoderBackend):
                 continue
             kept.append(entry)
         embeddings = backend.encode_images(images)
-        check_rows("encode_images", embeddings, (len(kept), backend.dim_joint))
-        with np.errstate(over="ignore"):  # a norm past float range is inf, so dropped
-            norms = np.linalg.norm(embeddings, axis=1)
-        good = np.isfinite(norms) & (norms >= ZERO_NORM_EPS)
+        good = usable_rows("encode_images", embeddings, (len(kept), backend.dim_joint))
         kept, embeddings = [e for e, g in zip(kept, good) if g], embeddings[good]
         decoded += len(kept)
         yield kept, embeddings, len(chunk) - len(kept)

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .backends import check_rows
 from .core import DEFAULT_DTYPE, Stream, seeded_rng
 
 RANDOM_DISTRIBUTIONS = (
@@ -170,6 +171,8 @@ def lexicon_for(config: StyleGenConfig, backend, path=None) -> PredefinedLexicon
     # np.array, not np.stack: an empty list reaches PredefinedLexicon's count check.
     vectors = np.array([backend.token_embedding_lookup(w) for w in words])
     try:
-        return PredefinedLexicon(labels=tuple(words), vectors=vectors)
+        lexicon = PredefinedLexicon(labels=tuple(words), vectors=vectors)
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from exc
+    check_rows("token_embedding_lookup", lexicon.vectors, (len(lexicon), backend.dim_token))
+    return lexicon

@@ -24,9 +24,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .backends import EncoderBackend, check_rows
+from .backends import EncoderBackend, check_rows, usable_rows
 from .core import (
     DEFAULT_DTYPE,
+    ZERO_NORM_EPS,
     PromptTemplate,
     Stream,
     TaskDefinition,
@@ -44,11 +45,12 @@ CHECKPOINT_VERSION = 2
 
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when a loss, feature or weight turns non-finite; carries (epoch, batch or None)."""
+    """Raised when a loss, feature or weight turns non-finite, or a style prompt
+    encodes to zero; carries (epoch, batch or None)."""
 
     def __init__(self, epoch: int, batch: int | None, what: str):
         where = f"epoch {epoch}" if batch is None else f"epoch {epoch}, batch {batch}"
-        super().__init__(f"non-finite {what} at {where}")
+        super().__init__(f"{what} at {where}")
         self.epoch = epoch
         self.batch = batch
 
@@ -190,13 +192,15 @@ def sgd_step(
 
 
 def encode_probe(backend: EncoderBackend, styles: np.ndarray, epoch: int) -> DomainProbe:
-    """The (K, D) style bank's style prompts encoded, checked to be (K, C) and finite.
+    """The (K, D) style bank's style prompts encoded, checked to be (K, C), finite and nonzero.
 
-    Non-finite rows raise ``TrainingDivergedError`` at ``epoch``."""
+    A non-finite or zero row raises ``TrainingDivergedError`` at ``epoch``."""
     rows = backend.encode_style_prompts(styles)
-    check_rows("encode_style_prompts", rows, (len(styles), backend.dim_joint))
-    if not np.isfinite(rows).all():
-        raise TrainingDivergedError(epoch, None, "encode_style_prompts rows")
+    good = usable_rows("encode_style_prompts", rows, (len(styles), backend.dim_joint))
+    if not good.all():
+        row = int(np.argmin(good))
+        kind = "zero" if np.linalg.norm(rows[row]) < ZERO_NORM_EPS else "non-finite"
+        raise TrainingDivergedError(epoch, None, f"encode_style_prompts row {row} is {kind}")
     return DomainProbe(style_text_features=rows.astype(DEFAULT_DTYPE, copy=False))
 
 
@@ -238,11 +242,12 @@ def train_one_model(
             y = index // K
             removed, cache = remover_forward_cached(v, remover)
             if not np.all(np.isfinite(removed)):
-                raise TrainingDivergedError(epoch, batch_idx, "gate output")
+                raise TrainingDivergedError(epoch, batch_idx, "non-finite gate output")
             breakdown = loss_gradients(removed, probe, head, y, config.arcface)
             loss_u, loss_c = breakdown.loss_uncertainty, breakdown.loss_classification
             if not (np.isfinite(loss_u) and np.isfinite(loss_c)):
-                raise TrainingDivergedError(epoch, batch_idx, f"loss: L_U={loss_u}, L_C={loss_c}")
+                raise TrainingDivergedError(epoch, batch_idx,
+                                            f"non-finite loss: L_U={loss_u}, L_C={loss_c}")
             _, d_w1, d_w2 = remover_weight_grads(cache, remover, breakdown.d_features)
             for param, grad, vel in (
                 (remover.W1, d_w1, vel_w1), (remover.W2, d_w2, vel_w2),
@@ -263,7 +268,7 @@ def train_one_model(
             seed=config.seed, config_snapshot=config_snapshot or {},
         )
     except ValueError as exc:
-        raise TrainingDivergedError(config.epochs - 1, None, f"weights ({exc})") from exc
+        raise TrainingDivergedError(config.epochs - 1, None, f"non-finite weights ({exc})") from exc
     return TrainResult(checkpoint=checkpoint, metrics=metrics)
 
 

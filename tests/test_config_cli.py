@@ -722,6 +722,35 @@ class TestCliErrors:
         assert "encode_prompt_rows returned a non-finite class-prompt row" in err
         assert "Traceback" not in err and not list(out.glob("report-*"))
 
+    def test_zero_class_prompt_row_exits_2(self, workspace, capsys, monkeypatch):
+        from dpstyler.backends import ToyBackend
+
+        real = ToyBackend.encode_prompt_rows
+
+        def zeroed(self, *args):
+            rows = real(self, *args)
+            rows[1] = 0.0
+            return rows
+
+        monkeypatch.setattr(ToyBackend, "encode_prompt_rows", zeroed)
+        cfg_path, _, out = workspace
+        assert main(["zeroshot", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "encode_prompt_rows returned a zero class-prompt row: row 1 ('dog')" in err
+        assert "Traceback" not in err and not list(out.glob("report-*"))
+
+    def test_lexicon_of_the_wrong_width_exits_2(self, workspace, capsys, monkeypatch):
+        from dpstyler.backends import ToyBackend
+
+        real = ToyBackend.token_embedding_lookup
+        monkeypatch.setattr(ToyBackend, "token_embedding_lookup",
+                            lambda self, word: np.append(real(self, word), 0.0))
+        cfg_path, _, out = workspace
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "token_embedding_lookup returned shape (8, 33), expected (8, 32)" in err
+        assert "Traceback" not in err and not list(out.glob("*.ckpt"))
+
     def test_diverged_training_exits_3(self, workspace, capsys, monkeypatch):
         from dpstyler.backends import ToyBackend
 

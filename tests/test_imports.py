@@ -1,6 +1,8 @@
 """Every module in ``src/`` and ``tests/`` uses each name it imports,
 every private module-level name in ``src/`` is used somewhere in ``src/``,
-and ``src/`` imports nothing beyond the standard library, NumPy and PyYAML.
+every public function, class and method in ``src/`` but the named
+reference oracles is read somewhere in ``src/`` or ``perfbench/``, and
+``src/`` imports nothing beyond the standard library, NumPy and PyYAML.
 
 A name counts as used when it appears as an identifier anywhere in the
 module, or is listed in the module's ``__all__``; a name that appears
@@ -110,6 +112,56 @@ def test_the_private_scan_sees_what_it_should():
     assert unreferenced_privates(sources) == [
         "a.py: _DEAD", "a.py: _Gone", "a.py: _counter", "b.py: _counter",
     ]
+
+
+# Public names that only tests read: the reference oracles that acceptance
+# gates 1 and 2 compare the fused training path against.
+REFERENCE_ORACLES = frozenset({
+    "arcface_loss", "domain_logits", "domain_uncertainty_loss", "remover_backward",
+})
+READERS = sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("perfbench/**/*.py")])
+
+
+def unread_public_names(defining: dict[str, str], reading: list[str]) -> list[str]:
+    """``module: name`` for each public function, class or method defined in
+    ``defining`` whose name no source in ``reading`` loads, as a name or an attribute."""
+    defined, read = [], set()
+    for module, source in defining.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.ClassDef):
+                defined += [(module, child.name) for child in node.body
+                            if isinstance(child, ast.FunctionDef)]
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+    for source in reading:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [f"{module}: {name}" for module, name in defined
+            if not name.startswith("_") and name not in read]
+
+
+def test_every_public_name_is_read_by_the_package_or_the_bench():
+    defining = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
+    reading = [p.read_text(encoding="utf-8") for p in READERS]
+    unread = unread_public_names(defining, reading)
+    assert sorted(line.partition(": ")[2] for line in unread) == sorted(REFERENCE_ORACLES)
+
+
+def test_the_public_scan_sees_what_it_should():
+    defining = {
+        "a.py": "def used():\n    pass\ndef unused():\n    pass\n"
+                "class Box:\n    def read(self):\n        pass\n    def never(self):\n        pass\n"
+                "    def _private(self):\n        pass\n    def __len__(self):\n        return 0\n"
+                "class Gone:\n    pass\n",
+    }
+    reading = [
+        "from a import unused\nprint(used(), Box().read)\n",
+        "never = 1  # a store is not a read\n'Gone'\n",
+    ]
+    assert unread_public_names(defining, reading) == ["a.py: unused", "a.py: never", "a.py: Gone"]
 
 
 # The package's runtime dependencies: the standard library, NumPy and PyYAML.

@@ -249,6 +249,21 @@ class TestLexicon:
             lex.vectors, np.stack([backend.token_embedding_lookup(w) for w in lex.labels])
         )
 
+    def test_wrong_width_rejected_after_the_word_checks(self, task, tmp_path):
+        class WideBackend(ToyBackend):
+            def token_embedding_lookup(self, word):
+                return np.append(super().token_embedding_lookup(word), 0.0)
+
+        backend = WideBackend(ToyBackendSpec(), task.class_names)
+        p = tmp_path / "lex.txt"
+        p.write_text("white\ncartoon\n")
+        with pytest.raises(ValueError, match=r"^token_embedding_lookup returned shape \(2, 33\), "
+                                             r"expected \(2, 32\)$"):
+            lexicon_for(StyleGenConfig(), backend, p)
+        p.write_text("white\n")
+        with pytest.raises(ValueError, match="lexicon needs at least 2 entries"):
+            lexicon_for(StyleGenConfig(), backend, p)
+
     def test_duplicate_labels_rejected(self, rng):
         with pytest.raises(ValueError):
             PredefinedLexicon(("a", "a"), rng.standard_normal((2, D)))

@@ -171,19 +171,25 @@ class TestTrainOneModel:
             train_one_model(task, backend, templates[0], e2e_train_config(epochs=1))
         assert (info.value.epoch, info.value.batch) == (0, 0)
 
-    def test_non_finite_style_prompts_diverge(self, task, templates):
-        # A NaN domain probe is a numeric failure at the epoch that drew it,
-        # not softmax's bare ValueError.
-        class NaNProbeBackend(ToyBackend):
+    @pytest.mark.parametrize("value, kind", [(np.nan, "non-finite"), (0.0, "zero")],
+                             ids=["nan", "zero"])
+    def test_non_finite_style_prompts_diverge(self, task, templates, value, kind):
+        # A NaN or zero domain probe row is a numeric failure at the epoch
+        # that drew it, not softmax's bare ValueError or l2_normalize's
+        # unnamed "cannot normalize a zero row".
+        class PoisonedProbeBackend(ToyBackend):
             calls = 0
 
             def encode_style_prompts(self, styles):
                 self.calls += 1
                 rows = super().encode_style_prompts(styles)
-                return rows * np.nan if self.calls == 2 else rows  # epoch 1's probe
+                if self.calls == 2:  # epoch 1's probe
+                    rows[3] = value
+                return rows
 
-        backend = NaNProbeBackend(ToyBackendSpec(), task.class_names)
-        with pytest.raises(TrainingDivergedError, match="encode_style_prompts") as info:
+        backend = PoisonedProbeBackend(ToyBackendSpec(), task.class_names)
+        with pytest.raises(TrainingDivergedError,
+                           match=f"^encode_style_prompts row 3 is {kind} at epoch 1$") as info:
             train_one_model(task, backend, templates[0], e2e_train_config(epochs=3))
         assert (info.value.epoch, info.value.batch) == (1, None)
 

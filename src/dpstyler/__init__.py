@@ -7,7 +7,7 @@ heads onto the image encoder and fuses one model per prompt template.
 
 from .core import PromptTemplate, TaskDefinition, cosine_similarity, l2_normalize, softmax
 from .backends import EncoderBackend, ToyBackend, ToyBackendSpec
-from .losses import ArcFaceConfig, ClassifierHead, DomainProbe
+from .losses import ArcFaceConfig, ClassifierHead
 from .styles import StyleGenConfig
 from .trainer import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint, train_one_model
 from .evaluation import EnsembleBundle, ensemble_predict, evaluate, zeroshot_predict
@@ -18,7 +18,6 @@ __all__ = [
     "ArcFaceConfig",
     "Checkpoint",
     "ClassifierHead",
-    "DomainProbe",
     "EncoderBackend",
     "EnsembleBundle",
     "PromptTemplate",

@@ -114,6 +114,16 @@ def usable_rows(what: str, rows: np.ndarray, shape: tuple) -> np.ndarray:
     return np.isfinite(norms) & (norms >= ZERO_NORM_EPS)
 
 
+def unusable_row(what: str, rows: np.ndarray, shape: tuple) -> tuple[int, str] | None:
+    """``usable_rows``' first refused row as (index, "zero" or "non-finite"), or None."""
+    good = usable_rows(what, rows, shape)
+    if good.all():
+        return None
+    row = int(np.argmin(good))
+    with np.errstate(over="ignore"):
+        return row, "zero" if np.linalg.norm(rows[row]) < ZERO_NORM_EPS else "non-finite"
+
+
 def _hashed_rng(seed: int, data: bytes) -> np.random.Generator:
     """A generator seeded by ``seed`` and the four 64-bit words of SHA-256(``data``)."""
     h = hashlib.sha256(data).digest()

@@ -51,11 +51,16 @@ def _load_config(args) -> RunConfig:
     )
 
 
-def _load_checkpoint_for(path, backend):
-    """The checkpoint at ``path``, refused unless it was trained at ``backend``'s widths."""
+def _load_checkpoint_for(path, cfg: RunConfig, backend):
+    """The checkpoint at ``path``, refused unless it was trained at ``backend``'s widths
+    and, when its config snapshot records one, at ``cfg``'s ``backend.seed``."""
     ckpt = load_checkpoint(path)
-    for name in ("dim_joint", "dim_token"):
-        trained, configured = getattr(ckpt, name), getattr(backend, name)
+    checked = [("dim_joint", ckpt.dim_joint, backend.dim_joint),
+               ("dim_token", ckpt.dim_token, backend.dim_token)]
+    snapshot = ckpt.config_snapshot.get("backend")
+    if isinstance(snapshot, dict) and "seed" in snapshot:  # a snapshot built in code may lack it
+        checked.append(("backend.seed", snapshot["seed"], cfg.backend_spec.seed))
+    for name, trained, configured in checked:
         if trained != configured:
             raise ConfigError(f"checkpoint {path} has {name} {trained}, "
                               f"the configured backend {configured}")
@@ -104,7 +109,7 @@ def cmd_eval(args) -> int:
     cfg = _load_config(args)
     backend = cfg.build_backend()
     manifest = _require_manifest(cfg)
-    members = tuple(_load_checkpoint_for(p, backend) for p in args.checkpoints)
+    members = tuple(_load_checkpoint_for(p, cfg, backend) for p in args.checkpoints)
     for ckpt in members:
         if ckpt.class_names != cfg.task.class_names:
             raise ConfigError("checkpoint class names do not match the configured task")
@@ -150,7 +155,7 @@ def cmd_export_embeddings(args) -> int:
     out_dir = os.path.dirname(os.path.abspath(args.out_file))
     if not os.path.isdir(out_dir):
         raise ConfigError(f"output directory does not exist: {out_dir}")
-    checkpoint = _load_checkpoint_for(args.checkpoint, backend) if args.checkpoint else None
+    checkpoint = _load_checkpoint_for(args.checkpoint, cfg, backend) if args.checkpoint else None
     rows, failures = export_embeddings(manifest, backend, checkpoint, args.out_file)
     print(f"wrote {rows} embedding rows to {args.out_file}; decode errors: {failures}")
     return EXIT_OK

@@ -19,7 +19,7 @@ from .backends import EncoderBackend, ToyBackend, ToyBackendSpec
 from .core import PromptTemplate, TaskDefinition
 from .evaluation import FUSION_MODES
 from .losses import ArcFaceConfig
-from .styles import PredefinedLexicon, StyleGenConfig, lexicon_for
+from .styles import StyleGenConfig, lexicon_for
 from .trainer import TrainConfig
 
 DEFAULT_TEMPLATES = (
@@ -80,8 +80,8 @@ class RunConfig:
     def build_backend(self) -> EncoderBackend:
         return ToyBackend(self.backend_spec, self.task.class_names)
 
-    def build_lexicon(self, backend: EncoderBackend) -> PredefinedLexicon | None:
-        """The lexicon at ``styles.lexicon``, or None for a strategy that reads none."""
+    def build_lexicon(self, backend: EncoderBackend):
+        """The (L, D) lexicon at ``styles.lexicon``, or None for a strategy that reads none."""
         return lexicon_for(self.train.style_gen, backend, self.lexicon_path)
 
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backends import EncoderBackend, ImageDecodeError, usable_rows
-from .core import ZERO_NORM_EPS, TaskDefinition, atomic_write, l2_normalize
+from .backends import EncoderBackend, ImageDecodeError, unusable_row, usable_rows
+from .core import TaskDefinition, atomic_write, l2_normalize
 from .remover import remover_forward
 from .trainer import Checkpoint
 
@@ -91,10 +91,9 @@ def zeroshot_predict(
     emb = l2_normalize(np.asarray(image_embedding))
     M = task.num_classes
     text = backend.encode_prompt_rows(pattern, task.class_names, None, np.arange(M))
-    good = usable_rows("encode_prompt_rows", text, (M, backend.dim_joint))
-    if not good.all():
-        row = int(np.argmin(good))
-        kind = "zero" if np.linalg.norm(text[row]) < ZERO_NORM_EPS else "non-finite"
+    bad = unusable_row("encode_prompt_rows", text, (M, backend.dim_joint))
+    if bad is not None:
+        row, kind = bad
         raise ValueError(f"encode_prompt_rows returned a {kind} class-prompt row: "
                          f"row {row} ({task.class_names[row]!r})")
     return int(np.argmax(l2_normalize(text) @ emb))

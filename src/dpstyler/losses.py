@@ -2,9 +2,9 @@
 
 A feature that has passed the style remover is scored two ways:
 
-- against the K encoded style prompts (cosine → softmax → Σ p log p);
-  pushing this down makes the feature equally similar to every style,
-  i.e. domain-ambiguous;
+- against the K encoded style prompts, the domain probe: a (K, C) array
+  of unit rows (cosine → softmax → Σ p log p); pushing this down makes
+  the feature equally similar to every style, i.e. domain-ambiguous;
 - against the per-class weight rows of a linear head with an additive
   angular margin on the target class (ArcFace), in cosine space.
 
@@ -66,24 +66,9 @@ class ArcFaceConfig:
             raise ValueError("margin must be in [0, pi)")
 
 
-@dataclass(frozen=True)
-class DomainProbe:
-    """Text features of the K current style prompts, one row per style, unit-normed here."""
-
-    style_text_features: np.ndarray  # (K, C)
-
-    def __post_init__(self):
-        feats = np.asarray(self.style_text_features)
-        if feats.ndim != 2 or feats.shape[0] < 1:
-            raise ValueError("probe must be a non-empty (K, C) array")
-        object.__setattr__(self, "style_text_features", l2_normalize(feats))
-
-
-def domain_logits(feature: np.ndarray, probe: DomainProbe) -> np.ndarray:
-    """Cosine similarity of a removed feature to each style prompt feature."""
-    return np.array(
-        [cosine_similarity(feature, t) for t in probe.style_text_features]
-    )
+def domain_logits(feature: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """Cosine similarity of a removed feature to each row of the (K, C) probe."""
+    return np.array([cosine_similarity(feature, t) for t in probe])
 
 
 def domain_uncertainty_loss(p: np.ndarray) -> float:
@@ -146,7 +131,7 @@ class LossBreakdown:
 
 def loss_gradients(
     features: np.ndarray,
-    probe: DomainProbe,
+    probe: np.ndarray,
     head: ClassifierHead,
     targets: np.ndarray,
     config: ArcFaceConfig,
@@ -154,9 +139,10 @@ def loss_gradients(
     """Analytic gradients of mean(L_U + L_C) over a batch of removed features.
 
     features: (B, C) removed features (pre-normalization; both losses
-    normalize internally).  targets: (B,) class indices.  The probe is a
-    constant.  Computation runs in the features' dtype, float64 when the
-    finite-difference suite calls it.
+    normalize internally).  probe: the (K, C) unit-row style prompt
+    features, as ``trainer.encode_probe`` returns them, a constant.
+    targets: (B,) class indices.  Computation runs in the features' dtype,
+    float64 when the finite-difference suite calls it.
     """
     F = np.asarray(features)
     if F.ndim != 2:
@@ -166,8 +152,11 @@ def loss_gradients(
         raise ValueError("targets must be (B,)")
     if np.any(targets < 0) or np.any(targets >= head.num_classes):
         raise ValueError("target index out of range")
+    probe = np.asarray(probe)
+    if probe.ndim != 2 or probe.shape[0] < 1:
+        raise ValueError("probe must be a non-empty (K, C) array")
     B, C = F.shape
-    if probe.style_text_features.shape[1] != C or head.weights.shape[1] != C:
+    if probe.shape[1] != C or head.weights.shape[1] != C:
         raise ValueError("feature dim mismatch between features, probe, and head")
 
     norms = np.linalg.norm(F, axis=1, keepdims=True)
@@ -176,7 +165,7 @@ def loss_gradients(
     FN = F / norms
 
     # Domain uncertainty part.
-    TN = probe.style_text_features.astype(F.dtype, copy=False)
+    TN = probe.astype(F.dtype, copy=False)
     Z = FN @ TN.T  # (B, K)
     P = softmax(Z)
     logP = np.log(P)

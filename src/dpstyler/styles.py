@@ -6,8 +6,9 @@ space (dimension D).  Refresh strategies:
 - ``random``: each vector sampled from one of five classic initializer
   distributions (normal, xavier uniform/normal, kaiming normal/uniform),
   picked uniformly per vector.
-- ``stylemix``: each vector is a unit-sum Beta-weighted combination of a
-  small predefined adjective lexicon.
+- ``stylemix``: each vector is a unit-sum Beta-weighted combination of the
+  rows of a lexicon: the (L, D) float32 token embeddings of a small list
+  of adjectives, as ``lexicon_for`` reads them.
 - ``random_mix``: a fair coin per epoch selects Random or StyleMix for
   the whole bank.
 - ``frozen``: one ``random`` bank, the same at every epoch.
@@ -40,32 +41,6 @@ RANDOM_DISTRIBUTIONS = (
 STRATEGIES = ("random", "stylemix", "random_mix", "frozen")
 LEXICON_STRATEGIES = ("stylemix", "random_mix")  # the strategies that need a lexicon
 STYLEMIX_RETRIES = 16  # Beta weight draws tried before a degenerate (all ~0) draw raises
-
-
-@dataclass(frozen=True)
-class PredefinedLexicon:
-    """Ordered (adjective, token-embedding vector) pairs used by StyleMix."""
-
-    labels: tuple[str, ...]
-    vectors: np.ndarray  # (L, D)
-
-    def __post_init__(self):
-        vecs = np.asarray(self.vectors)
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "vectors", vecs)
-        if len(self.labels) < 2:
-            raise ValueError("lexicon needs at least 2 entries")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("lexicon labels must be unique")
-        if vecs.ndim != 2 or vecs.shape[0] != len(self.labels):
-            raise ValueError("lexicon vectors must be an (L, D) array")
-        # Finite in float32, the dtype StyleMix mixes into: a convex mix of
-        # such vectors then stays finite too.
-        if not np.all(np.abs(vecs) <= np.finfo(DEFAULT_DTYPE).max):
-            raise ValueError("lexicon vectors must be finite in float32")
-
-    def __len__(self) -> int:
-        return len(self.labels)
 
 
 @dataclass(frozen=True)
@@ -102,9 +77,9 @@ def random_style(dist: str, dim: int, rng: np.random.Generator) -> np.ndarray:
     return v.astype(DEFAULT_DTYPE)
 
 
-def stylemix_style(lexicon: PredefinedLexicon, alpha: float,
+def stylemix_style(lexicon: np.ndarray, alpha: float,
                    rng: np.random.Generator) -> np.ndarray:
-    """Mix the lexicon vectors with unit-sum Beta(alpha, alpha) weights.
+    """Mix the (L, D) lexicon's rows with unit-sum Beta(alpha, alpha) weights.
 
     Raw weights are drawn independently per lexicon entry and normalized
     by their sum, so the output lies in the convex hull of the lexicon.
@@ -117,12 +92,12 @@ def stylemix_style(lexicon: PredefinedLexicon, alpha: float,
         total = raw.sum()
         if total >= 1e-12:
             weights = raw / total
-            return (weights @ lexicon.vectors).astype(DEFAULT_DTYPE)
+            return (weights @ lexicon).astype(DEFAULT_DTYPE)
     raise ValueError("Beta weight draws degenerate after retries")
 
 
 def _draw(strategy: str, config: StyleGenConfig, dim: int,
-          lexicon: PredefinedLexicon | None, rng: np.random.Generator) -> np.ndarray:
+          lexicon: np.ndarray | None, rng: np.random.Generator) -> np.ndarray:
     """(K, dim) float32: ``config.num_styles`` vectors drawn by ``strategy``,
     which is ``random`` or ``stylemix``."""
     K = config.num_styles
@@ -136,7 +111,7 @@ def _draw(strategy: str, config: StyleGenConfig, dim: int,
 
 
 def refresh_bank(config: StyleGenConfig, dim: int, seed: int, epoch: int,
-                 lexicon: PredefinedLexicon | None = None) -> np.ndarray:
+                 lexicon: np.ndarray | None = None) -> np.ndarray:
     """Epoch ``epoch``'s bank: ``config.num_styles`` vectors, a (K, dim) float32 array.
 
     A pure function of its arguments: the RNG state comes from (seed,
@@ -155,11 +130,14 @@ def refresh_bank(config: StyleGenConfig, dim: int, seed: int, epoch: int,
     return _draw(strategy, config, dim, lexicon, seeded_rng(seed, Stream.STYLE_DRAWS, epoch))
 
 
-def lexicon_for(config: StyleGenConfig, backend, path=None) -> PredefinedLexicon | None:
-    """The word list at ``path`` (the packaged one if None), embedded via ``backend``,
-    if ``config``'s strategy reads a lexicon; else None, and no file is opened.
+def lexicon_for(config: StyleGenConfig, backend, path=None) -> np.ndarray | None:
+    """The (L, D) float32 vectors of the word list at ``path`` (the packaged one
+    if None), embedded via ``backend``, if ``config``'s strategy reads a lexicon;
+    else None, and no file is opened.
 
-    One adjective per line; '#' starts a comment.
+    One adjective per line; '#' starts a comment.  Raises ``ValueError`` for
+    fewer than 2 words, a repeated word, vectors that are not D wide, or
+    vectors that are not finite in float32, checked in that order.
     """
     if config.strategy not in LEXICON_STRATEGIES:
         return None
@@ -168,11 +146,15 @@ def lexicon_for(config: StyleGenConfig, backend, path=None) -> PredefinedLexicon
     # would also split at form feeds and Unicode line separators.
     lines = source.read_text(encoding="utf-8").split("\n")
     words = [w for w in (line.split("#", 1)[0].strip() for line in lines) if w]
-    # np.array, not np.stack: an empty list reaches PredefinedLexicon's count check.
+    # np.array, not np.stack: an empty list reaches the count check.
     vectors = np.array([backend.token_embedding_lookup(w) for w in words])
-    try:
-        lexicon = PredefinedLexicon(labels=tuple(words), vectors=vectors)
-    except ValueError as exc:
-        raise ValueError(f"{source}: {exc}") from exc
-    check_rows("token_embedding_lookup", lexicon.vectors, (len(lexicon), backend.dim_token))
-    return lexicon
+    if len(words) < 2:
+        raise ValueError(f"{source}: lexicon needs at least 2 entries")
+    if len(set(words)) != len(words):
+        raise ValueError(f"{source}: lexicon labels must be unique")
+    check_rows("token_embedding_lookup", vectors, (len(words), backend.dim_token))
+    # Finite in float32, the dtype StyleMix mixes into: a convex mix of
+    # such vectors then stays finite too.
+    if not np.all(np.abs(vectors) <= np.finfo(DEFAULT_DTYPE).max):
+        raise ValueError(f"{source}: lexicon vectors must be finite in float32")
+    return vectors.astype(DEFAULT_DTYPE, copy=False)

@@ -24,29 +24,30 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .backends import EncoderBackend, check_rows, usable_rows
+from .backends import EncoderBackend, check_rows, unusable_row
 from .core import (
     DEFAULT_DTYPE,
-    ZERO_NORM_EPS,
+    DegenerateEmbeddingError,
     PromptTemplate,
     Stream,
     TaskDefinition,
     atomic_write,
+    l2_normalize,
     row_norms,
     seeded_rng,
     template_id,
 )
-from .losses import ArcFaceConfig, ClassifierHead, DomainProbe, head_init, loss_gradients
+from .losses import ArcFaceConfig, ClassifierHead, head_init, loss_gradients
 from .remover import StyleRemoverParams, remover_forward_cached, remover_init, remover_weight_grads
-from .styles import PredefinedLexicon, StyleGenConfig, lexicon_for, refresh_bank
+from .styles import StyleGenConfig, lexicon_for, refresh_bank
 
 CHECKPOINT_MAGIC = b"DPSTYLR1"
 CHECKPOINT_VERSION = 2
 
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when a loss, feature or weight turns non-finite, or a style prompt
-    encodes to zero; carries (epoch, batch or None)."""
+    """Raised when a loss, feature or weight turns non-finite, or a style or
+    training prompt encodes to a zero or non-finite row; carries (epoch, batch or None)."""
 
     def __init__(self, epoch: int, batch: int | None, what: str):
         where = f"epoch {epoch}" if batch is None else f"epoch {epoch}, batch {batch}"
@@ -191,17 +192,15 @@ def sgd_step(
     return param, velocity
 
 
-def encode_probe(backend: EncoderBackend, styles: np.ndarray, epoch: int) -> DomainProbe:
-    """The (K, D) style bank's style prompts encoded, checked to be (K, C), finite and nonzero.
-
-    A non-finite or zero row raises ``TrainingDivergedError`` at ``epoch``."""
+def encode_probe(backend: EncoderBackend, styles: np.ndarray, epoch: int) -> np.ndarray:
+    """The domain probe: the (K, D) style bank's style prompts encoded, as (K, C) float32
+    unit rows.  A row of another shape is a ``ValueError``, and a non-finite or zero row
+    a ``TrainingDivergedError`` at ``epoch``."""
     rows = backend.encode_style_prompts(styles)
-    good = usable_rows("encode_style_prompts", rows, (len(styles), backend.dim_joint))
-    if not good.all():
-        row = int(np.argmin(good))
-        kind = "zero" if np.linalg.norm(rows[row]) < ZERO_NORM_EPS else "non-finite"
-        raise TrainingDivergedError(epoch, None, f"encode_style_prompts row {row} is {kind}")
-    return DomainProbe(style_text_features=rows.astype(DEFAULT_DTYPE, copy=False))
+    bad = unusable_row("encode_style_prompts", rows, (len(styles), backend.dim_joint))
+    if bad is not None:
+        raise TrainingDivergedError(epoch, None, "encode_style_prompts row %d is %s" % bad)
+    return l2_normalize(rows.astype(DEFAULT_DTYPE, copy=False))
 
 
 def train_one_model(
@@ -209,7 +208,7 @@ def train_one_model(
     backend: EncoderBackend,
     template: PromptTemplate,
     config: TrainConfig,
-    lexicon: PredefinedLexicon | None = None,
+    lexicon: np.ndarray | None = None,
     backend_tag: str = "toy",
     config_snapshot: dict | None = None,
 ) -> TrainResult:
@@ -241,9 +240,20 @@ def train_one_model(
             check_rows("encode_prompt_rows", v, (len(index), C))
             y = index // K
             removed, cache = remover_forward_cached(v, remover)
-            if not np.all(np.isfinite(removed)):
-                raise TrainingDivergedError(epoch, batch_idx, "non-finite gate output")
-            breakdown = loss_gradients(removed, probe, head, y, config.arcface)
+            try:
+                if not np.all(np.isfinite(removed)):
+                    raise TrainingDivergedError(epoch, batch_idx, "non-finite gate output")
+                breakdown = loss_gradients(removed, probe, head, y, config.arcface)
+            except (TrainingDivergedError, DegenerateEmbeddingError):
+                # Only a failing batch is searched for an encoder row at fault.
+                bad = unusable_row("encode_prompt_rows", v, (len(index), C))
+                if bad is None:
+                    raise
+                row, kind = bad
+                m, i = divmod(int(index[row]), K)
+                pair = f"class {task.class_names[m]!r}, style {i}"
+                raise TrainingDivergedError(epoch, batch_idx, f"encode_prompt_rows row {row} "
+                                            f"is {kind} ({pair})") from None
             loss_u, loss_c = breakdown.loss_uncertainty, breakdown.loss_classification
             if not (np.isfinite(loss_u) and np.isfinite(loss_c)):
                 raise TrainingDivergedError(epoch, batch_idx,

@@ -24,7 +24,6 @@ from dpstyler.evaluation import (
 from dpstyler.losses import (
     ArcFaceConfig,
     ClassifierHead,
-    DomainProbe,
     arcface_loss,
     domain_uncertainty_loss,
     loss_gradients,
@@ -32,7 +31,6 @@ from dpstyler.losses import (
 from dpstyler.remover import StyleRemoverParams, remover_backward, remover_forward
 from dpstyler.styles import (
     STRATEGIES,
-    PredefinedLexicon,
     StyleGenConfig,
     refresh_bank,
     stylemix_style,
@@ -76,7 +74,7 @@ def test_criterion_1_gradient_oracle():
             W2=rng.standard_normal((C // ratio, C)),
             ratio=ratio,
         )
-        probe = DomainProbe(style_text_features=rng.standard_normal((K, C)))
+        probe = l2_normalize(rng.standard_normal((K, C)))
         head = ClassifierHead(weights=rng.standard_normal((M, C)))
         feats = rng.standard_normal((B, C))
         targets = rng.integers(M, size=B)
@@ -86,7 +84,7 @@ def test_criterion_1_gradient_oracle():
             removed = remover_forward(raw, p)
             h = ClassifierHead(weights=weights)
             lu = np.mean([
-                domain_uncertainty_loss(softmax((l2_normalize(f) @ l2_normalize(probe.style_text_features).T)))
+                domain_uncertainty_loss(softmax(l2_normalize(f) @ probe.T))
                 for f in removed
             ])
             lc = np.mean([arcface_loss(f, h, int(t), cfg)[0] for f, t in zip(removed, targets)])
@@ -147,7 +145,7 @@ def test_criterion_2_loss_invariants():
         expected = float(-np.log(softmax(logits)[t]))
         ok &= abs(loss - expected) < 1e-6
     # Cosine scale invariance of both losses.
-    probe = DomainProbe(style_text_features=rng.standard_normal((6, 8)))
+    probe = l2_normalize(rng.standard_normal((6, 8)))
     for _ in range(50):
         f = rng.standard_normal(8)
         c = float(rng.uniform(0.01, 100))
@@ -155,8 +153,8 @@ def test_criterion_2_loss_invariants():
         a1, _ = arcface_loss(f, head, 1, ArcFaceConfig(5.0, 0.5))
         a2, _ = arcface_loss(c * f, head, 1, ArcFaceConfig(5.0, 0.5))
         ok &= abs(a1 - a2) < 1e-6
-        z1 = l2_normalize(f) @ l2_normalize(probe.style_text_features).T
-        z2 = l2_normalize(c * f) @ l2_normalize(probe.style_text_features).T
+        z1 = l2_normalize(f) @ probe.T
+        z2 = l2_normalize(c * f) @ probe.T
         ok &= np.abs(z1 - z2).max() < 1e-6
     _verdict("2 (loss invariant suite)", bool(ok))
 
@@ -209,16 +207,14 @@ def test_criterion_4_style_generation(monkeypatch):
     ok = True
     # StyleMix: convex-hull bounds over 1e4 draws, and unit weight sum via
     # the constant-lexicon identity.
-    lex = PredefinedLexicon(
-        labels=tuple(f"w{i}" for i in range(8)), vectors=rng.standard_normal((8, 16))
-    )
-    lo, hi = lex.vectors.min(axis=0) - 1e-6, lex.vectors.max(axis=0) + 1e-6
+    lex = rng.standard_normal((8, 16))
+    lo, hi = lex.min(axis=0) - 1e-6, lex.max(axis=0) + 1e-6
     draw_rng = np.random.default_rng(18)
     for _ in range(10_000):
         v = stylemix_style(lex, 0.1, draw_rng)
         ok &= bool(np.all(v >= lo) and np.all(v <= hi))
     c = rng.standard_normal(16)
-    const_lex = PredefinedLexicon(("a", "b", "c"), np.tile(c, (3, 1)))
+    const_lex = np.tile(c, (3, 1))
     for seed in range(100):
         v = stylemix_style(const_lex, 0.1, np.random.default_rng(seed))
         ok &= bool(np.abs(v - c).max() < 1e-6)
@@ -357,8 +353,7 @@ def test_criterion_6_end_to_end(task, templates, e2e_backend, trained_models, to
         9999,
         epoch=0,
     )
-    probe = encode_probe(e2e_backend, held, 0)
-    tn = l2_normalize(probe.style_text_features)
+    tn = encode_probe(e2e_backend, held, 0)
     feats = encode_grid(e2e_backend, templates[0].pattern, task.class_names, held)
     feats = feats.reshape(-1, e2e_backend.dim_joint)
 

@@ -14,6 +14,7 @@ from dpstyler.backends import (
     ToyImage,
     toy_image_load,
     toy_image_save,
+    unusable_row,
 )
 from dpstyler.core import l2_normalize, seeded_rng
 
@@ -525,3 +526,18 @@ class TestJointSpaceStructure:
         names = tuple(f"c{i}" for i in range(17))
         with pytest.raises(ValueError):
             ToyBackend(ToyBackendSpec(max_classes=16), names)
+
+
+class TestUnusableRow:
+    def test_first_refused_row_and_its_kind(self):
+        rows = np.ones((4, 3), dtype=np.float32)
+        assert unusable_row("encode_images", rows, (4, 3)) is None
+        rows[3, 1] = np.nan
+        assert unusable_row("encode_images", rows, (4, 3)) == (3, "non-finite")
+        rows[2] = 0.0
+        assert unusable_row("encode_images", rows, (4, 3)) == (2, "zero")
+        rows[1] = 3e38  # finite, but its norm overflows float32
+        assert unusable_row("encode_images", rows, (4, 3)) == (1, "non-finite")
+        with pytest.raises(ValueError, match=r"^encode_images returned shape \(4, 3\), "
+                                             r"expected \(4, 2\)$"):
+            unusable_row("encode_images", rows, (4, 2))

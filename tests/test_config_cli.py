@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from dpstyler.cli import main
 from dpstyler.config import _KEYS, ConfigError, load_run_config
 from dpstyler.styles import LEXICON_STRATEGIES, STRATEGIES
-from dpstyler.trainer import CheckpointError, load_checkpoint
+from dpstyler.trainer import CheckpointError, load_checkpoint, save_checkpoint
 
 SMALL_CONFIG = """
 backend:
@@ -477,8 +477,9 @@ class TestCliErrors:
         "old, new, field",
         [("[cat, dog, fish]", "[ant, bee, cow]", "class names"),
          ("dim_token: 32", "dim_token: 16", "dim_token"),
-         ("dim_joint: 64", "dim_joint: 32", "dim_joint")],
-        ids=["class_names", "dim_token", "dim_joint"],
+         ("dim_joint: 64", "dim_joint: 32", "dim_joint"),
+         ("  seed: 11\n", "  seed: 12\n", "backend.seed 11, the configured backend 12")],
+        ids=["class_names", "dim_token", "dim_joint", "backend_seed"],
     )
     def test_mismatched_checkpoint_classes_exit_2(self, workspace, tmp_path, capsys,
                                                   old, new, field):
@@ -491,8 +492,9 @@ class TestCliErrors:
     @pytest.mark.parametrize(
         "old, new, field",
         [("dim_token: 32", "dim_token: 16", "dim_token"),
-         ("dim_joint: 64", "dim_joint: 32", "dim_joint")],
-        ids=["dim_token", "dim_joint"],
+         ("dim_joint: 64", "dim_joint: 32", "dim_joint"),
+         ("  seed: 11\n", "  seed: 12\n", "backend.seed 11, the configured backend 12")],
+        ids=["dim_token", "dim_joint", "backend_seed"],
     )
     def test_export_refuses_a_checkpoint_of_another_width(self, workspace, tmp_path, capsys,
                                                           old, new, field):
@@ -504,6 +506,37 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and field in err
         assert not out_file.exists()
+
+    def test_zero_training_prompt_row_exits_3(self, workspace, capsys, monkeypatch):
+        # A numeric failure named by its source, not loss_gradients' bare
+        # "zero-norm feature in batch", which would exit 2 as a config error.
+        from dpstyler.backends import ToyBackend
+        from dpstyler.config import RunConfig
+
+        class ZeroRowBackend(ToyBackend):
+            def encode_prompt_rows(self, pattern, class_names, styles, index):
+                rows = super().encode_prompt_rows(pattern, class_names, styles, index)
+                rows[0] = 0.0
+                return rows
+
+        monkeypatch.setattr(RunConfig, "build_backend",
+                            lambda cfg: ZeroRowBackend(cfg.backend_spec, cfg.task.class_names))
+        cfg_path, _, out = workspace
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: encode_prompt_rows row 0 is zero (class ")
+        assert err.endswith(") at epoch 0, batch 0\n")
+        assert not list(out.glob("*.ckpt"))
+
+    def test_checkpoint_without_a_recorded_seed_is_unchecked(self, workspace, tmp_path):
+        # A checkpoint built in code may carry an empty config snapshot.
+        other_cfg, ckpt = self._train_and_edit_config(workspace, tmp_path, "  seed: 11\n",
+                                                      "  seed: 12\n")
+        checkpoint = load_checkpoint(ckpt)
+        checkpoint.config_snapshot = {}
+        save_checkpoint(checkpoint, ckpt)
+        assert main(["eval", "--config", str(other_cfg), ckpt]) == 0
 
     @pytest.mark.parametrize("flag", [["--seed", "1"], ["--out", "elsewhere"]],
                              ids=["seed", "out"])
@@ -873,6 +906,20 @@ READS = {
     "export-embeddings": {"config", "manifest", "checkpoint"},
     "info": {"config"},
 }
+
+
+def _checkpoint_blob(snapshot: dict) -> bytes:
+    """A well-formed checkpoint at ``SMALL_CONFIG``'s widths and classes, with
+    ``snapshot`` as the config it records."""
+    header = json.dumps({
+        "format_version": 2, "dim_joint": 64, "dim_token": 32, "ratio": 16,
+        "template_pattern": "a [class] in a S* style", "class_names": ["cat", "dog", "fish"],
+        "backend_tag": "toy", "seed": 7, "config": snapshot,
+    }).encode("utf-8")
+    body = np.full(64 * 4 + 4 * 64 + 3 * 64, 0.125, dtype="<f4").tobytes()  # W1, W2, head
+    return b"DPSTYLR1" + struct.pack("<I", len(header)) + header + body
+
+
 # (kind, variant) -> (the malformed file's contents, the refusal's message).
 # None for contents: no file at the path.
 MALFORMED = {
@@ -895,6 +942,8 @@ MALFORMED = {
     ("checkpoint", "bad-magic"): (b"not a checkpoint at all", "bad magic"),
     ("checkpoint", "format-v1"): (b"DPSTYLR1\x15\x00\x00\x00" + b'{"format_version": 1}',
                                   "unsupported format version 1 (expected 2)"),
+    ("checkpoint", "other-encoder-seed"): (_checkpoint_blob({"backend": {"seed": 12}}),
+                                           "has backend.seed 12, the configured backend 11"),
     ("lexicon", "one-word"): ("white  # and nothing else\n",
                               "malformed-lexicon: lexicon needs at least 2 entries"),
     ("lexicon", "repeated-word"): ("white\nsketchy\nwhite\n",

@@ -7,7 +7,6 @@ from dpstyler.core import DegenerateEmbeddingError, l2_normalize, softmax
 from dpstyler.losses import (
     ArcFaceConfig,
     ClassifierHead,
-    DomainProbe,
     arcface_loss,
     domain_logits,
     domain_uncertainty_loss,
@@ -27,21 +26,20 @@ def _aligned_head():
 
 class TestDomainLogits:
     def test_alignment(self):
-        probe = DomainProbe(style_text_features=np.array([[1.0, 0.0], [0.0, 1.0]]))
+        probe = np.array([[1.0, 0.0], [0.0, 1.0]])
         np.testing.assert_allclose(domain_logits(np.array([1.0, 0.0]), probe), [1.0, 0.0], atol=1e-7)
 
     def test_scale_invariance(self, rng):
-        probe = DomainProbe(style_text_features=rng.standard_normal((4, 8)))
+        probe = rng.standard_normal((4, 8))
         f = rng.standard_normal(8)
         np.testing.assert_allclose(domain_logits(f, probe), domain_logits(7.0 * f, probe), atol=1e-6)
 
     def test_brute_force(self, rng):
         rows = np.stack([l2_normalize(rng.standard_normal(6)) for _ in range(3)])
-        probe = DomainProbe(style_text_features=rows)
         f = rows[0] + rows[1]
         expected = rows @ (f / np.linalg.norm(f))
-        np.testing.assert_allclose(domain_logits(f, probe), expected, atol=1e-6)
-        assert np.all(np.abs(domain_logits(f, probe)) <= 1 + 1e-7)
+        np.testing.assert_allclose(domain_logits(f, rows), expected, atol=1e-6)
+        assert np.all(np.abs(domain_logits(f, rows)) <= 1 + 1e-7)
 
 
 class TestDomainUncertaintyLoss:
@@ -136,7 +134,7 @@ class TestArcFaceLoss:
 class TestLossGradients:
     def _random_instance(self, rng, B=4, C=8, K=4, M=3):
         features = rng.standard_normal((B, C))
-        probe = DomainProbe(style_text_features=rng.standard_normal((K, C)))
+        probe = l2_normalize(rng.standard_normal((K, C)))
         head = head_init(M, C, rng)
         head = ClassifierHead(weights=head.weights.astype(np.float64))
         targets = rng.integers(M, size=B)
@@ -212,7 +210,7 @@ class TestLossGradients:
         np.testing.assert_allclose(a.d_head, b.d_head, atol=1e-6)
 
     def test_zero_head_row_rejected(self, rng):
-        probe = DomainProbe(style_text_features=rng.standard_normal((3, 4)))
+        probe = l2_normalize(rng.standard_normal((3, 4)))
         head = ClassifierHead(weights=np.vstack([rng.standard_normal(4), np.zeros(4)]))
         with pytest.raises(DegenerateEmbeddingError, match="head row"):
             loss_gradients(rng.standard_normal((2, 4)), probe, head, np.array([0, 1]),
@@ -250,34 +248,22 @@ class TestLossGradients:
         with pytest.raises(ValueError, match=r"head weights must be \(M, C\)"):
             ClassifierHead(weights=rng.standard_normal(4))
 
-    @pytest.mark.parametrize("shape", [(0, 4), (4,)], ids=["empty", "1d"])
-    def test_empty_or_one_dimensional_probe_rejected(self, shape):
-        with pytest.raises(ValueError, match="non-empty"):
-            DomainProbe(style_text_features=np.ones(shape))
-
-    def test_raw_probe_equals_prenormalized_probe(self, rng):
-        cfg = ArcFaceConfig(5.0, 0.5)
-        features, probe, head, targets = self._random_instance(rng, B=5, C=8, K=4, M=3)
-        raw = rng.standard_normal((4, 8)) * rng.uniform(0.1, 10.0, size=(4, 1))
-        a = loss_gradients(features, DomainProbe(style_text_features=raw), head, targets, cfg)
-        b = loss_gradients(
-            features, DomainProbe(style_text_features=l2_normalize(raw)), head, targets, cfg
-        )
-        assert a.loss_uncertainty == pytest.approx(b.loss_uncertainty, abs=1e-12)
-        assert a.loss_classification == pytest.approx(b.loss_classification, abs=1e-12)
-        np.testing.assert_allclose(a.d_features, b.d_features, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(a.d_head, b.d_head, rtol=0, atol=1e-12)
+    @pytest.mark.parametrize("shape", [(0, 8), (8,)], ids=["empty", "1d"])
+    def test_empty_or_one_dimensional_probe_rejected(self, rng, shape):
+        features, _, head, targets = self._random_instance(rng)
+        with pytest.raises(ValueError, match=r"^probe must be a non-empty \(K, C\) array$"):
+            loss_gradients(features, np.ones(shape), head, targets, ArcFaceConfig())
 
     def test_inputs_left_unchanged(self, rng):
         features, probe, head, targets = self._random_instance(rng, B=6)
-        before = (features.copy(), probe.style_text_features.copy(), head.weights.copy())
+        before = (features.copy(), probe.copy(), head.weights.copy())
         loss_gradients(features, probe, head, targets, ArcFaceConfig(5.0, 0.5))
-        for was, now in zip(before, (features, probe.style_text_features, head.weights)):
+        for was, now in zip(before, (features, probe, head.weights)):
             np.testing.assert_array_equal(was, now)
 
     def test_float32_in_float32_out(self, rng):
         features, _, _, targets = self._random_instance(rng, B=6)
-        probe = DomainProbe(style_text_features=rng.standard_normal((4, 8)).astype(np.float32))
+        probe = l2_normalize(rng.standard_normal((4, 8)).astype(np.float32))
         head = head_init(3, 8, rng)
         out = loss_gradients(
             features.astype(np.float32), probe, head, targets, ArcFaceConfig(5.0, 0.5)

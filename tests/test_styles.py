@@ -1,6 +1,7 @@
 """Style vector generation: the five random initializers, StyleMix convex
 combinations, and each epoch's bank."""
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from dpstyler.core import seeded_rng
 from dpstyler.styles import (
     RANDOM_DISTRIBUTIONS,
     STRATEGIES,
-    PredefinedLexicon,
     StyleGenConfig,
     lexicon_for,
     random_style,
@@ -23,10 +23,7 @@ D = 32
 
 
 def _lexicon(rng, size=4, dim=D):
-    return PredefinedLexicon(
-        labels=tuple(f"w{i}" for i in range(size)),
-        vectors=rng.standard_normal((size, dim)),
-    )
+    return rng.standard_normal((size, dim))
 
 
 class TestRandomStyle:
@@ -78,8 +75,8 @@ class TestRandomStyle:
 class TestStylemixStyle:
     def test_convex_hull_bounds_many_draws(self, rng):
         lex = _lexicon(rng)
-        lo = lex.vectors.min(axis=0) - 1e-6
-        hi = lex.vectors.max(axis=0) + 1e-6
+        lo = lex.min(axis=0) - 1e-6
+        hi = lex.max(axis=0) + 1e-6
         draw_rng = np.random.default_rng(8)
         for _ in range(10_000):
             v = stylemix_style(lex, 0.1, draw_rng)
@@ -89,13 +86,13 @@ class TestStylemixStyle:
         # With all lexicon vectors equal to a constant c, any unit-sum
         # convex combination returns exactly c; this pins sum(lambda)=1.
         c = rng.standard_normal(D)
-        lex = PredefinedLexicon(("a", "b", "c"), np.tile(c, (3, 1)))
+        lex = np.tile(c, (3, 1))
         for seed in range(50):
             v = stylemix_style(lex, 0.1, np.random.default_rng(seed))
             np.testing.assert_allclose(v, c, atol=1e-6)
 
     def test_two_vector_hull_midline(self):
-        lex = PredefinedLexicon(("lo", "hi"), np.array([[0.0, 0.0], [2.0, 2.0]]))
+        lex = np.array([[0.0, 0.0], [2.0, 2.0]])
         v = stylemix_style(lex, 0.1, np.random.default_rng(9))
         # Output must sit on the segment between the two lexicon points.
         assert np.all(v >= 0.0) and np.all(v <= 2.0)
@@ -225,29 +222,30 @@ class TestRefreshBank:
                 refresh_bank(self._config("random_mix"), D, 0, epoch)
 
 
+def _lookups(backend, words):
+    return np.stack([backend.token_embedding_lookup(w) for w in words])
+
+
 class TestLexicon:
     def test_load_words_skips_comments(self, task, tmp_path):
         backend = ToyBackend(ToyBackendSpec(), task.class_names)
         p = tmp_path / "lex.txt"
         p.write_text("# comment\nwhite\ncartoon\n\nsketchy\n")
-        assert lexicon_for(StyleGenConfig(), backend, p).labels == ("white", "cartoon", "sketchy")
+        np.testing.assert_array_equal(lexicon_for(StyleGenConfig(), backend, p),
+                                      _lookups(backend, ("white", "cartoon", "sketchy")))
 
     def test_default_lexicon_has_eight_single_token_words(self, task):
         backend = ToyBackend(ToyBackendSpec(), task.class_names)
         lex = lexicon_for(StyleGenConfig(), backend)
-        assert len(lex) == 8
-        assert lex.vectors.shape == (8, backend.dim_token)
-        assert all(" " not in w for w in lex.labels)
+        assert type(lex) is np.ndarray
+        assert lex.dtype == np.float32 and lex.shape == (8, backend.dim_token)
 
     def test_user_lexicon_keeps_file_order_at_any_size(self, task, tmp_path):
         backend = ToyBackend(ToyBackendSpec(), task.class_names)
         p = tmp_path / "lex.txt"
         p.write_text("sketchy\n# comment\nwhite\ncartoon\n")
-        lex = lexicon_for(StyleGenConfig(), backend, p)
-        assert lex.labels == ("sketchy", "white", "cartoon")
-        np.testing.assert_array_equal(
-            lex.vectors, np.stack([backend.token_embedding_lookup(w) for w in lex.labels])
-        )
+        np.testing.assert_array_equal(lexicon_for(StyleGenConfig(), backend, p),
+                                      _lookups(backend, ("sketchy", "white", "cartoon")))
 
     def test_wrong_width_rejected_after_the_word_checks(self, task, tmp_path):
         class WideBackend(ToyBackend):
@@ -264,29 +262,38 @@ class TestLexicon:
         with pytest.raises(ValueError, match="lexicon needs at least 2 entries"):
             lexicon_for(StyleGenConfig(), backend, p)
 
-    def test_duplicate_labels_rejected(self, rng):
-        with pytest.raises(ValueError):
-            PredefinedLexicon(("a", "a"), rng.standard_normal((2, D)))
-
-    def test_too_small_rejected(self, rng):
-        with pytest.raises(ValueError):
-            PredefinedLexicon(("a",), rng.standard_normal((1, D)))
+    @pytest.mark.parametrize("words, message", [
+        ("white\nsketchy\nwhite\n", "lexicon labels must be unique"),
+        ("white\n", "lexicon needs at least 2 entries"),
+    ], ids=["duplicate", "too-small"])
+    def test_word_list_faults_name_the_file(self, task, tmp_path, words, message):
+        p = tmp_path / "lex.txt"
+        p.write_text(words)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: {message}$"):
+            lexicon_for(StyleGenConfig(), ToyBackend(ToyBackendSpec(), task.class_names), p)
 
     @pytest.mark.parametrize(
-        "vectors, match",
+        "value, match",
         [
-            (np.ones(2), r"an \(L, D\) array"),
-            (np.ones((3, D)), r"an \(L, D\) array"),
-            (np.array([[0.5, np.nan], [0.5, 1.0]]), "finite"),
-            (np.array([[0.5, -np.inf], [0.5, 1.0]]), "finite"),
+            (np.nan, "finite"),
+            (-np.inf, "finite"),
             # Finite in float64, but inf once StyleMix casts it to float32.
-            (np.array([[0.5, 1e39], [0.5, 1.0]]), "finite in float32"),
+            (1e39, "finite in float32"),
         ],
-        ids=["1d", "row-count", "nan", "inf", "float32-overflow"],
+        ids=["nan", "inf", "float32-overflow"],
     )
-    def test_bad_vectors_rejected(self, vectors, match):
-        with pytest.raises(ValueError, match=match):
-            PredefinedLexicon(("a", "b"), vectors)
+    def test_bad_vectors_rejected(self, task, tmp_path, value, match):
+        class BadWordBackend(ToyBackend):
+            def token_embedding_lookup(self, word):
+                vector = super().token_embedding_lookup(word).astype(np.float64)
+                if word == "cartoon":
+                    vector[1] = value
+                return vector
+
+        p = tmp_path / "lex.txt"
+        p.write_text("white\ncartoon\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: lexicon vectors must be {match}"):
+            lexicon_for(StyleGenConfig(), BadWordBackend(ToyBackendSpec(), task.class_names), p)
 
 
 class TestStyleGenConfig:

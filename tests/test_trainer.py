@@ -10,7 +10,8 @@ import dpstyler.styles as styles_mod
 import dpstyler.trainer as trainer_mod
 from dpstyler.backends import ToyBackend, ToyBackendSpec
 from dpstyler.config import DEFAULT_TEMPLATES
-from dpstyler.core import Stream, TaskDefinition, l2_normalize, seeded_rng, template_id
+from dpstyler.core import (DegenerateEmbeddingError, Stream, TaskDefinition, l2_normalize,
+                           seeded_rng, template_id)
 from dpstyler.losses import head_init, loss_gradients, softmax
 from dpstyler.remover import remover_backward, remover_forward, remover_init
 from dpstyler.styles import STRATEGIES, StyleGenConfig, lexicon_for, refresh_bank
@@ -159,6 +160,57 @@ class TestTrainOneModel:
         with pytest.raises(TrainingDivergedError):
             train_one_model(task, backend, templates[0], e2e_train_config(epochs=1))
 
+    @pytest.mark.parametrize("value, kind", [(np.nan, "non-finite"), (0.0, "zero")],
+                             ids=["nan", "zero"])
+    def test_bad_prompt_row_diverges_by_name(self, task, templates, value, kind):
+        # A NaN or zero training prompt row is a numeric failure naming the
+        # method, the row's class and style, the epoch and the batch, not
+        # "non-finite gate output" or loss_gradients' "zero-norm feature".
+        class PoisonedPromptBackend(ToyBackend):
+            calls = 0
+
+            def encode_prompt_rows(self, pattern, class_names, styles, index):
+                self.calls += 1
+                rows = super().encode_prompt_rows(pattern, class_names, styles, index)
+                if self.calls == 5:  # epoch 1's batch 1: 40 prompts in batches of 16
+                    self.poisoned = int(index[6])
+                    rows[6] = value
+                return rows
+
+        cfg = TrainConfig(epochs=2, batch_size=16, seed=3,
+                          style_gen=StyleGenConfig(num_styles=8, strategy="random"))
+        backend = PoisonedPromptBackend(ToyBackendSpec(), task.class_names)
+        with pytest.raises(TrainingDivergedError) as info:
+            train_one_model(task, backend, templates[0], cfg)
+        m, i = divmod(backend.poisoned, 8)
+        assert str(info.value) == (f"encode_prompt_rows row 6 is {kind} (class "
+                                   f"{task.class_names[m]!r}, style {i}) at epoch 1, batch 1")
+        assert (info.value.epoch, info.value.batch) == (1, 1)
+
+    def test_fault_past_clean_prompt_rows_keeps_its_own_error(self, task, templates,
+                                                              monkeypatch):
+        # Clean rows leave a NaN gate output or a zero head row its own message.
+        real_forward = trainer_mod.remover_forward_cached
+
+        def nan_gate(v, remover):
+            removed, cache = real_forward(v, remover)
+            return removed * np.nan, cache
+
+        backend = ToyBackend(ToyBackendSpec(), task.class_names)
+        monkeypatch.setattr(trainer_mod, "remover_forward_cached", nan_gate)
+        with pytest.raises(TrainingDivergedError,
+                           match="^non-finite gate output at epoch 0, batch 0$"):
+            train_one_model(task, backend, templates[0], e2e_train_config(epochs=1))
+        monkeypatch.setattr(trainer_mod, "remover_forward_cached", real_forward)
+
+        def zero_head_row(features, probe, head, *args):
+            head.weights[0] = 0.0
+            return loss_gradients(features, probe, head, *args)
+
+        monkeypatch.setattr(trainer_mod, "loss_gradients", zero_head_row)
+        with pytest.raises(DegenerateEmbeddingError, match="head rows must be nonzero"):
+            train_one_model(task, backend, templates[0], e2e_train_config(epochs=1))
+
     def test_non_finite_loss_diverges(self, task, templates, monkeypatch):
         real = trainer_mod.loss_gradients
 
@@ -192,6 +244,13 @@ class TestTrainOneModel:
                            match=f"^encode_style_prompts row 3 is {kind} at epoch 1$") as info:
             train_one_model(task, backend, templates[0], e2e_train_config(epochs=3))
         assert (info.value.epoch, info.value.batch) == (1, None)
+
+    def test_probe_is_float32_unit_rows(self, task):
+        backend = ToyBackend(ToyBackendSpec(), task.class_names)
+        styles = refresh_bank(StyleGenConfig(num_styles=6, strategy="random"), 32, 0, 0)
+        probe = encode_probe(backend, styles, 0)
+        assert probe.dtype == np.float32 and probe.shape == (6, backend.dim_joint)
+        np.testing.assert_array_equal(probe, l2_normalize(backend.encode_style_prompts(styles)))
 
     def test_wrong_style_prompt_width_rejected(self, task, templates):
         class NarrowProbeBackend(ToyBackend):
@@ -293,8 +352,7 @@ class TestDomainUncertaintyEffect:
         task = TaskDefinition(("dog", "elephant", "giraffe", "guitar", "horse"))
         backend = ToyBackend(ToyBackendSpec(), task.class_names)
         held = refresh_bank(StyleGenConfig(num_styles=8, strategy="frozen"), 32, 9999, epoch=0)
-        probe = encode_probe(backend, held, 0)
-        tn = l2_normalize(probe.style_text_features)
+        tn = encode_probe(backend, held, 0)
         feats = encode_grid(backend, templates[0].pattern, task.class_names, held)
         feats = feats.reshape(-1, backend.dim_joint)
 

@@ -52,6 +52,11 @@ class RunConfig:
             raise ValueError(f"backend.variant must be 'toy', got {self.backend_variant!r}")
         if self.fusion not in FUSION_MODES:
             raise ValueError(f"fusion must be one of {FUSION_MODES}, got {self.fusion!r}")
+        seen = set()  # each template trains one checkpoint, named by its pattern
+        for template in self.templates:
+            if template.pattern in seen:
+                raise ValueError(f"templates lists {template.pattern!r} more than once")
+            seen.add(template.pattern)
         C, ratio = self.backend_spec.dim_joint, self.train.ratio
         if C // ratio < 1:
             raise ValueError(f"train.ratio {ratio} exceeds backend.dim_joint {C}, "

@@ -136,8 +136,9 @@ def lexicon_for(config: StyleGenConfig, backend, path=None) -> np.ndarray | None
     else None, and no file is opened.
 
     One adjective per line; '#' starts a comment.  Raises ``ValueError`` for
-    fewer than 2 words, a repeated word, vectors that are not D wide, or
-    vectors that are not finite in float32, checked in that order.
+    fewer than 2 words, a repeated word, lookups of differing shapes, vectors
+    that are not D wide, or vectors that are not finite in float32, checked
+    in that order.
     """
     if config.strategy not in LEXICON_STRATEGIES:
         return None
@@ -146,12 +147,17 @@ def lexicon_for(config: StyleGenConfig, backend, path=None) -> np.ndarray | None
     # would also split at form feeds and Unicode line separators.
     lines = source.read_text(encoding="utf-8").split("\n")
     words = [w for w in (line.split("#", 1)[0].strip() for line in lines) if w]
-    # np.array, not np.stack: an empty list reaches the count check.
-    vectors = np.array([backend.token_embedding_lookup(w) for w in words])
+    lookups = [backend.token_embedding_lookup(w) for w in words]
     if len(words) < 2:
         raise ValueError(f"{source}: lexicon needs at least 2 entries")
     if len(set(words)) != len(words):
         raise ValueError(f"{source}: lexicon labels must be unique")
+    shape = np.shape(lookups[0])
+    for word, lookup in zip(words, lookups):
+        if np.shape(lookup) != shape:
+            raise ValueError(f"{source}: token_embedding_lookup returned shape {np.shape(lookup)} "
+                             f"for {word!r} but {shape} for {words[0]!r}")
+    vectors = np.array(lookups)
     check_rows("token_embedding_lookup", vectors, (len(words), backend.dim_token))
     # Finite in float32, the dtype StyleMix mixes into: a convex mix of
     # such vectors then stays finite too.

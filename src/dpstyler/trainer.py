@@ -39,7 +39,7 @@ from .core import (
 )
 from .losses import ArcFaceConfig, ClassifierHead, head_init, loss_gradients
 from .remover import StyleRemoverParams, remover_forward_cached, remover_init, remover_weight_grads
-from .styles import StyleGenConfig, lexicon_for, refresh_bank
+from .styles import StyleGenConfig, refresh_bank
 
 CHECKPOINT_MAGIC = b"DPSTYLR1"
 CHECKPOINT_VERSION = 2
@@ -212,10 +212,12 @@ def train_one_model(
     backend_tag: str = "toy",
     config_snapshot: dict | None = None,
 ) -> TrainResult:
-    """Train remover + head for one prompt template; returns the checkpoint."""
+    """Train remover + head for one prompt template; returns the checkpoint.
+
+    ``lexicon``, the (L, D) array ``RunConfig.build_lexicon`` reads, is the only word
+    list the run mixes: None means none, and a lexicon strategy is refused at epoch 0.
+    """
     C, D, K = backend.dim_joint, backend.dim_token, config.num_styles
-    if lexicon is None:
-        lexicon = lexicon_for(config.style_gen, backend)
     remover = remover_init(C, config.ratio, seeded_rng(config.seed, Stream.REMOVER_INIT))
     head = head_init(task.num_classes, C, seeded_rng(config.seed, Stream.HEAD_INIT))
     vel_w1 = np.zeros_like(remover.W1)

@@ -16,7 +16,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from dpstyler.backends import ToyBackend, ToyBackendSpec
 from dpstyler.config import DEFAULT_TEMPLATES
 from dpstyler.core import PromptTemplate, TaskDefinition
-from dpstyler.styles import StyleGenConfig
+from dpstyler.styles import StyleGenConfig, lexicon_for
 from dpstyler.toydata import make_toy_dataset
 from dpstyler.trainer import TrainConfig, train_one_model
 
@@ -75,11 +75,18 @@ def e2e_backend(task) -> ToyBackend:
 
 
 @pytest.fixture(scope="session")
-def trained_models(task, templates, e2e_backend):
+def e2e_lexicon(e2e_backend) -> np.ndarray:
+    """The packaged word list as ``e2e_backend`` embeds it, for ``e2e_train_config`` runs."""
+    return lexicon_for(e2e_train_config().style_gen, e2e_backend)
+
+
+@pytest.fixture(scope="session")
+def trained_models(task, templates, e2e_backend, e2e_lexicon):
     """One trained model per default template, with wall time per model."""
     results = []
     for template in templates:
-        results.append(train_one_model(task, e2e_backend, template, e2e_train_config()))
+        results.append(train_one_model(task, e2e_backend, template, e2e_train_config(),
+                                       lexicon=e2e_lexicon))
     return results
 
 

@@ -323,11 +323,12 @@ def _stub_checkpoint(M):
 # 6. End-to-end toy pipeline
 # --------------------------------------------------------------------------
 
-def test_criterion_6_end_to_end(task, templates, e2e_backend, trained_models, toy_dataset_root):
+def test_criterion_6_end_to_end(task, templates, e2e_backend, e2e_lexicon, trained_models,
+                                toy_dataset_root):
     # Wall time per model, re-measured on a fresh single-template run so
     # the session fixture's cost does not hide a regression.
     start = time.perf_counter()
-    train_one_model(task, e2e_backend, templates[0], e2e_train_config())
+    train_one_model(task, e2e_backend, templates[0], e2e_train_config(), lexicon=e2e_lexicon)
     per_model = time.perf_counter() - start
 
     manifest = load_manifest(toy_dataset_root)
@@ -382,7 +383,7 @@ def test_criterion_6_end_to_end(task, templates, e2e_backend, trained_models, to
 # 7. Determinism and persistence
 # --------------------------------------------------------------------------
 
-def test_criterion_7_determinism(task, templates, e2e_backend, tmp_path):
+def test_criterion_7_determinism(task, templates, e2e_backend, e2e_lexicon, tmp_path):
     cfg = e2e_train_config(epochs=10)
 
     def encoder_hash():
@@ -397,8 +398,8 @@ def test_criterion_7_determinism(task, templates, e2e_backend, tmp_path):
         return h.hexdigest()
 
     before = encoder_hash()
-    a = train_one_model(task, e2e_backend, templates[0], cfg)
-    b = train_one_model(task, e2e_backend, templates[0], cfg)
+    a = train_one_model(task, e2e_backend, templates[0], cfg, lexicon=e2e_lexicon)
+    b = train_one_model(task, e2e_backend, templates[0], cfg, lexicon=e2e_lexicon)
     after = encoder_hash()
 
     identical = (

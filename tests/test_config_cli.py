@@ -529,6 +529,20 @@ class TestCliErrors:
         assert err.endswith(") at epoch 0, batch 0\n")
         assert not list(out.glob("*.ckpt"))
 
+    @pytest.mark.parametrize("command", ["train", "info"])
+    def test_repeated_template_exits_2(self, workspace, capsys, command):
+        # A template listed twice would train twice into one checkpoint file.
+        cfg_path, _, out = workspace
+        cfg_path.write_text(cfg_path.read_text() + "templates:\n"
+                            "  - 'a [class] in a S* style'\n"
+                            "  - 'a S* style of a [class]'\n"
+                            "  - 'a [class] in a S* style'\n")
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr() == ("", "config error: invalid config: templates lists "
+                                           "'a [class] in a S* style' more than once\n")
+        assert not list(out.glob("*.ckpt"))
+
     def test_checkpoint_without_a_recorded_seed_is_unchecked(self, workspace, tmp_path):
         # A checkpoint built in code may carry an empty config snapshot.
         other_cfg, ckpt = self._train_and_edit_config(workspace, tmp_path, "  seed: 11\n",

@@ -35,7 +35,7 @@ from dpstyler.evaluation import (
 )
 from dpstyler.losses import ClassifierHead
 from dpstyler.remover import StyleRemoverParams, remover_forward
-from dpstyler.styles import StyleGenConfig
+from dpstyler.styles import StyleGenConfig, lexicon_for
 from dpstyler.toydata import make_toy_dataset
 from dpstyler.trainer import Checkpoint, TrainConfig, save_checkpoint, train_one_model
 
@@ -509,9 +509,11 @@ class TestAbstractMethodsSuffice:
     def _run(self, backend, task, manifest, out):
         config = TrainConfig(epochs=3, seed=5,
                              style_gen=StyleGenConfig(num_styles=4, strategy="random_mix"))
+        lexicon = lexicon_for(config.style_gen, backend)
         members = []
         for i, pattern in enumerate(DEFAULT_TEMPLATES):
-            result = train_one_model(task, backend, PromptTemplate(pattern), config)
+            result = train_one_model(task, backend, PromptTemplate(pattern), config,
+                                     lexicon=lexicon)
             save_checkpoint(result.checkpoint, out / f"{i}.ckpt")
             members.append(result.checkpoint)
         bundle = EnsembleBundle(tuple(members))

@@ -59,7 +59,8 @@ def test_master_seed_reaches_style_generation():
     template = PromptTemplate("a [class] in a S* style")
     backends = {seed: _StyleRecorder(ToyBackendSpec(), NAMES) for seed in (1, 2)}
     for seed, backend in backends.items():
-        train_one_model(task, backend, template, TrainConfig(epochs=2, seed=seed))
+        train_one_model(task, backend, template, TrainConfig(epochs=2, seed=seed),
+                        lexicon=lexicon_for(StyleGenConfig(), backend))
     assert not np.array_equal(backends[1].banks[-1], backends[2].banks[-1])
     # The last bank is the master seed's refresh for the last epoch.
     cfg = StyleGenConfig()

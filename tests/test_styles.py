@@ -103,6 +103,19 @@ class TestStylemixStyle:
         with pytest.raises(ValueError, match="alpha must be > 0"):
             stylemix_style(_lexicon(rng), alpha, np.random.default_rng(0))
 
+    def test_degenerate_weight_draws_raise_after_the_retries(self, rng):
+        class ZeroBeta:
+            draws = 0
+
+            def beta(self, a, b, size):
+                self.draws += 1
+                return np.zeros(size)
+
+        gen = ZeroBeta()
+        with pytest.raises(ValueError, match="^Beta weight draws degenerate after retries$"):
+            stylemix_style(_lexicon(rng), 0.1, gen)
+        assert gen.draws == styles_mod.STYLEMIX_RETRIES
+
     def test_deterministic(self, rng):
         lex = _lexicon(rng)
         a = stylemix_style(lex, 0.1, np.random.default_rng(10))
@@ -271,6 +284,20 @@ class TestLexicon:
         p.write_text(words)
         with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: {message}$"):
             lexicon_for(StyleGenConfig(), ToyBackend(ToyBackendSpec(), task.class_names), p)
+
+    def test_uneven_lookups_name_the_word(self, task, tmp_path):
+        # One short lookup, not NumPy's "inhomogeneous shape" error.
+        class ShortWordBackend(ToyBackend):
+            def token_embedding_lookup(self, word):
+                vector = super().token_embedding_lookup(word)
+                return vector[:-1] if word == "cartoon" else vector
+
+        p = tmp_path / "lex.txt"
+        p.write_text("white\ncartoon\nsketchy\n")
+        message = (f"{p}: token_embedding_lookup returned shape (31,) for 'cartoon' "
+                   "but (32,) for 'white'")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            lexicon_for(StyleGenConfig(), ShortWordBackend(ToyBackendSpec(), task.class_names), p)
 
     @pytest.mark.parametrize(
         "value, match",

@@ -1,6 +1,9 @@
 """Training loop, SGD updates, and binary checkpoint persistence."""
 import dataclasses
 import json
+import os
+import re
+import types
 import warnings
 
 import numpy as np
@@ -91,9 +94,9 @@ class TestSgdStep:
 
 
 class TestTrainOneModel:
-    def test_one_epoch_moves_remover(self, task, templates, e2e_backend):
+    def test_one_epoch_moves_remover(self, task, templates, e2e_backend, e2e_lexicon):
         cfg = e2e_train_config(epochs=1)
-        result = train_one_model(task, e2e_backend, templates[0], cfg)
+        result = train_one_model(task, e2e_backend, templates[0], cfg, lexicon=e2e_lexicon)
         init = remover_init(
             e2e_backend.dim_joint, cfg.ratio, seeded_rng(cfg.seed, Stream.REMOVER_INIT)
         )
@@ -104,9 +107,11 @@ class TestTrainOneModel:
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
 
-    def test_deterministic_checkpoints(self, task, templates, e2e_backend):
-        a = train_one_model(task, e2e_backend, templates[0], e2e_train_config(epochs=3))
-        b = train_one_model(task, e2e_backend, templates[0], e2e_train_config(epochs=3))
+    def test_deterministic_checkpoints(self, task, templates, e2e_backend, e2e_lexicon):
+        a = train_one_model(task, e2e_backend, templates[0], e2e_train_config(epochs=3),
+                            lexicon=e2e_lexicon)
+        b = train_one_model(task, e2e_backend, templates[0], e2e_train_config(epochs=3),
+                            lexicon=e2e_lexicon)
         np.testing.assert_array_equal(a.checkpoint.remover.W1, b.checkpoint.remover.W1)
         np.testing.assert_array_equal(a.checkpoint.remover.W2, b.checkpoint.remover.W2)
         np.testing.assert_array_equal(a.checkpoint.head.weights, b.checkpoint.head.weights)
@@ -143,12 +148,27 @@ class TestTrainOneModel:
             expected = np.repeat(np.arange(task.num_classes), len(styles))
             assert np.mean(pred == expected) >= 0.9
 
+    def test_lexicon_strategy_without_a_lexicon_is_refused(self, task, templates):
+        # No lexicon given is none mixed: random_mix is refused at epoch 0,
+        # before any encoding, and no word list is looked up in its place.
+        class NoEncodingBackend(ToyBackend):
+            def token_embedding_lookup(self, word):
+                raise AssertionError(f"looked up {word!r}")
+
+            def encode_style_prompts(self, styles):
+                raise AssertionError("encoded a style prompt")
+
+        backend = NoEncodingBackend(ToyBackendSpec(), task.class_names)
+        with pytest.raises(ValueError, match="^the random_mix strategy requires a lexicon$"):
+            train_one_model(task, backend, templates[0], e2e_train_config(epochs=1))
+
     def test_frozen_backend_untouched(self, task, templates):
         backend = ToyBackend(ToyBackendSpec(seed=2), task.class_names)
         rng = np.random.default_rng(0)
         probes = rng.standard_normal((5, 32))
         before = backend.encode_style_prompts(probes).copy()
-        train_one_model(task, backend, templates[0], e2e_train_config(epochs=2))
+        train_one_model(task, backend, templates[0], e2e_train_config(epochs=2),
+                        lexicon=lexicon_for(StyleGenConfig(), backend))
         np.testing.assert_array_equal(backend.encode_style_prompts(probes), before)
 
     def test_divergence_raises(self, task, templates):
@@ -158,7 +178,8 @@ class TestTrainOneModel:
 
         backend = NaNBackend(ToyBackendSpec(), task.class_names)
         with pytest.raises(TrainingDivergedError):
-            train_one_model(task, backend, templates[0], e2e_train_config(epochs=1))
+            train_one_model(task, backend, templates[0], e2e_train_config(epochs=1),
+                            lexicon=lexicon_for(StyleGenConfig(), backend))
 
     @pytest.mark.parametrize("value, kind", [(np.nan, "non-finite"), (0.0, "zero")],
                              ids=["nan", "zero"])
@@ -200,7 +221,8 @@ class TestTrainOneModel:
         monkeypatch.setattr(trainer_mod, "remover_forward_cached", nan_gate)
         with pytest.raises(TrainingDivergedError,
                            match="^non-finite gate output at epoch 0, batch 0$"):
-            train_one_model(task, backend, templates[0], e2e_train_config(epochs=1))
+            train_one_model(task, backend, templates[0], e2e_train_config(epochs=1),
+                            lexicon=lexicon_for(StyleGenConfig(), backend))
         monkeypatch.setattr(trainer_mod, "remover_forward_cached", real_forward)
 
         def zero_head_row(features, probe, head, *args):
@@ -209,7 +231,8 @@ class TestTrainOneModel:
 
         monkeypatch.setattr(trainer_mod, "loss_gradients", zero_head_row)
         with pytest.raises(DegenerateEmbeddingError, match="head rows must be nonzero"):
-            train_one_model(task, backend, templates[0], e2e_train_config(epochs=1))
+            train_one_model(task, backend, templates[0], e2e_train_config(epochs=1),
+                            lexicon=lexicon_for(StyleGenConfig(), backend))
 
     def test_non_finite_loss_diverges(self, task, templates, monkeypatch):
         real = trainer_mod.loss_gradients
@@ -220,7 +243,8 @@ class TestTrainOneModel:
         monkeypatch.setattr(trainer_mod, "loss_gradients", nan_classification_loss)
         backend = ToyBackend(ToyBackendSpec(), task.class_names)
         with pytest.raises(TrainingDivergedError, match="L_C=nan at epoch 0, batch 0") as info:
-            train_one_model(task, backend, templates[0], e2e_train_config(epochs=1))
+            train_one_model(task, backend, templates[0], e2e_train_config(epochs=1),
+                            lexicon=lexicon_for(StyleGenConfig(), backend))
         assert (info.value.epoch, info.value.batch) == (0, 0)
 
     @pytest.mark.parametrize("value, kind", [(np.nan, "non-finite"), (0.0, "zero")],
@@ -242,7 +266,8 @@ class TestTrainOneModel:
         backend = PoisonedProbeBackend(ToyBackendSpec(), task.class_names)
         with pytest.raises(TrainingDivergedError,
                            match=f"^encode_style_prompts row 3 is {kind} at epoch 1$") as info:
-            train_one_model(task, backend, templates[0], e2e_train_config(epochs=3))
+            train_one_model(task, backend, templates[0], e2e_train_config(epochs=3),
+                            lexicon=lexicon_for(StyleGenConfig(), backend))
         assert (info.value.epoch, info.value.batch) == (1, None)
 
     def test_probe_is_float32_unit_rows(self, task):
@@ -259,7 +284,8 @@ class TestTrainOneModel:
 
         backend = NarrowProbeBackend(ToyBackendSpec(), task.class_names)
         with pytest.raises(ValueError, match=r"encode_style_prompts returned shape \(8, 63\)"):
-            train_one_model(task, backend, templates[0], e2e_train_config(epochs=1))
+            train_one_model(task, backend, templates[0], e2e_train_config(epochs=1),
+                            lexicon=lexicon_for(StyleGenConfig(), backend))
 
     def test_wrong_feature_shape_rejected(self, task, templates):
         class ShortBackend(ToyBackend):
@@ -268,7 +294,8 @@ class TestTrainOneModel:
 
         backend = ShortBackend(ToyBackendSpec(), task.class_names)
         with pytest.raises(ValueError, match="shape"):
-            train_one_model(task, backend, templates[0], e2e_train_config(epochs=1))
+            train_one_model(task, backend, templates[0], e2e_train_config(epochs=1),
+                            lexicon=lexicon_for(StyleGenConfig(), backend))
 
     def test_encodes_each_prompt_once_per_batch(self, task, templates):
         # One epoch asks only for its batches' rows, each flat index once,
@@ -305,7 +332,9 @@ class TestTrainOneModel:
         monkeypatch.setattr(styles_mod, "_draw", spy)
         cfg = TrainConfig(epochs=3, batch_size=16, seed=3,
                           style_gen=StyleGenConfig(num_styles=4, strategy=strategy))
-        train_one_model(task, ToyBackend(ToyBackendSpec(), task.class_names), templates[0], cfg)
+        backend = ToyBackend(ToyBackendSpec(), task.class_names)
+        train_one_model(task, backend, templates[0], cfg,
+                        lexicon=lexicon_for(cfg.style_gen, backend))
         assert len(draws) == cfg.epochs
 
 
@@ -360,8 +389,10 @@ class TestDomainUncertaintyEffect:
             p = softmax(l2_normalize(x) @ tn.T)
             return float(np.mean(np.sum(p * np.log(p), axis=1)))
 
+        lexicon = lexicon_for(StyleGenConfig(), backend)
         for seed in (0, 1, 2):
-            result = train_one_model(task, backend, templates[0], e2e_train_config(seed=seed))
+            result = train_one_model(task, backend, templates[0], e2e_train_config(seed=seed),
+                                     lexicon=lexicon)
             removed = remover_forward(feats, result.checkpoint.remover)
             assert mean_lu(removed) < mean_lu(feats)
 
@@ -422,6 +453,18 @@ class TestCheckpointPersistence:
         blob = path.read_bytes()
         path.write_bytes(blob[:-1])
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_array_cut_short_after_the_size_check_is_typed(self, trained_models, tmp_path,
+                                                           monkeypatch):
+        # A file that shrinks between fstat and the read: the last array comes up short.
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(trained_models[0].checkpoint, path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-4])
+        monkeypatch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(st_size=len(blob)))
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: array 'head' "
+                                                  "is truncated$"):
             load_checkpoint(path)
 
     def test_bad_magic(self, trained_models, tmp_path):

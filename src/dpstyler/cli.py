@@ -28,7 +28,7 @@ from .evaluation import (
     evaluate,
     export_embeddings,
     load_manifest,
-    zeroshot_predict,
+    zeroshot_predictor,
 )
 from .trainer import (
     TrainingDivergedError,
@@ -61,18 +61,36 @@ def _load_checkpoint_for(path, cfg: RunConfig, backend):
     if isinstance(snapshot, dict) and "seed" in snapshot:  # a snapshot built in code may lack it
         checked.append(("backend.seed", snapshot["seed"], cfg.backend_spec.seed))
     for name, trained, configured in checked:
-        if trained != configured:
-            raise ConfigError(f"checkpoint {path} has {name} {trained}, "
-                              f"the configured backend {configured}")
+        if type(trained) is not int or trained != configured:  # True == 1, yet is no seed
+            raise ConfigError(f"checkpoint {path} has {name} {trained!r}, "
+                              f"the configured backend {configured!r}")
     return ckpt
 
 
-def _require_manifest(cfg: RunConfig):
+def _load_for_manifest(args):
+    """The config, its backend and its ``eval.manifest``, for a command that reads one."""
+    cfg = _load_config(args)
+    backend = cfg.build_backend()
     if not cfg.eval_manifest:
         raise ConfigError("eval.manifest is required for this command")
     if not os.path.exists(cfg.eval_manifest):
         raise ConfigError(f"manifest path not found: {cfg.eval_manifest}")
-    return load_manifest(cfg.eval_manifest)
+    return cfg, backend, load_manifest(cfg.eval_manifest)
+
+
+def _report_pass(cfg: RunConfig, backend, manifest, predict, name: str, tag: str,
+                 heading: str = "") -> None:
+    """Evaluate ``predict`` on ``manifest``, print the heading (if any) and the table,
+    and write the report to ``report-<tag>-<fingerprint>.json`` atomically."""
+    report = evaluate(manifest, backend, cfg.task, predict, config_fingerprint=cfg.fingerprint,
+                      seed=cfg.train.seed, predictor_name=name)
+    if heading:
+        print(heading)
+    print(report.table())
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    path = os.path.join(cfg.output_dir, f"report-{tag}-{cfg.fingerprint}.json")
+    with atomic_write(path, encoding="utf-8") as fh:
+        json.dump(report.to_dict(), fh, indent=2)
 
 
 def cmd_train(args) -> int:
@@ -106,52 +124,27 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_config(args)
-    backend = cfg.build_backend()
-    manifest = _require_manifest(cfg)
+    cfg, backend, manifest = _load_for_manifest(args)
     members = tuple(_load_checkpoint_for(p, cfg, backend) for p in args.checkpoints)
     for ckpt in members:
         if ckpt.class_names != cfg.task.class_names:
             raise ConfigError("checkpoint class names do not match the configured task")
     bundle = EnsembleBundle(members=members, fusion=cfg.fusion)
-    report = evaluate(
-        manifest,
-        backend,
-        cfg.task,
-        lambda emb: ensemble_predict(emb, bundle),
-        config_fingerprint=cfg.fingerprint,
-        seed=cfg.train.seed,
-        predictor_name=f"ensemble-{cfg.fusion}-n{len(members)}",
-    )
-    print(report.table())
-    _write_report(cfg, report, f"eval-{cfg.fusion}")
+    _report_pass(cfg, backend, manifest, lambda emb: ensemble_predict(emb, bundle),
+                 f"ensemble-{cfg.fusion}-n{len(members)}", f"eval-{cfg.fusion}")
     return EXIT_OK
 
 
 def cmd_zeroshot(args) -> int:
-    cfg = _load_config(args)
-    backend = cfg.build_backend()
-    manifest = _require_manifest(cfg)
+    cfg, backend, manifest = _load_for_manifest(args)
     for style in ZEROSHOT_PATTERNS:
-        report = evaluate(
-            manifest,
-            backend,
-            cfg.task,
-            lambda emb: zeroshot_predict(emb, backend, cfg.task, style),
-            config_fingerprint=cfg.fingerprint,
-            seed=cfg.train.seed,
-            predictor_name=f"zeroshot-{style}",
-        )
-        print(f"zero-shot ({style}):")
-        print(report.table())
-        _write_report(cfg, report, f"zeroshot-{style}")
+        _report_pass(cfg, backend, manifest, zeroshot_predictor(backend, cfg.task, style),
+                     f"zeroshot-{style}", f"zeroshot-{style}", f"zero-shot ({style}):")
     return EXIT_OK
 
 
 def cmd_export_embeddings(args) -> int:
-    cfg = _load_config(args)
-    backend = cfg.build_backend()
-    manifest = _require_manifest(cfg)
+    cfg, backend, manifest = _load_for_manifest(args)
     out_dir = os.path.dirname(os.path.abspath(args.out_file))
     if not os.path.isdir(out_dir):
         raise ConfigError(f"output directory does not exist: {out_dir}")
@@ -166,13 +159,6 @@ def cmd_info(args) -> int:
     print(json.dumps(cfg.raw, indent=2, sort_keys=True))
     print(f"fingerprint: {cfg.fingerprint}", file=sys.stderr)
     return EXIT_OK
-
-
-def _write_report(cfg: RunConfig, report, tag: str) -> None:
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    path = os.path.join(cfg.output_dir, f"report-{tag}-{cfg.fingerprint}.json")
-    with atomic_write(path, encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
 
 
 def build_parser() -> argparse.ArgumentParser:

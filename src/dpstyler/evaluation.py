@@ -78,25 +78,34 @@ def ensemble_predict(image_embedding: np.ndarray, bundle: EnsembleBundle) -> int
     return int(np.argmax(fused))
 
 
+def zeroshot_predictor(backend: EncoderBackend, task: TaskDefinition, prompt_style: str = "PC"):
+    """Classifier by cosine against class-name prompts ('C' or 'PC' pattern).
+
+    The M class prompts are encoded, checked and normalized once, here;
+    the returned ``predict(image_embedding) -> int`` only scores.
+    """
+    if prompt_style not in ZEROSHOT_PATTERNS:
+        raise ValueError(f"prompt_style must be one of {sorted(ZEROSHOT_PATTERNS)}")
+    M = task.num_classes
+    text = backend.encode_prompt_rows(ZEROSHOT_PATTERNS[prompt_style], task.class_names,
+                                      None, np.arange(M))
+    bad = unusable_row("encode_prompt_rows", text, (M, backend.dim_joint))
+    if bad is not None:
+        row, kind = bad
+        raise ValueError(f"encode_prompt_rows returned a {kind} class-prompt row: "
+                         f"row {row} ({task.class_names[row]!r})")
+    text = l2_normalize(text)
+    return lambda image_embedding: int(np.argmax(text @ l2_normalize(np.asarray(image_embedding))))
+
+
 def zeroshot_predict(
     image_embedding: np.ndarray,
     backend: EncoderBackend,
     task: TaskDefinition,
     prompt_style: str = "PC",
 ) -> int:
-    """Classify by cosine against class-name prompts ('C' or 'PC' pattern)."""
-    if prompt_style not in ZEROSHOT_PATTERNS:
-        raise ValueError(f"prompt_style must be one of {sorted(ZEROSHOT_PATTERNS)}")
-    pattern = ZEROSHOT_PATTERNS[prompt_style]
-    emb = l2_normalize(np.asarray(image_embedding))
-    M = task.num_classes
-    text = backend.encode_prompt_rows(pattern, task.class_names, None, np.arange(M))
-    bad = unusable_row("encode_prompt_rows", text, (M, backend.dim_joint))
-    if bad is not None:
-        row, kind = bad
-        raise ValueError(f"encode_prompt_rows returned a {kind} class-prompt row: "
-                         f"row {row} ({task.class_names[row]!r})")
-    return int(np.argmax(l2_normalize(text) @ emb))
+    """``zeroshot_predictor``'s class for one embedding; a pass builds the predictor once."""
+    return zeroshot_predictor(backend, task, prompt_style)(image_embedding)
 
 
 @dataclass(frozen=True)

@@ -322,8 +322,8 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(header_bytes)))
         fh.write(header_bytes)
-        for arr in arrays:
-            fh.write(arr.tobytes())
+        for arr in arrays:  # through the buffer protocol, so the body is not copied
+            fh.write(arr)
 
 
 def load_checkpoint(path) -> Checkpoint:

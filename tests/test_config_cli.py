@@ -396,6 +396,22 @@ class TestCliWorkflow:
             payload = json.loads(next(out.glob(f"report-zeroshot-{tag}-*.json")).read_text())
             assert payload["average_accuracy"] == 100.0
 
+    def test_zeroshot_encodes_the_class_prompts_once_per_pass(self, workspace, monkeypatch):
+        from dpstyler.backends import ToyBackend
+        from dpstyler.evaluation import ZEROSHOT_PATTERNS, load_manifest
+
+        real, patterns = ToyBackend.encode_prompt_rows, []
+
+        def counting(self, pattern, *args):
+            patterns.append(pattern)
+            return real(self, pattern, *args)
+
+        monkeypatch.setattr(ToyBackend, "encode_prompt_rows", counting)
+        cfg_path, data, _ = workspace
+        assert len(load_manifest(data).entries) == 12  # one call per record would make 24
+        assert main(["zeroshot", "--config", str(cfg_path)]) == 0
+        assert patterns == [ZEROSHOT_PATTERNS["C"], ZEROSHOT_PATTERNS["PC"]]
+
     def test_export_embeddings_with_and_without_checkpoint(self, workspace, tmp_path, capsys):
         cfg_path, data, out = workspace
         main(["train", "--config", str(cfg_path)])
@@ -488,6 +504,18 @@ class TestCliErrors:
         assert main(["eval", "--config", str(other_cfg), ckpt]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and field in err
+
+    def test_a_bool_snapshot_seed_is_not_backend_seed_1(self, workspace, tmp_path, capsys):
+        # True == 1 in Python, so only an exact int passes as the trained seed.
+        _, data, _ = workspace
+        cfg_path = tmp_path / "seed1.yaml"
+        cfg_path.write_text(SMALL_CONFIG.format(manifest=data, out=tmp_path / "out")
+                            .replace("  seed: 11\n", "  seed: 1\n"))
+        ckpt = tmp_path / "bool-seed.ckpt"
+        ckpt.write_bytes(_checkpoint_blob({"backend": {"seed": True}}))
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg_path), str(ckpt)]) == 2
+        assert "has backend.seed True, the configured backend 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "old, new, field",
@@ -958,6 +986,10 @@ MALFORMED = {
                                   "unsupported format version 1 (expected 2)"),
     ("checkpoint", "other-encoder-seed"): (_checkpoint_blob({"backend": {"seed": 12}}),
                                            "has backend.seed 12, the configured backend 11"),
+    ("checkpoint", "bool-encoder-seed"): (_checkpoint_blob({"backend": {"seed": True}}),
+                                          "has backend.seed True, the configured backend 11"),
+    ("checkpoint", "string-encoder-seed"): (_checkpoint_blob({"backend": {"seed": "11"}}),
+                                            "has backend.seed '11', the configured backend 11"),
     ("lexicon", "one-word"): ("white  # and nothing else\n",
                               "malformed-lexicon: lexicon needs at least 2 entries"),
     ("lexicon", "repeated-word"): ("white\nsketchy\nwhite\n",

@@ -32,6 +32,7 @@ from dpstyler.evaluation import (
     manifest_from_directory,
     predict_scores,
     zeroshot_predict,
+    zeroshot_predictor,
 )
 from dpstyler.losses import ClassifierHead
 from dpstyler.remover import StyleRemoverParams, remover_forward
@@ -220,6 +221,21 @@ class TestZeroshot:
         b = ToyBackend(ToyBackendSpec(), names)
         with pytest.raises(ValueError):
             zeroshot_predict(rng.standard_normal(64), b, TaskDefinition(names), "XY")
+        with pytest.raises(ValueError, match="prompt_style must be one of"):
+            zeroshot_predictor(b, TaskDefinition(names), "XY")
+
+    @pytest.mark.parametrize("style", sorted(ZEROSHOT_PATTERNS))
+    def test_per_pass_predictor_matches_per_image_predict(self, task, e2e_backend,
+                                                          toy_dataset_root, style):
+        predict, pairs = zeroshot_predictor(e2e_backend, task, style), []
+
+        def both(emb):
+            pairs.append((predict(emb), zeroshot_predict(emb, e2e_backend, task, style)))
+            return pairs[-1][0]
+
+        evaluate(load_manifest(toy_dataset_root), e2e_backend, task, both)
+        assert len(pairs) == 200 and len({ours for ours, _ in pairs}) > 1
+        assert all(ours == theirs for ours, theirs in pairs)
 
 
 def _write_toy_tree(root, backend, names, per=2):

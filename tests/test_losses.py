@@ -129,6 +129,8 @@ class TestArcFaceLoss:
             ArcFaceConfig(scale=0.0)
         with pytest.raises(ValueError):
             ArcFaceConfig(margin=4.0)
+        with pytest.raises(ValueError, match=r"margin must be in \[0, pi\)"):
+            ArcFaceConfig(margin=np.pi)
 
 
 class TestLossGradients:
@@ -140,40 +142,60 @@ class TestLossGradients:
         targets = rng.integers(M, size=B)
         return features, probe, head, targets
 
+    @staticmethod
+    def _assert_matches_finite_differences(features, probe, head, targets, cfg, eps=1e-6):
+        breakdown = loss_gradients(features, probe, head, targets, cfg)
+
+        def objective(feats, weights):
+            h = ClassifierHead(weights=weights)
+            lu = np.mean([
+                domain_uncertainty_loss(softmax(domain_logits(f, probe)))
+                for f in feats
+            ])
+            lc = np.mean([
+                arcface_loss(f, h, int(t), cfg)[0] for f, t in zip(feats, targets)
+            ])
+            return lu + lc
+
+        for analytic, base, rebuild in (
+            (breakdown.d_features, features, lambda x: objective(x, head.weights)),
+            (breakdown.d_head, head.weights, lambda x: objective(features, x)),
+        ):
+            flat = base.ravel()
+            numeric = np.zeros_like(flat)
+            for i in range(flat.size):
+                bump = flat.copy()
+                bump[i] += eps
+                hi = rebuild(bump.reshape(base.shape))
+                bump[i] -= 2 * eps
+                lo = rebuild(bump.reshape(base.shape))
+                numeric[i] = (hi - lo) / (2 * eps)
+            denom = max(np.abs(numeric).max(), np.abs(analytic).max(), 1e-8)
+            assert np.abs(analytic.ravel() - numeric).max() / denom < 1e-5
+        return breakdown
+
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         cfg = ArcFaceConfig(5.0, 0.5)
-        eps = 1e-6
         for _ in range(20):
-            features, probe, head, targets = self._random_instance(rng)
-            breakdown = loss_gradients(features, probe, head, targets, cfg)
+            self._assert_matches_finite_differences(*self._random_instance(rng), cfg)
 
-            def objective(feats, weights):
-                h = ClassifierHead(weights=weights)
-                lu = np.mean([
-                    domain_uncertainty_loss(softmax(domain_logits(f, probe)))
-                    for f in feats
-                ])
-                lc = np.mean([
-                    arcface_loss(f, h, int(t), cfg)[0] for f, t in zip(feats, targets)
-                ])
-                return lu + lc
-
-            for analytic, base, rebuild in (
-                (breakdown.d_features, features, lambda x: objective(x, head.weights)),
-                (breakdown.d_head, head.weights, lambda x: objective(features, x)),
-            ):
-                flat = base.ravel()
-                numeric = np.zeros_like(flat)
-                for i in range(flat.size):
-                    bump = flat.copy()
-                    bump[i] += eps
-                    hi = rebuild(bump.reshape(base.shape))
-                    bump[i] -= 2 * eps
-                    lo = rebuild(bump.reshape(base.shape))
-                    numeric[i] = (hi - lo) / (2 * eps)
-                denom = max(np.abs(numeric).max(), np.abs(analytic).max(), 1e-8)
-                assert np.abs(analytic.ravel() - numeric).max() / denom < 1e-5
+    @pytest.mark.parametrize("gap", [0.0, 1e-9], ids=["at-1", "inside-the-clamp"])
+    def test_target_cosine_at_plus_and_minus_one(self, rng, gap):
+        # One feature parallel and one antiparallel to its target head row (or
+        # tilted off it by 1 - |cos| = gap, still inside the clamp band).
+        _, probe, head, _ = self._random_instance(rng)
+        targets = np.array([0, 2])
+        wn = l2_normalize(head.weights[targets])
+        tilt = l2_normalize(rng.standard_normal((2, 8)))
+        tilt = l2_normalize(tilt - np.sum(tilt * wn, axis=1, keepdims=True) * wn)
+        cos = 1.0 - gap
+        features = np.array([[3.0], [-2.0]]) * (cos * wn + np.sqrt(1 - cos * cos) * tilt)
+        assert np.all(np.abs(np.sum(l2_normalize(features) * wn, axis=1)) > COS_CLAMP)
+        cfg = ArcFaceConfig(5.0, 0.5)
+        breakdown = self._assert_matches_finite_differences(features, probe, head, targets, cfg)
+        oracle = np.mean([arcface_loss(f, head, int(t), cfg)[0] for f, t in zip(features, targets)])
+        assert breakdown.loss_classification == pytest.approx(oracle, rel=1e-12)
 
     def test_zero_margin_single_sample_is_softmax_ce(self, rng):
         cfg = ArcFaceConfig(5.0, 0.0)

@@ -96,3 +96,13 @@ def test_toy_dataset_is_pinned(tmp_path):
     assert _tree_digest(tmp_path) == (
         "8f64487cbe9b9766a759ad65200b6dd9b7735cee9804311fd2043a30ae945275"
     )
+
+
+def test_confusion_free_toy_dataset_is_pinned(tmp_path):
+    # At confusion 0 no confusing class is drawn, so each image takes only its jitter.
+    backend = ToyBackend(ToyBackendSpec(dim_joint=16, dim_token=8, seed=5), NAMES)
+    make_toy_dataset(tmp_path, TaskDefinition(NAMES), backend, domains=("art", "photo"),
+                     images_per_domain=4, seed=3)
+    assert _tree_digest(tmp_path) == (
+        "afe7c62da68f5faa891cd803024623de126da9ba20d734dacac7b84da6037451"
+    )

@@ -107,6 +107,11 @@ class TestTrainOneModel:
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
 
+    def test_batch_size_one_is_the_smallest_accepted(self):
+        assert TrainConfig(batch_size=1).batch_size == 1
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            TrainConfig(batch_size=0)
+
     def test_deterministic_checkpoints(self, task, templates, e2e_backend, e2e_lexicon):
         a = train_one_model(task, e2e_backend, templates[0], e2e_train_config(epochs=3),
                             lexicon=e2e_lexicon)

@@ -37,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_DTYPE, STYLE_PLACEHOLDER, ZERO_NORM_EPS, l2_normalize, seeded_rng
+from .core import (DEFAULT_DTYPE, STYLE_PLACEHOLDER, ZERO_NORM_EPS, atomic_write, l2_normalize,
+                   seeded_rng)
 
 
 class ImageDecodeError(ValueError):
@@ -78,14 +79,6 @@ class EncoderBackend(abc.ABC):
     @abc.abstractmethod
     def encode_style_prompts(self, styles: np.ndarray) -> np.ndarray:
         """Encode the style-only prompt for each (K, D) style row: (K, C)."""
-
-    def text_encode(
-        self, pattern: str, class_name: str, style: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Encode one prompt, ``style`` at the style token.  Only perfbench's
-        zero-shot oracle calls it; ROADMAP item 11b deletes it once 11a lands."""
-        styles = None if style is None else np.asarray(style)[None]
-        return self.encode_prompt_rows(pattern, (class_name,), styles, np.arange(1))[0]
 
     @abc.abstractmethod
     def load_image(self, path):
@@ -201,7 +194,7 @@ def toy_image_load(path) -> ToyImage:
 
 
 def toy_image_save(image: ToyImage, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         json.dump(
             {
                 "class_index": image.class_index,
@@ -332,6 +325,12 @@ class ToyBackend(EncoderBackend):
         feature = self._content_table("text:" + pattern, tuple(class_names))[classes]
         feature += terms[columns]
         return self.OUTPUT_GAIN * l2_normalize(feature)
+
+    def text_encode(self, pattern: str, class_name: str, style: np.ndarray | None = None):
+        """Encode one prompt, ``style`` at the style token.  Only perfbench's
+        zero-shot oracle calls it; ROADMAP item 11b deletes it once 11a lands."""
+        styles = None if style is None else np.asarray(style)[None]
+        return self.encode_prompt_rows(pattern, (class_name,), styles, np.arange(1))[0]
 
     def encode_style_prompts(self, styles: np.ndarray) -> np.ndarray:
         feature = self._style_prompt_base + self._style_terms(styles)

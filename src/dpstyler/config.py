@@ -207,7 +207,7 @@ def load_run_config(path, seed_override: int | None = None, out_override: str | 
     try:
         with open(path, encoding="utf-8") as fh:
             doc = yaml.load(fh, Loader=loader) or {}
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a mapping")

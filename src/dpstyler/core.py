@@ -82,16 +82,11 @@ def atomic_write(path, mode: str = "w", **open_kwargs):
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """Project a vector (or a batch of row vectors) onto the unit sphere.
+    """Project each row of ``v`` onto the unit sphere; a (C,) vector is one row.
 
     Raises DegenerateEmbeddingError if any row has norm below ZERO_NORM_EPS.
     """
     v = np.asarray(v)
-    if v.ndim == 1:
-        norm = np.linalg.norm(v)
-        if norm < ZERO_NORM_EPS:
-            raise DegenerateEmbeddingError("cannot normalize a zero vector")
-        return v / norm
     norms = np.linalg.norm(v, axis=-1, keepdims=True)
     if np.any(norms < ZERO_NORM_EPS):
         raise DegenerateEmbeddingError("cannot normalize a zero row")

@@ -120,6 +120,13 @@ class DatasetManifest:
             raise ValueError("manifest is empty")
 
 
+def _manifest(source, entries: list) -> DatasetManifest:
+    """``entries`` as a manifest; none is refused naming ``source``, the file or tree read."""
+    if not entries:
+        raise ValueError(f"{source}: manifest is empty")
+    return DatasetManifest(entries=tuple(entries))
+
+
 def _subdirectories(path) -> list[os.DirEntry]:
     """Entries of ``path`` that are directories (symlinks followed)."""
     with os.scandir(path) as it:
@@ -133,7 +140,7 @@ def manifest_from_directory(root) -> DatasetManifest:
         for cls in _subdirectories(domain.path):
             for name in os.listdir(cls.path):
                 entries.append((os.path.join(cls.path, name), domain.name, cls.name))
-    return DatasetManifest(entries=tuple(entries))
+    return _manifest(root, entries)
 
 
 def manifest_from_csv(path) -> DatasetManifest:
@@ -160,7 +167,9 @@ def manifest_from_csv(path) -> DatasetManifest:
                 entries.append((p, domain, cls))
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
             raise ValueError(f"{path}: unreadable manifest at line {reader.line_num}: {exc}") from exc
-    return DatasetManifest(entries=tuple(entries))
+        except UnicodeDecodeError as exc:  # decoded a block at a time, so no line number
+            raise ValueError(f"{path}: {exc}") from exc
+    return _manifest(path, entries)
 
 
 def load_manifest(path_or_root) -> DatasetManifest:

@@ -145,7 +145,10 @@ def lexicon_for(config: StyleGenConfig, backend, path=None) -> np.ndarray | None
     source = resources.files("dpstyler") / "data/lexicon.txt" if path is None else Path(path)
     # read_text translates newlines as file iteration does; str.splitlines
     # would also split at form feeds and Unicode line separators.
-    lines = source.read_text(encoding="utf-8").split("\n")
+    try:
+        lines = source.read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{source}: {exc}") from exc
     words = [w for w in (line.split("#", 1)[0].strip() for line in lines) if w]
     lookups = [backend.token_embedding_lookup(w) for w in words]
     if len(words) < 2:

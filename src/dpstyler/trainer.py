@@ -247,7 +247,10 @@ def train_one_model(
                     raise TrainingDivergedError(epoch, batch_idx, "non-finite gate output")
                 breakdown = loss_gradients(removed, probe, head, y, config.arcface)
             except (TrainingDivergedError, DegenerateEmbeddingError):
-                # Only a failing batch is searched for an encoder row at fault.
+                # Only a failing batch is searched for an encoder row at fault: an eager
+                # check would add a (B, C) norm and its temporary to every clean batch.
+                # A zero prompt row still fails here, since R(0) = 0 and loss_gradients
+                # refuses a zero feature row.
                 bad = unusable_row("encode_prompt_rows", v, (len(index), C))
                 if bad is None:
                     raise

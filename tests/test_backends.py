@@ -478,6 +478,15 @@ class TestToyImageFormat:
         assert back.content_strength == pytest.approx(0.7)
         np.testing.assert_allclose(back.nuisance, img.nuisance, rtol=1e-6)
 
+    def test_failed_save_leaves_the_previous_record(self, tmp_path, rng):
+        path = tmp_path / "img.json"
+        toy_image_save(ToyImage(1, rng.standard_normal(32)), path)
+        before = path.read_bytes()
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            toy_image_save(ToyImage(2, rng.standard_normal(32), content_strength=object()), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["img.json"]
+
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -270,15 +270,16 @@ class TestYamlLoaders:
     @pytest.mark.parametrize(
         "doc",
         ["task: {class_names: [a, b]\n", "task:\n  class_names: [a\n   - b\n", "a: b: c\n",
-         "task: !!python/object:os.system {}\n", "\t- tab\n"],
-        ids=["unclosed-flow", "bad-indent", "nested-mapping", "unsafe-tag", "tab"],
+         "task: !!python/object:os.system {}\n", "\t- tab\n",
+         b"task: {class_names: [a, b]}\n# \xff\n"],
+        ids=["unclosed-flow", "bad-indent", "nested-mapping", "unsafe-tag", "tab", "not-utf8"],
     )
     def test_malformed_yaml_exits_2(self, tmp_path, monkeypatch, capsys, libyaml, doc):
         if not libyaml:
             self._without_libyaml(monkeypatch)
         p = tmp_path / "bad.yaml"
-        p.write_text(doc)
-        with pytest.raises(ConfigError, match="cannot parse"):
+        p.write_bytes(doc.encode() if isinstance(doc, str) else doc)
+        with pytest.raises(ConfigError, match=r"cannot parse .*bad\.yaml: "):
             load_run_config(p)
         assert main(["info", "--config", str(p)]) == 2
         assert "Traceback" not in capsys.readouterr().err
@@ -970,6 +971,8 @@ MALFORMED = {
     ("config", "unclosed-flow"): ("task: {class_names: [cat, dog\n", "cannot parse"),
     ("config", "top-level-list"): ("- task\n- train\n", "top level must be a mapping"),
     ("config", "no-class-names"): ("train: {epochs: 1}\n", "task.class_names is required"),
+    ("config", "not-utf8"): (b"task: {class_names: [cat, dog, fish]}\n# \xff\xfe\n",
+                             "malformed-config: 'utf-8' codec can't decode"),
     ("manifest", "unset"): (None, "eval.manifest is required"),  # eval.manifest left empty
     ("manifest", "no-such-file"): (None, "manifest path not found"),
     ("manifest", "label-not-in-task"): ("path,domain,class\nimg.json,art,zebra\n",
@@ -979,7 +982,9 @@ MALFORMED = {
     ("manifest", "bad-header"): ("path,domain\nimg.json,art\n",
                                  "manifest header must be 'path,domain,class'"),
     ("manifest", "short-row"): ("path,domain,class\nimg.json,art\n", "malformed manifest row"),
-    ("manifest", "not-utf8"): (b"path,domain,class\n\xff\xfe,art,cat\n", "can't decode"),
+    ("manifest", "not-utf8"): (b"path,domain,class\n\xff\xfe,art,cat\n",
+                               "malformed-manifest: 'utf-8' codec can't decode"),
+    ("manifest", "header-only"): ("path,domain,class\n", "malformed-manifest: manifest is empty"),
     ("checkpoint", "truncated"): (b"DPSTYLR1\x10\x00", "truncated file"),
     ("checkpoint", "bad-magic"): (b"not a checkpoint at all", "bad magic"),
     ("checkpoint", "format-v1"): (b"DPSTYLR1\x15\x00\x00\x00" + b'{"format_version": 1}',
@@ -995,7 +1000,8 @@ MALFORMED = {
     ("lexicon", "repeated-word"): ("white\nsketchy\nwhite\n",
                                    "malformed-lexicon: lexicon labels must be unique"),
     ("lexicon", "two-token-word"): ("white\noil painting\n", "must be single tokens"),
-    ("lexicon", "not-utf8"): (b"white\n\xff\xfe\n", "can't decode"),
+    ("lexicon", "not-utf8"): (b"white\n\xff\xfe\n",
+                              "malformed-lexicon: 'utf-8' codec can't decode"),
 }
 # export-embeddings reads no label space: it writes each record it decodes
 # under the manifest's own label, so it refuses this row only because its

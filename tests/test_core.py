@@ -27,7 +27,7 @@ class TestL2Normalize:
         np.testing.assert_allclose(l2_normalize(np.array([-2.0, 0.0])), [-1, 0], atol=1e-7)
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(DegenerateEmbeddingError):
+        with pytest.raises(DegenerateEmbeddingError, match="zero row"):
             l2_normalize(np.zeros(4))
 
     def test_below_threshold_rejected(self):
@@ -37,6 +37,14 @@ class TestL2Normalize:
     def test_zero_row_of_a_batch_rejected(self):
         with pytest.raises(DegenerateEmbeddingError, match="zero row"):
             l2_normalize(np.array([[3.0, 4.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_vector_normalizes_as_a_one_row_batch(self, rng, dtype):
+        for _ in range(200):
+            v = rng.standard_normal(1024).astype(dtype)
+            alone, as_row = l2_normalize(v), l2_normalize(v[None])[0]
+            assert alone.dtype == as_row.dtype == dtype
+            np.testing.assert_array_equal(alone.view(np.uint8), as_row.view(np.uint8))
 
     def test_unit_norm_and_idempotent(self, rng):
         for _ in range(20):

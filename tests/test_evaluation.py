@@ -1,6 +1,7 @@
 """Ensemble fusion, zero-shot baselines, manifests, and evaluation reports."""
 import csv
 import os
+import re
 
 import numpy as np
 import pytest
@@ -306,6 +307,11 @@ class TestManifests:
         _write_toy_tree(tmp_path, b, names)
         assert len(load_manifest(tmp_path).entries) == 8
 
+    def test_a_tree_without_records_names_itself(self, tmp_path):
+        (tmp_path / "art" / "cat").mkdir(parents=True)  # a class directory with no file
+        with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path))}: manifest is empty$"):
+            load_manifest(tmp_path)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             DatasetManifest(entries=())
@@ -541,13 +547,14 @@ class TestAbstractMethodsSuffice:
         files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         return [r.to_dict() for r in reports], files
 
-    def test_matches_the_toy_backend(self, tmp_path, monkeypatch):
+    def test_the_protocol_is_its_abstract_methods(self):
+        # So no inherited method is reached by _AbstractOnly either.
+        assert {k for k in vars(EncoderBackend) if not k.startswith("_")} \
+            == EncoderBackend.__abstractmethods__
+
+    def test_matches_the_toy_backend(self, tmp_path):
         assert {k for k in vars(_AbstractOnly) if not k.startswith("_")} \
             == EncoderBackend.__abstractmethods__
-        # No inherited method is reached either: the base keeps only its abstract ones.
-        for name in set(vars(EncoderBackend)) - EncoderBackend.__abstractmethods__:
-            if not name.startswith("_"):
-                monkeypatch.delattr(EncoderBackend, name)
         names = ("cat", "dog", "fish")
         task = TaskDefinition(names)
         make_toy_dataset(tmp_path / "data", task, ToyBackend(ToyBackendSpec(), names),

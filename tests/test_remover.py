@@ -50,6 +50,17 @@ class TestForward:
         out = remover_forward(v, p)
         assert np.all(out[[0, 5, 9]] == 0.0)
 
+    def test_a_zero_row_stays_zero(self, rng):
+        # Training relies on R(0) = 0: a zero prompt row reaches the loss as a
+        # zero row, which refuses it, so clean batches need no row check.
+        for _ in range(20):
+            p = remover_init(64, 4, rng)
+            batch = rng.standard_normal((5, 64)).astype(np.float32)
+            batch[2] = 0.0
+            out = remover_forward(batch, p)
+            np.testing.assert_array_equal(out[2], np.zeros(64, dtype=np.float32))
+            assert np.all(out[[0, 1, 3, 4]] != 0)
+
     def test_sign_preserved_and_gate_bounded(self, rng):
         p = remover_init(32, 8, rng)
         for _ in range(50):

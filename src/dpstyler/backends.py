@@ -37,11 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_DTYPE, STYLE_PLACEHOLDER, ZERO_NORM_EPS, atomic_write, l2_normalize,
-                   seeded_rng)
+from .core import (DEFAULT_DTYPE, DTYPE_MAX, STYLE_PLACEHOLDER, ZERO_NORM_EPS, InputError,
+                   atomic_write, l2_normalize, seeded_rng)
 
 
-class ImageDecodeError(ValueError):
+class ImageDecodeError(InputError):
     """Raised for malformed image records."""
 
 
@@ -90,13 +90,13 @@ class EncoderBackend(abc.ABC):
 
     @abc.abstractmethod
     def token_embedding_lookup(self, word: str) -> np.ndarray:
-        """Embedding-table row for a single-token word."""
+        """Embedding-table row for a single-token word; ``InputError`` for another word."""
 
 
 def check_rows(what: str, rows: np.ndarray, shape: tuple) -> None:
-    """Raise ``ValueError`` unless ``rows``, from the backend method ``what``, has ``shape``."""
+    """Raise ``InputError`` unless ``rows``, from the backend method ``what``, has ``shape``."""
     if np.shape(rows) != shape:
-        raise ValueError(f"{what} returned shape {np.shape(rows)}, expected {shape}")
+        raise InputError(f"{what} returned shape {np.shape(rows)}, expected {shape}")
 
 
 def usable_rows(what: str, rows: np.ndarray, shape: tuple) -> np.ndarray:
@@ -186,7 +186,7 @@ def toy_image_load(path) -> ToyImage:
         raise ImageDecodeError(f"malformed toy image {path}: nuisance must be 1-D")
     # json.load accepts NaN and Infinity, which the encoder cannot take; a
     # content_strength beyond float32 range is refused as the nuisance is.
-    if not (np.isfinite(nuisance).all() and abs(strength) <= float(np.finfo(DEFAULT_DTYPE).max)):
+    if not (np.isfinite(nuisance).all() and abs(strength) <= DTYPE_MAX):
         raise ImageDecodeError(f"malformed toy image {path}: non-finite value")
     if strength < 0:
         raise ImageDecodeError(f"malformed toy image {path}: negative content_strength")
@@ -230,7 +230,7 @@ class ToyBackend(EncoderBackend):
         self.spec = spec
         self.class_names = tuple(class_names)
         if len(self.class_names) > spec.max_classes:
-            raise ValueError(
+            raise InputError(
                 f"{len(self.class_names)} classes exceed max_classes={spec.max_classes}"
             )
         C, D = spec.dim_joint, spec.dim_token
@@ -394,7 +394,7 @@ class ToyBackend(EncoderBackend):
 
     def token_embedding_lookup(self, word: str) -> np.ndarray:
         if not word or len(word.split()) != 1:
-            raise ValueError(f"lexicon words must be single tokens, got {word!r}")
+            raise InputError(f"lexicon words must be single tokens, got {word!r}")
         rng = _tagged_rng(self.spec.seed, "token", word)
         return rng.standard_normal(self.spec.dim_token).astype(DEFAULT_DTYPE)
 

@@ -8,7 +8,9 @@ Commands::
     dpstyler export-embeddings --config run.yaml --out-file emb.csv [--checkpoint CKPT]
     dpstyler info --config run.yaml
 
-Exit codes: 0 success, 2 usage/config error, 3 runtime numeric failure.
+Exit codes: 0 success, 1 a bug, shown with its traceback, 2 usage/config
+error (an ``InputError``, ``OSError`` or ``MemoryError``), 3 runtime
+numeric failure.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import os
 import sys
 
 from .config import ConfigError, RunConfig, load_run_config
-from .core import atomic_write
+from .core import InputError, atomic_write
 from .evaluation import (
     FUSION_MODES,
     ZEROSHOT_PATTERNS,
@@ -210,7 +212,7 @@ def main(argv=None) -> int:
     except TrainingDivergedError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (OSError, ValueError) as exc:
+    except (InputError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass, field, fields
 
 from .backends import EncoderBackend, ToyBackend, ToyBackendSpec
-from .core import PromptTemplate, TaskDefinition
+from .core import InputError, PromptTemplate, TaskDefinition
 from .evaluation import FUSION_MODES
 from .losses import ArcFaceConfig
 from .styles import StyleGenConfig, lexicon_for
@@ -29,7 +29,7 @@ DEFAULT_TEMPLATES = (
 )
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     """Raised for unreadable, invalid, or incomplete run configs."""
 
 

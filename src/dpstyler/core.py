@@ -9,8 +9,9 @@ Default precision is float32; callers that need tighter arithmetic
 (e.g. the finite-difference gradient checks) pass float64 arrays and the
 functions compute in the input dtype.
 
-``atomic_write`` is the one way the package writes an output file, and
-``seeded_rng`` the one way it builds a random generator.
+``atomic_write`` is the one way the package writes an output file,
+``seeded_rng`` the one way it builds a random generator, and ``InputError``
+the root of every refusal of a bad input.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 ZERO_NORM_EPS = 1e-12
 
 DEFAULT_DTYPE = np.float32
+DTYPE_MAX = float(np.finfo(DEFAULT_DTYPE).max)  # the largest finite DEFAULT_DTYPE value
 
 
 @enum.unique
@@ -45,6 +47,12 @@ class Stream(enum.IntEnum):
 def seeded_rng(seed: int, *words: int) -> np.random.Generator:
     """The generator for ``seed`` then ``words``; NumPy zero-pads, so (s, t) is (s, t, 0)."""
     return np.random.default_rng(np.random.SeedSequence([seed, *words]))
+
+
+class InputError(ValueError):
+    """Raised for an input the package refuses: a malformed file, setting or
+    backend output.  The CLI reports it in one line and exits 2; any other
+    ``ValueError`` is a bug, and surfaces with its traceback."""
 
 
 class DegenerateEmbeddingError(ValueError):

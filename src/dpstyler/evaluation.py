@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backends import EncoderBackend, ImageDecodeError, unusable_row, usable_rows
-from .core import TaskDefinition, atomic_write, l2_normalize
+from .core import InputError, TaskDefinition, atomic_write, l2_normalize
 from .remover import remover_forward
 from .trainer import Checkpoint
 
@@ -56,8 +56,20 @@ class EnsembleBundle:
                 raise ValueError("ensemble members disagree on class names")
 
 
+def _gated(embeddings: np.ndarray, member: Checkpoint) -> np.ndarray:
+    """``member``'s gate applied to embeddings; ``InputError`` naming its template if
+    an output is not finite, as finite weights near the float32 limit can make it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        removed = remover_forward(embeddings, member.remover)
+    if not np.isfinite(removed).all():
+        raise InputError(f"the gate of the checkpoint for {member.template_pattern!r} "
+                         "gives a non-finite output")
+    return removed
+
+
 def predict_scores(image_embedding: np.ndarray, member: Checkpoint) -> np.ndarray:
-    """Per-class cosine scores of one model for one raw image embedding.
+    """Per-class cosine scores of one model for one raw image embedding; an
+    ``InputError`` if the model's gate output is not finite.
 
     No margin and no scale are applied: the margin is a training-time
     penalty only, and a positive scale cannot change the argmax.
@@ -65,7 +77,7 @@ def predict_scores(image_embedding: np.ndarray, member: Checkpoint) -> np.ndarra
     emb = np.asarray(image_embedding)
     if emb.shape != (member.dim_joint,):
         raise ValueError(f"embedding shape {emb.shape} != (C={member.dim_joint},)")
-    rn = l2_normalize(remover_forward(emb, member.remover))
+    rn = l2_normalize(_gated(emb, member))
     # The head-row norms the member kept at construction scale the (M,)
     # result; no unit-row (M, C) head is built.
     return (member.head.weights @ rn) / member.head_row_norms
@@ -92,7 +104,7 @@ def zeroshot_predictor(backend: EncoderBackend, task: TaskDefinition, prompt_sty
     bad = unusable_row("encode_prompt_rows", text, (M, backend.dim_joint))
     if bad is not None:
         row, kind = bad
-        raise ValueError(f"encode_prompt_rows returned a {kind} class-prompt row: "
+        raise InputError(f"encode_prompt_rows returned a {kind} class-prompt row: "
                          f"row {row} ({task.class_names[row]!r})")
     text = l2_normalize(text)
     return lambda image_embedding: int(np.argmax(text @ l2_normalize(np.asarray(image_embedding))))
@@ -123,7 +135,7 @@ class DatasetManifest:
 def _manifest(source, entries: list) -> DatasetManifest:
     """``entries`` as a manifest; none is refused naming ``source``, the file or tree read."""
     if not entries:
-        raise ValueError(f"{source}: manifest is empty")
+        raise InputError(f"{source}: manifest is empty")
     return DatasetManifest(entries=tuple(entries))
 
 
@@ -155,20 +167,20 @@ def manifest_from_csv(path) -> DatasetManifest:
         try:
             header = next(reader, None)
             if header is None or [h.strip() for h in header] != ["path", "domain", "class"]:
-                raise ValueError(f"{path}: manifest header must be 'path,domain,class'")
+                raise InputError(f"{path}: manifest header must be 'path,domain,class'")
             for row in reader:
                 if not row:
                     continue
                 if len(row) != 3:
-                    raise ValueError(f"{path}: malformed manifest row {row!r}")
+                    raise InputError(f"{path}: malformed manifest row {row!r}")
                 p, domain, cls = (c.strip() for c in row)
                 if not os.path.isabs(p):
                     p = os.path.join(base, p)
                 entries.append((p, domain, cls))
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-            raise ValueError(f"{path}: unreadable manifest at line {reader.line_num}: {exc}") from exc
+            raise InputError(f"{path}: unreadable manifest at line {reader.line_num}: {exc}") from exc
         except UnicodeDecodeError as exc:  # decoded a block at a time, so no line number
-            raise ValueError(f"{path}: {exc}") from exc
+            raise InputError(f"{path}: {exc}") from exc
     return _manifest(path, entries)
 
 
@@ -223,7 +235,7 @@ def _encoded_chunks(manifest: DatasetManifest, backend: EncoderBackend):
     """Per chunk of the entries: (kept entries, their (n, C) embeddings, failures).
 
     An entry fails if it does not decode or its embedding has a zero or
-    non-finite norm.  Raises ``ValueError`` after the last chunk if none was kept.
+    non-finite norm.  Raises ``InputError`` after the last chunk if none was kept.
     """
     entries, decoded = manifest.entries, 0
     for start in range(0, len(entries), _CHUNK):
@@ -240,7 +252,7 @@ def _encoded_chunks(manifest: DatasetManifest, backend: EncoderBackend):
         decoded += len(kept)
         yield kept, embeddings, len(chunk) - len(kept)
     if not decoded:
-        raise ValueError("no image in the manifest could be decoded")
+        raise InputError("no image in the manifest could be decoded")
 
 
 def evaluate(
@@ -262,7 +274,7 @@ def evaluate(
     class_index = {name: i for i, name in enumerate(task.class_names)}
     unknown = {cls for _, _, cls in manifest.entries} - class_index.keys()
     if unknown:
-        raise ValueError(f"manifest labels not in task: {sorted(unknown)}")
+        raise InputError(f"manifest labels not in task: {sorted(unknown)}")
     correct: dict[str, int] = {}
     total: dict[str, int] = {}
     errors = 0
@@ -290,7 +302,8 @@ def export_embeddings(
     """Write per-image raw (and optionally removed) embeddings as CSV.
 
     Returns (rows written, failures); a record that ``_encoded_chunks``
-    drops is skipped.  Floats use 9 significant digits.
+    drops is skipped, and a non-finite gate output is an ``InputError``.
+    Floats use 9 significant digits.
     """
     C = backend.dim_joint
     columns = ["path", "domain", "class"] + [f"raw_{i}" for i in range(C)]
@@ -303,7 +316,7 @@ def export_embeddings(
             writer.writerow(columns)
             for kept, emb, failed in _encoded_chunks(manifest, backend):
                 if checkpoint is not None:  # one gate call per chunk
-                    emb = np.hstack([emb, remover_forward(emb, checkpoint.remover)])
+                    emb = np.hstack([emb, _gated(emb, checkpoint)])
                 for entry, values in zip(kept, emb):
                     writer.writerow([*entry, *(f"{x:.9g}" for x in values)])
                 rows += len(kept)

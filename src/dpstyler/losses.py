@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_DTYPE, ZERO_NORM_EPS, DegenerateEmbeddingError, cosine_similarity,
-                   l2_normalize, row_norms, softmax)
+from .core import (DEFAULT_DTYPE, DTYPE_MAX, ZERO_NORM_EPS, DegenerateEmbeddingError,
+                   cosine_similarity, l2_normalize, row_norms, softmax)
 
 # Keep |cos| away from 1 so the angle-addition identity stays differentiable.
 COS_CLAMP = 1e-7
@@ -60,8 +60,8 @@ class ArcFaceConfig:
     margin: float = 0.5  # radians
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("scale must be > 0")
+        if not 0 < self.scale <= DTYPE_MAX:  # the loss casts it to float32
+            raise ValueError(f"scale must be > 0 and at most {DTYPE_MAX!r}")
         if not (0 <= self.margin < np.pi):
             raise ValueError("margin must be in [0, pi)")
 

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .backends import check_rows
-from .core import DEFAULT_DTYPE, Stream, seeded_rng
+from .core import DEFAULT_DTYPE, DTYPE_MAX, InputError, Stream, seeded_rng
 
 RANDOM_DISTRIBUTIONS = (
     "normal",
@@ -93,7 +93,7 @@ def stylemix_style(lexicon: np.ndarray, alpha: float,
         if total >= 1e-12:
             weights = raw / total
             return (weights @ lexicon).astype(DEFAULT_DTYPE)
-    raise ValueError("Beta weight draws degenerate after retries")
+    raise InputError("Beta weight draws degenerate after retries")
 
 
 def _draw(strategy: str, config: StyleGenConfig, dim: int,
@@ -135,7 +135,7 @@ def lexicon_for(config: StyleGenConfig, backend, path=None) -> np.ndarray | None
     if None), embedded via ``backend``, if ``config``'s strategy reads a lexicon;
     else None, and no file is opened.
 
-    One adjective per line; '#' starts a comment.  Raises ``ValueError`` for
+    One adjective per line; '#' starts a comment.  Raises ``InputError`` for
     fewer than 2 words, a repeated word, lookups of differing shapes, vectors
     that are not D wide, or vectors that are not finite in float32, checked
     in that order.
@@ -148,22 +148,22 @@ def lexicon_for(config: StyleGenConfig, backend, path=None) -> np.ndarray | None
     try:
         lines = source.read_text(encoding="utf-8").split("\n")
     except UnicodeDecodeError as exc:
-        raise ValueError(f"{source}: {exc}") from exc
+        raise InputError(f"{source}: {exc}") from exc
     words = [w for w in (line.split("#", 1)[0].strip() for line in lines) if w]
     lookups = [backend.token_embedding_lookup(w) for w in words]
     if len(words) < 2:
-        raise ValueError(f"{source}: lexicon needs at least 2 entries")
+        raise InputError(f"{source}: lexicon needs at least 2 entries")
     if len(set(words)) != len(words):
-        raise ValueError(f"{source}: lexicon labels must be unique")
+        raise InputError(f"{source}: lexicon labels must be unique")
     shape = np.shape(lookups[0])
     for word, lookup in zip(words, lookups):
         if np.shape(lookup) != shape:
-            raise ValueError(f"{source}: token_embedding_lookup returned shape {np.shape(lookup)} "
+            raise InputError(f"{source}: token_embedding_lookup returned shape {np.shape(lookup)} "
                              f"for {word!r} but {shape} for {words[0]!r}")
     vectors = np.array(lookups)
     check_rows("token_embedding_lookup", vectors, (len(words), backend.dim_token))
     # Finite in float32, the dtype StyleMix mixes into: a convex mix of
     # such vectors then stays finite too.
-    if not np.all(np.abs(vectors) <= np.finfo(DEFAULT_DTYPE).max):
-        raise ValueError(f"{source}: lexicon vectors must be finite in float32")
+    if not np.all(np.abs(vectors) <= DTYPE_MAX):
+        raise InputError(f"{source}: lexicon vectors must be finite in float32")
     return vectors.astype(DEFAULT_DTYPE, copy=False)

@@ -27,7 +27,9 @@ import numpy as np
 from .backends import EncoderBackend, check_rows, unusable_row
 from .core import (
     DEFAULT_DTYPE,
+    DTYPE_MAX,
     DegenerateEmbeddingError,
+    InputError,
     PromptTemplate,
     Stream,
     TaskDefinition,
@@ -56,7 +58,7 @@ class TrainingDivergedError(RuntimeError):
         self.batch = batch
 
 
-class CheckpointError(ValueError):
+class CheckpointError(InputError):
     """Raised for unreadable, truncated, or inconsistent checkpoint files."""
 
 
@@ -74,8 +76,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < self.learning_rate <= DTYPE_MAX:  # the SGD step casts it to float32
+            raise ValueError(f"learning_rate must be > 0 and at most {DTYPE_MAX!r}")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must be in [0, 1)")
         if self.batch_size < 1:
@@ -194,7 +196,7 @@ def sgd_step(
 
 def encode_probe(backend: EncoderBackend, styles: np.ndarray, epoch: int) -> np.ndarray:
     """The domain probe: the (K, D) style bank's style prompts encoded, as (K, C) float32
-    unit rows.  A row of another shape is a ``ValueError``, and a non-finite or zero row
+    unit rows.  A row of another shape is an ``InputError``, and a non-finite or zero row
     a ``TrainingDivergedError`` at ``epoch``."""
     rows = backend.encode_style_prompts(styles)
     bad = unusable_row("encode_style_prompts", rows, (len(styles), backend.dim_joint))

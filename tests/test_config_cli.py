@@ -2,7 +2,10 @@
 import hashlib
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -852,6 +855,83 @@ class TestCliErrors:
         assert err.startswith("numeric failure:") and err.endswith("at epoch 0\n")
         assert not list(out.glob("*.ckpt"))
 
+    def test_gate_overflow_of_a_diverging_run_exits_3(self, workspace, capsys):
+        # The learning rate is finite in float32, so the run starts; its gate's
+        # second product then overflows, which is the typed divergence below,
+        # not a RuntimeWarning (this suite turns one into an error).
+        cfg_path, _, out = workspace
+        cfg_path.write_text(cfg_path.read_text().replace(
+            "epochs: 3", "epochs: 2\n  learning_rate: 1.0e+30"))
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg_path)]) == 3
+        assert capsys.readouterr().err == ("numeric failure: non-finite weights (head row norm "
+                                           "overflows float32) at epoch 1\n")
+        assert not list(out.glob("*.ckpt"))
+
+    @pytest.mark.parametrize("command", ["eval", "export-embeddings"])
+    def test_non_finite_gate_output_exits_2(self, workspace, tmp_path, capsys, command):
+        # Finite float32 weights: the first layer overflows to +-inf, and inf * 0
+        # in the second is NaN.  No such output is scored as a class or written.
+        cfg_path, _, out = workspace
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        ckpt = sorted(out.glob("*.ckpt"))[0]
+        checkpoint = load_checkpoint(ckpt)
+        checkpoint.remover.W1[:, 0::2] = 3e38
+        checkpoint.remover.W1[:, 1::2] = -3e38
+        checkpoint.remover.W2[...] = 0.0
+        save_checkpoint(checkpoint, ckpt)
+        emb = tmp_path / "emb.csv"
+        argv = {"eval": ["eval", "--config", str(cfg_path), str(ckpt)],
+                "export-embeddings": ["export-embeddings", "--config", str(cfg_path),
+                                      "--checkpoint", str(ckpt), "--out-file", str(emb)]}
+        capsys.readouterr()
+        assert main(argv[command]) == 2
+        assert capsys.readouterr() == ("", f"error: the gate of the checkpoint for "
+                                           f"{checkpoint.template_pattern!r} gives a non-finite "
+                                           "output\n")
+        assert not list(out.glob("report-*")) and not list(tmp_path.glob("emb.csv*"))
+
+    @pytest.mark.parametrize("command", ["train", "eval", "zeroshot", "export-embeddings"])
+    def test_dims_beyond_the_address_space_exit_2(self, workspace, tmp_path, capsys, command):
+        # NumPy refuses the encoder's (C, D) matrix at once: it is 71.1 PiB.
+        cfg_path, _, _ = workspace
+        cfg_path.write_text(cfg_path.read_text().replace("dim_joint: 64", "dim_joint: 100000000")
+                            .replace("dim_token: 32", "dim_token: 100000000"))
+        argv = {"train": ["train", "--config", str(cfg_path)],
+                "eval": ["eval", "--config", str(cfg_path), str(tmp_path / "none.ckpt")],
+                "zeroshot": ["zeroshot", "--config", str(cfg_path)],
+                "export-embeddings": ["export-embeddings", "--config", str(cfg_path),
+                                      "--out-file", str(tmp_path / "emb.csv")]}
+        capsys.readouterr()
+        assert main(argv[command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+
+    def test_untyped_value_error_is_a_traceback(self, workspace, monkeypatch):
+        # A ValueError that no refusal typed is a bug: main lets it through, so the
+        # console script shows its traceback and exits 1, not 2 as for a bad input.
+        import dpstyler
+        from dpstyler import cli
+
+        def stage(*args, **kwargs):
+            raise ValueError("a bug, not a bad input")
+
+        cfg_path, _, out = workspace
+        argv = ["train", "--config", str(cfg_path)]
+        monkeypatch.setattr(cli, "train_one_model", stage)
+        with pytest.raises(ValueError, match="a bug, not a bad input"):
+            main(argv)
+        script = ("import sys\nfrom dpstyler import cli\n"
+                  "def stage(*args, **kwargs):\n    raise ValueError('a bug, not a bad input')\n"
+                  f"cli.train_one_model = stage\nsys.exit(cli.main({argv!r}))\n")
+        src = str(Path(dpstyler.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("Traceback (most recent call last):\n")
+        assert proc.stderr.endswith("\nValueError: a bug, not a bad input\n")
+        assert not list(out.glob("*.ckpt"))
+
     def test_export_to_missing_directory_exits_2(self, workspace, tmp_path):
         cfg_path, _, _ = workspace
         assert main([
@@ -973,6 +1053,13 @@ MALFORMED = {
     ("config", "no-class-names"): ("train: {epochs: 1}\n", "task.class_names is required"),
     ("config", "not-utf8"): (b"task: {class_names: [cat, dog, fish]}\n# \xff\xfe\n",
                              "malformed-config: 'utf-8' codec can't decode"),
+    # float32, the dtype training casts both to, overflows above 3.4028235e+38.
+    ("config", "learning-rate-beyond-float32"): (
+        "task: {class_names: [cat, dog, fish]}\ntrain: {learning_rate: 1.0e+39}\n",
+        "learning_rate must be > 0 and at most 3.4028234663852886e+38"),
+    ("config", "arcface-scale-beyond-float32"): (
+        "task: {class_names: [cat, dog, fish]}\ntrain: {arcface_scale: 1.0e+39}\n",
+        "scale must be > 0 and at most 3.4028234663852886e+38"),
     ("manifest", "unset"): (None, "eval.manifest is required"),  # eval.manifest left empty
     ("manifest", "no-such-file"): (None, "manifest path not found"),
     ("manifest", "label-not-in-task"): ("path,domain,class\nimg.json,art,zebra\n",

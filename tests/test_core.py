@@ -5,8 +5,11 @@ import threading
 import numpy as np
 import pytest
 
+from dpstyler.backends import ImageDecodeError
+from dpstyler.config import ConfigError
 from dpstyler.core import (
     DegenerateEmbeddingError,
+    InputError,
     PromptTemplate,
     TaskDefinition,
     atomic_write,
@@ -14,6 +17,14 @@ from dpstyler.core import (
     l2_normalize,
     softmax,
 )
+from dpstyler.trainer import CheckpointError
+
+
+@pytest.mark.parametrize("error", [ConfigError, CheckpointError, ImageDecodeError])
+def test_typed_refusals_are_input_errors_and_value_errors(error):
+    # InputError is what the CLI reports as a bad input (exit 2); as a ValueError,
+    # each is still caught by a library caller's ``except ValueError``.
+    assert issubclass(error, InputError) and issubclass(error, ValueError)
 
 
 class TestL2Normalize:

@@ -139,8 +139,8 @@ class ToyBackendSpec:
     def __post_init__(self):
         if self.dim_joint < 1 or self.dim_token < 1:
             raise ValueError("dim_joint and dim_token must be >= 1")
-        if self.noise_level < 0:
-            raise ValueError("noise_level must be >= 0")
+        if not 0 <= self.noise_level <= DTYPE_MAX:  # far larger overflows an image norm
+            raise ValueError(f"noise_level must be >= 0 and at most {DTYPE_MAX!r}")
         if self.seed < 0:
             raise ValueError("backend seed must be >= 0")
 

@@ -63,10 +63,7 @@ def remover_forward_cached(v: np.ndarray, params: StyleRemoverParams) -> tuple[n
     if v.shape[-1] != params.dim:
         raise ValueError(f"feature dim {v.shape[-1]} != remover dim {params.dim}")
     hidden = np.maximum(v @ params.W1, 0)
-    # A diverging run may overflow the product, harmlessly: the sigmoid saturates
-    # to 0 or 1 at +-inf, and a NaN still fails the trainer's finiteness check.
-    with np.errstate(over="ignore"):  # the sigmoid itself cannot overflow
-        gate = _sigmoid(hidden @ params.W2)
+    gate = _sigmoid(hidden @ params.W2)
     return v + gate * v, (v, hidden, gate)
 
 

@@ -24,11 +24,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .backends import EncoderBackend, check_rows, unusable_row
+from .backends import EncoderBackend, check_rows, unusable_row, usable_rows
 from .core import (
     DEFAULT_DTYPE,
     DTYPE_MAX,
-    DegenerateEmbeddingError,
     InputError,
     PromptTemplate,
     Stream,
@@ -228,55 +227,53 @@ def train_one_model(
 
     metrics: list[EpochMetrics] = []
 
-    for epoch in range(config.epochs):
-        start = time.perf_counter()
-        styles = refresh_bank(config.style_gen, D, config.seed, epoch, lexicon)
-        probe = encode_probe(backend, styles, epoch)
-        flat = build_prompt_set(task, K, config.seed, epoch)
+    # Overflow inside a step is an outcome, which the checks below refuse.  A with
+    # block: NumPy 1.x makes a decorating errstate one instance that all calls share.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            start = time.perf_counter()
+            styles = refresh_bank(config.style_gen, D, config.seed, epoch, lexicon)
+            probe = encode_probe(backend, styles, epoch)
+            flat = build_prompt_set(task, K, config.seed, epoch)
 
-        sum_u = sum_c = 0.0
-        n_samples = len(flat)
-        for batch_idx, start_idx in enumerate(range(0, n_samples, config.batch_size)):
-            index = flat[start_idx : start_idx + config.batch_size]
-            # Raw encoder scale: the losses are cosine-based and normalize
-            # internally, while the gate sees the encoder's native magnitudes.
-            v = backend.encode_prompt_rows(template.pattern, task.class_names, styles, index)
-            check_rows("encode_prompt_rows", v, (len(index), C))
-            y = index // K
-            removed, cache = remover_forward_cached(v, remover)
-            try:
-                if not np.all(np.isfinite(removed)):
-                    raise TrainingDivergedError(epoch, batch_idx, "non-finite gate output")
+            sum_u = sum_c = 0.0
+            n_samples = len(flat)
+            for batch_idx, start_idx in enumerate(range(0, n_samples, config.batch_size)):
+                index = flat[start_idx : start_idx + config.batch_size]
+                # Raw encoder scale: the losses are cosine-based and normalize
+                # internally, while the gate sees the encoder's native magnitudes.
+                v = backend.encode_prompt_rows(template.pattern, task.class_names, styles, index)
+                check_rows("encode_prompt_rows", v, (len(index), C))
+                y = index // K
+                removed, cache = remover_forward_cached(v, remover)
+                # One check of the gate output per batch; R(0) = 0, so a zero or
+                # non-finite prompt row fails it too, and is named here.
+                if not usable_rows("remover_forward_cached", removed, v.shape).all():
+                    bad = unusable_row("encode_prompt_rows", v, v.shape)
+                    if bad is None:
+                        raise TrainingDivergedError(epoch, batch_idx, "non-finite gate output")
+                    row, kind = bad
+                    m, i = divmod(int(index[row]), K)
+                    raise TrainingDivergedError(epoch, batch_idx, f"encode_prompt_rows row {row} "
+                                                f"is {kind} (class {task.class_names[m]!r}, "
+                                                f"style {i})")
                 breakdown = loss_gradients(removed, probe, head, y, config.arcface)
-            except (TrainingDivergedError, DegenerateEmbeddingError):
-                # Only a failing batch is searched for an encoder row at fault: an eager
-                # check would add a (B, C) norm and its temporary to every clean batch.
-                # A zero prompt row still fails here, since R(0) = 0 and loss_gradients
-                # refuses a zero feature row.
-                bad = unusable_row("encode_prompt_rows", v, (len(index), C))
-                if bad is None:
-                    raise
-                row, kind = bad
-                m, i = divmod(int(index[row]), K)
-                pair = f"class {task.class_names[m]!r}, style {i}"
-                raise TrainingDivergedError(epoch, batch_idx, f"encode_prompt_rows row {row} "
-                                            f"is {kind} ({pair})") from None
-            loss_u, loss_c = breakdown.loss_uncertainty, breakdown.loss_classification
-            if not (np.isfinite(loss_u) and np.isfinite(loss_c)):
-                raise TrainingDivergedError(epoch, batch_idx,
-                                            f"non-finite loss: L_U={loss_u}, L_C={loss_c}")
-            _, d_w1, d_w2 = remover_weight_grads(cache, remover, breakdown.d_features)
-            for param, grad, vel in (
-                (remover.W1, d_w1, vel_w1), (remover.W2, d_w2, vel_w2),
-                (head.weights, breakdown.d_head, vel_head),
-            ):
-                sgd_step(param, grad, config.learning_rate, config.momentum, vel)
-            sum_u += loss_u * len(y)
-            sum_c += loss_c * len(y)
+                loss_u, loss_c = breakdown.loss_uncertainty, breakdown.loss_classification
+                if not (np.isfinite(loss_u) and np.isfinite(loss_c)):
+                    raise TrainingDivergedError(epoch, batch_idx,
+                                                f"non-finite loss: L_U={loss_u}, L_C={loss_c}")
+                _, d_w1, d_w2 = remover_weight_grads(cache, remover, breakdown.d_features)
+                for param, grad, vel in (
+                    (remover.W1, d_w1, vel_w1), (remover.W2, d_w2, vel_w2),
+                    (head.weights, breakdown.d_head, vel_head),
+                ):
+                    sgd_step(param, grad, config.learning_rate, config.momentum, vel)
+                sum_u += loss_u * len(y)
+                sum_c += loss_c * len(y)
 
-        metrics.append(EpochMetrics(epoch=epoch, loss_uncertainty=sum_u / n_samples,
-                                    loss_classification=sum_c / n_samples,
-                                    wall_time_s=time.perf_counter() - start))
+            metrics.append(EpochMetrics(epoch=epoch, loss_uncertainty=sum_u / n_samples,
+                                        loss_classification=sum_c / n_samples,
+                                        wall_time_s=time.perf_counter() - start))
 
     try:  # no per-batch check sees the weights the last SGD step leaves
         checkpoint = Checkpoint(

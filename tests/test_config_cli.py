@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -868,6 +869,25 @@ class TestCliErrors:
                                            "overflows float32) at epoch 1\n")
         assert not list(out.glob("*.ckpt"))
 
+    @pytest.mark.parametrize("setting, epochs, message", [
+        ("learning_rate: 3.0e+38", 2, r"non-finite weights \(array 'W2' holds NaN or inf\) "
+                                      r"at epoch 1"),
+        ("arcface_scale: 1.0e+38", 1, r"non-finite loss: L_U=-[0-9.e-]+, L_C=inf "
+                                      r"at epoch 0, batch 0"),
+    ], ids=["learning_rate", "arcface_scale"])
+    def test_overflow_inside_a_step_exits_3(self, workspace, capsys, setting, epochs, message):
+        # Both values are finite in float32, so the run starts.  What its steps
+        # then overflow is refused by one typed line, with no RuntimeWarning
+        # before it (this suite turns one into an error).
+        cfg_path, _, out = workspace
+        text = cfg_path.read_text().replace("dim_joint: 64", "dim_joint: 16")
+        cfg_path.write_text(text.replace("dim_token: 32", "dim_token: 8").replace(
+            "epochs: 3", f"epochs: {epochs}\n  {setting}"))
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg_path)]) == 3
+        assert re.fullmatch(f"numeric failure: {message}\n", capsys.readouterr().err)
+        assert not list(out.glob("*.ckpt"))
+
     @pytest.mark.parametrize("command", ["eval", "export-embeddings"])
     def test_non_finite_gate_output_exits_2(self, workspace, tmp_path, capsys, command):
         # Finite float32 weights: the first layer overflows to +-inf, and inf * 0
@@ -1060,6 +1080,9 @@ MALFORMED = {
     ("config", "arcface-scale-beyond-float32"): (
         "task: {class_names: [cat, dog, fish]}\ntrain: {arcface_scale: 1.0e+39}\n",
         "scale must be > 0 and at most 3.4028234663852886e+38"),
+    ("config", "noise-level-beyond-float32"): (
+        "task: {class_names: [cat, dog, fish]}\nbackend: {noise_level: 1.0e+39}\n",
+        "noise_level must be >= 0 and at most 3.4028234663852886e+38"),
     ("manifest", "unset"): (None, "eval.manifest is required"),  # eval.manifest left empty
     ("manifest", "no-such-file"): (None, "manifest path not found"),
     ("manifest", "label-not-in-task"): ("path,domain,class\nimg.json,art,zebra\n",

@@ -186,12 +186,13 @@ class TestTrainOneModel:
             train_one_model(task, backend, templates[0], e2e_train_config(epochs=1),
                             lexicon=lexicon_for(StyleGenConfig(), backend))
 
-    @pytest.mark.parametrize("value, kind", [(np.nan, "non-finite"), (0.0, "zero")],
-                             ids=["nan", "zero"])
+    @pytest.mark.parametrize("value, kind",
+                             [(np.nan, "non-finite"), (0.0, "zero"), (1e20, "non-finite")],
+                             ids=["nan", "zero", "norm-overflow"])
     def test_bad_prompt_row_diverges_by_name(self, task, templates, value, kind):
-        # A NaN or zero training prompt row is a numeric failure naming the
-        # method, the row's class and style, the epoch and the batch, not
-        # "non-finite gate output" or loss_gradients' "zero-norm feature".
+        # A NaN, zero or norm-overflowing training prompt row is a numeric failure
+        # naming the method, the row's class and style, the epoch and the batch,
+        # not "non-finite gate output" or loss_gradients' "zero-norm feature".
         class PoisonedPromptBackend(ToyBackend):
             calls = 0
 
@@ -212,6 +213,22 @@ class TestTrainOneModel:
         assert str(info.value) == (f"encode_prompt_rows row 6 is {kind} (class "
                                    f"{task.class_names[m]!r}, style {i}) at epoch 1, batch 1")
         assert (info.value.epoch, info.value.batch) == (1, 1)
+
+    def test_gate_output_norm_overflow_diverges(self, task, templates):
+        # At C=16 a row of 4e18 has a finite norm, but the gate scales it by up
+        # to 2, past float32's range: the gate output, not the row, is at fault.
+        class LargePromptBackend(ToyBackend):
+            def encode_prompt_rows(self, pattern, class_names, styles, index):
+                rows = super().encode_prompt_rows(pattern, class_names, styles, index)
+                rows[0] = 4e18
+                return rows
+
+        backend = LargePromptBackend(ToyBackendSpec(dim_joint=16, dim_token=8),
+                                     task.class_names)
+        with pytest.raises(TrainingDivergedError,
+                           match="^non-finite gate output at epoch 0, batch 0$"):
+            train_one_model(task, backend, templates[0], e2e_train_config(epochs=1),
+                            lexicon=lexicon_for(StyleGenConfig(), backend))
 
     def test_fault_past_clean_prompt_rows_keeps_its_own_error(self, task, templates,
                                                               monkeypatch):

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_DTYPE, DTYPE_MAX, STYLE_PLACEHOLDER, ZERO_NORM_EPS, InputError,
-                   atomic_write, l2_normalize, seeded_rng)
+                   atomic_write, l2_normalize, l2_norms, seeded_rng)
 
 
 class ImageDecodeError(InputError):
@@ -99,22 +99,27 @@ def check_rows(what: str, rows: np.ndarray, shape: tuple) -> None:
         raise InputError(f"{what} returned shape {np.shape(rows)}, expected {shape}")
 
 
-def usable_rows(what: str, rows: np.ndarray, shape: tuple) -> np.ndarray:
-    """``check_rows``, then the mask of rows whose norm is finite and at least ``ZERO_NORM_EPS``."""
-    check_rows(what, rows, shape)
-    with np.errstate(over="ignore"):  # a norm past float range is inf, so not usable
-        norms = np.linalg.norm(rows, axis=1)
+def usable(norms: np.ndarray) -> np.ndarray:
+    """The mask of row norms that are finite and at least ``ZERO_NORM_EPS``."""
     return np.isfinite(norms) & (norms >= ZERO_NORM_EPS)
 
 
+def checked_norms(what: str, rows: np.ndarray, shape: tuple) -> np.ndarray:
+    """``check_rows``, then the rows' ``l2_norms``, inf where one overflows."""
+    check_rows(what, rows, shape)
+    with np.errstate(over="ignore"):  # a norm past float range is inf, so not usable
+        return l2_norms(rows)
+
+
 def unusable_row(what: str, rows: np.ndarray, shape: tuple) -> tuple[int, str] | None:
-    """``usable_rows``' first refused row as (index, "zero" or "non-finite"), or None."""
-    good = usable_rows(what, rows, shape)
+    """The first row whose ``checked_norms`` is not ``usable``, as (index, "zero" or
+    "non-finite"), or None."""
+    norms = checked_norms(what, rows, shape)
+    good = usable(norms)
     if good.all():
         return None
     row = int(np.argmin(good))
-    with np.errstate(over="ignore"):
-        return row, "zero" if np.linalg.norm(rows[row]) < ZERO_NORM_EPS else "non-finite"
+    return row, "zero" if norms[row] < ZERO_NORM_EPS else "non-finite"
 
 
 def _hashed_rng(seed: int, data: bytes) -> np.random.Generator:
@@ -212,6 +217,9 @@ class ToyBackend(EncoderBackend):
     sequences, so identically-configured backends produce bit-identical
     features across processes.  Content is one read-only (M, C) table per
     (context, class list), built at first use and gathered by class index.
+    The style subspace ``V`` is (C, D) with its first C//2 rows zero, so a
+    style term is zero in the first C//2 channels, and ``_style_terms``
+    multiplies only the other rows; ``style_preimage`` reads all of ``V``.
     """
 
     # Relative weight of per-template / per-modality content perturbations.
@@ -295,9 +303,12 @@ class ToyBackend(EncoderBackend):
         key = self._terms_key
         if key is not None and np.array_equal(key.view(np.uint32), styles.view(np.uint32)):
             return self._terms
-        norms = np.linalg.norm(styles, axis=1, keepdims=True)
+        norms = l2_norms(styles, keepdims=True)
         unit = np.divide(styles, norms, out=np.zeros_like(styles), where=norms >= ZERO_NORM_EPS)
-        terms = self.STYLE_STRENGTH * (unit @ self._V.T)
+        block = self.spec.dim_joint // 2  # V's rows before it are zero
+        terms = np.zeros((len(styles), self.spec.dim_joint), dtype=DEFAULT_DTYPE)
+        np.matmul(unit, self._V[block:].T, out=terms[:, block:])
+        terms *= self.STYLE_STRENGTH
         terms.flags.writeable = False
         self._terms_key, self._terms = styles.copy(), terms
         return terms
@@ -324,7 +335,9 @@ class ToyBackend(EncoderBackend):
         classes, columns = np.divmod(index, len(terms))
         feature = self._content_table("text:" + pattern, tuple(class_names))[classes]
         feature += terms[columns]
-        return self.OUTPUT_GAIN * l2_normalize(feature)
+        feature = l2_normalize(feature, out=feature)  # the gather is a fresh array
+        feature *= self.OUTPUT_GAIN
+        return feature
 
     def text_encode(self, pattern: str, class_name: str, style: np.ndarray | None = None):
         """Encode one prompt, ``style`` at the style token.  Only perfbench's
@@ -334,7 +347,9 @@ class ToyBackend(EncoderBackend):
 
     def encode_style_prompts(self, styles: np.ndarray) -> np.ndarray:
         feature = self._style_prompt_base + self._style_terms(styles)
-        return self.OUTPUT_GAIN * l2_normalize(feature)
+        feature = l2_normalize(feature, out=feature)
+        feature *= self.OUTPUT_GAIN
+        return feature
 
     def _checked(self, image) -> ToyImage:
         if not isinstance(image, ToyImage):
@@ -370,7 +385,7 @@ class ToyBackend(EncoderBackend):
         if sigma > 0:
             feature += noise
         # A zero feature stays zero, for the caller to count, not failing the batch.
-        norms = np.linalg.norm(feature, axis=1, keepdims=True)
+        norms = l2_norms(feature, keepdims=True)
         unit = np.divide(feature, norms, out=np.zeros_like(feature), where=norms >= ZERO_NORM_EPS)
         return (self.OUTPUT_GAIN * unit).astype(DEFAULT_DTYPE)
 

@@ -2,8 +2,9 @@
 
 Everything downstream (style generation, the removal gate, the losses,
 the encoders) works with plain numpy arrays in a C-dimensional joint
-embedding space or a D-dimensional token embedding space.  ``l2_normalize``
-and ``row_norms`` are the norm helpers; both reject a zero row.
+embedding space or a D-dimensional token embedding space.  ``l2_norms``,
+``l2_normalize`` and ``row_norms`` are the norm helpers; the last two reject
+a zero row.
 
 Default precision is float32; callers that need tighter arithmetic
 (e.g. the finite-difference gradient checks) pass float64 arrays and the
@@ -89,16 +90,23 @@ def atomic_write(path, mode: str = "w", **open_kwargs):
         raise
 
 
-def l2_normalize(v: np.ndarray) -> np.ndarray:
+def l2_norms(v: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """Norms along the last axis: ``sqrt(add.reduce(v*v))``, which is bitwise
+    ``np.linalg.norm(v, axis=-1)`` without its conj copy."""
+    return np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=keepdims))
+
+
+def l2_normalize(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Project each row of ``v`` onto the unit sphere; a (C,) vector is one row.
+    ``out=v`` normalizes a float array in place.
 
     Raises DegenerateEmbeddingError if any row has norm below ZERO_NORM_EPS.
     """
     v = np.asarray(v)
-    norms = np.linalg.norm(v, axis=-1, keepdims=True)
+    norms = l2_norms(v, keepdims=True)
     if np.any(norms < ZERO_NORM_EPS):
         raise DegenerateEmbeddingError("cannot normalize a zero row")
-    return v / norms
+    return np.divide(v, norms, out=out)
 
 
 def row_norms(W: np.ndarray) -> np.ndarray:

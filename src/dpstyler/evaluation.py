@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backends import EncoderBackend, ImageDecodeError, unusable_row, usable_rows
+from .backends import EncoderBackend, ImageDecodeError, checked_norms, unusable_row, usable
 from .core import InputError, TaskDefinition, atomic_write, l2_normalize
 from .remover import remover_forward
 from .trainer import Checkpoint
@@ -247,7 +247,7 @@ def _encoded_chunks(manifest: DatasetManifest, backend: EncoderBackend):
                 continue
             kept.append(entry)
         embeddings = backend.encode_images(images)
-        good = usable_rows("encode_images", embeddings, (len(kept), backend.dim_joint))
+        good = usable(checked_norms("encode_images", embeddings, (len(kept), backend.dim_joint)))
         kept, embeddings = [e for e, g in zip(kept, good) if g], embeddings[good]
         decoded += len(kept)
         yield kept, embeddings, len(chunk) - len(kept)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_DTYPE, DTYPE_MAX, ZERO_NORM_EPS, DegenerateEmbeddingError,
-                   cosine_similarity, l2_normalize, row_norms, softmax)
+                   cosine_similarity, l2_normalize, l2_norms, row_norms, softmax)
 
 # Keep |cos| away from 1 so the angle-addition identity stays differentiable.
 COS_CLAMP = 1e-7
@@ -135,13 +135,15 @@ def loss_gradients(
     head: ClassifierHead,
     targets: np.ndarray,
     config: ArcFaceConfig,
+    norms: np.ndarray | None = None,
 ) -> LossBreakdown:
     """Analytic gradients of mean(L_U + L_C) over a batch of removed features.
 
     features: (B, C) removed features (pre-normalization; both losses
     normalize internally).  probe: the (K, C) unit-row style prompt
     features, as ``trainer.encode_probe`` returns them, a constant.
-    targets: (B,) class indices.  Computation runs in the features' dtype,
+    targets: (B,) class indices.  norms: the features' (B,) ``l2_norms``,
+    if the caller has taken them.  Computation runs in the features' dtype,
     float64 when the finite-difference suite calls it.
     """
     F = np.asarray(features)
@@ -159,7 +161,7 @@ def loss_gradients(
     if probe.shape[1] != C or head.weights.shape[1] != C:
         raise ValueError("feature dim mismatch between features, probe, and head")
 
-    norms = np.linalg.norm(F, axis=1, keepdims=True)
+    norms = (l2_norms(F) if norms is None else norms)[:, None]
     if np.any(norms < ZERO_NORM_EPS):
         raise DegenerateEmbeddingError("zero-norm feature in batch")
     FN = F / norms
@@ -175,7 +177,8 @@ def loss_gradients(
     # ArcFace part.  Head-row norms are folded into (B, M) arrays; no unit-row head is built.
     W = head.weights.astype(F.dtype, copy=False)
     wnorms = row_norms(W)  # (M,)
-    cos_raw = (FN @ W.T) / wnorms  # (B, M)
+    cos_raw = FN @ W.T  # (B, M)
+    cos_raw /= wnorms
     cos_c = np.clip(cos_raw, -1.0 + COS_CLAMP, 1.0 - COS_CLAMP)
     clamp_mask = (cos_raw > -1.0 + COS_CLAMP) & (cos_raw < 1.0 - COS_CLAMP)
 
@@ -186,17 +189,21 @@ def loss_gradients(
     logits = config.scale * cos_c
     logits[rows, targets] = config.scale * (cy * cos_m - sin_y * sin_m)
 
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logZsum = np.log(np.exp(shifted).sum(axis=1))
+    shifted = logits
+    shifted -= logits.max(axis=1, keepdims=True)
+    dL_dlogits = np.exp(shifted)
+    logZsum = np.log(dL_dlogits.sum(axis=1))
     LC_per = logZsum - shifted[rows, targets]
-    dL_dlogits = np.exp(shifted) / np.exp(logZsum)[:, None]
+    dL_dlogits /= np.exp(logZsum)[:, None]
     dL_dlogits[rows, targets] -= 1.0
 
     # d logit / d cos: s off-target; s(cos m + cos θ_y sin m / sin θ_y) on target.
     dlogit_dcos = np.full_like(cos_c, config.scale)
     # Clamping keeps |cos θ_y| < 1, so sin_y is strictly positive.
     dlogit_dcos[rows, targets] = config.scale * (cos_m + cy / sin_y * sin_m)
-    G = dL_dlogits * dlogit_dcos * clamp_mask  # (B, M), d L_C / d cos_raw
+    G = dL_dlogits  # (B, M), d L_C / d cos_raw
+    G *= dlogit_dcos
+    G *= clamp_mask
 
     # d z_k / d f = (t_k - z_k fn) / ||f||;  d cos_j / d f = (W_j / ||W_j|| - cos_j fn) / ||f||.
     # The mean's 1/B and the norms scale the (B, K) and (B, M) operands, not (B, C) results.
@@ -205,10 +212,12 @@ def loss_gradients(
     radial = np.sum(dLU_dZ * Z, axis=1, keepdims=True) + np.sum(G * cos_raw, axis=1)[:, None]
     d_features = (dLU_dZ * (inv_f / B)) @ TN
     d_features += (G_w * inv_f) @ W
-    d_features -= (radial * (inv_f / B)) * FN
     # d cos[b, j] / d W_j = (fn_b - cos[b, j] W_j / ||W_j||) / ||W_j||
     d_head = G_w.T @ FN
     d_head -= (np.sum(G_w * cos_raw, axis=0) / wnorms)[:, None] * W
+    # FN's last use: it becomes the radial term of d_features.
+    FN *= radial * (inv_f / B)
+    d_features -= FN
     return LossBreakdown(
         loss_uncertainty=float(LU_per.mean()),
         loss_classification=float(LC_per.mean()),

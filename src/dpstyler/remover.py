@@ -45,8 +45,13 @@ def remover_init(dim: int, ratio: int, rng: np.random.Generator) -> StyleRemover
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # The tanh form cannot overflow, so it needs no branch on the sign.
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+    """0.5 * (1 + tanh(0.5 x)), written over the float array ``x``.  The tanh
+    form cannot overflow, so it needs no branch on the sign."""
+    x *= 0.5
+    np.tanh(x, out=x)
+    x += 1.0
+    x *= 0.5
+    return x
 
 
 def remover_forward(v: np.ndarray, params: StyleRemoverParams) -> np.ndarray:
@@ -62,9 +67,12 @@ def remover_forward_cached(v: np.ndarray, params: StyleRemoverParams) -> tuple[n
     v = np.asarray(v)
     if v.shape[-1] != params.dim:
         raise ValueError(f"feature dim {v.shape[-1]} != remover dim {params.dim}")
-    hidden = np.maximum(v @ params.W1, 0)
+    hidden = v @ params.W1
+    np.maximum(hidden, 0, out=hidden)
     gate = _sigmoid(hidden @ params.W2)
-    return v + gate * v, (v, hidden, gate)
+    removed = gate * v
+    removed += v
+    return removed, (v, hidden, gate)
 
 
 def remover_weight_grads(
@@ -76,9 +84,11 @@ def remover_weight_grads(
     needs for d_v, which training skips (the encoder is frozen).  relu'(0) = 0.
     """
     v, hidden, gate = cache
-    d_s = upstream * v * gate * (1.0 - gate)
+    d_s = upstream * v * gate  # of the widest dtype, so the in-place product keeps it
+    d_s *= 1.0 - gate
     d_W2 = hidden.T @ d_s
-    d_pre = (d_s @ params.W2.T) * (hidden > 0)
+    d_pre = d_s @ params.W2.T
+    d_pre *= hidden > 0
     return d_pre, v.T @ d_pre, d_W2
 
 

@@ -3,9 +3,10 @@
 Each epoch: draw that epoch's style bank, encode its K style prompts (the
 domain probe), then run SGD with momentum over shuffled batches of the
 M*K (class, style) prompts, updating only the removal gate and the
-classifier head.  The encoder is frozen, so each batch's prompts are
-encoded by one backend call when the batch is reached: every pair is
-encoded exactly once per epoch, and no (M, K, C) feature grid is held.
+classifier head, and last check the weights the epoch leaves.  The
+encoder is frozen, so each batch's prompts are encoded by one backend
+call when the batch is reached: every pair is encoded exactly once per
+epoch, and no (M, K, C) feature grid is held.
 
 A full run is a deterministic function of (task, backend seed, config),
 with ``config.seed`` seeding every draw, the style bank's too, and the
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .backends import EncoderBackend, check_rows, unusable_row, usable_rows
+from .backends import EncoderBackend, check_rows, unusable_row, usable
 from .core import (
     DEFAULT_DTYPE,
     DTYPE_MAX,
@@ -34,6 +35,7 @@ from .core import (
     TaskDefinition,
     atomic_write,
     l2_normalize,
+    l2_norms,
     row_norms,
     seeded_rng,
     template_id,
@@ -91,6 +93,20 @@ class TrainConfig:
         return self.style_gen.num_styles
 
 
+def _checked_head_norms(remover: StyleRemoverParams, head: ClassifierHead) -> np.ndarray:
+    """The head's row norms; ``ValueError`` unless W1, W2 and the head are finite
+    and every head row norm is nonzero and finite in float32."""
+    for name, arr in zip(("W1", "W2", "head"), (remover.W1, remover.W2, head.weights)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"array {name!r} holds NaN or inf")
+    # Finite rows near the float32 limit overflow their norm.
+    with np.errstate(over="ignore"):
+        norms = row_norms(head.weights)
+    if not np.isfinite(norms).all():
+        raise ValueError("head row norm overflows float32")
+    return norms
+
+
 @dataclass
 class Checkpoint:
     """One trained (remover, head) pair with its provenance.
@@ -124,13 +140,7 @@ class Checkpoint:
             if arr.shape != shape:
                 raise ValueError(f"array {name!r} has shape {arr.shape}, expected {shape} "
                                  f"for C={C}, r={ratio}, M={M}")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"array {name!r} holds NaN or inf")
-        # Finite rows near the float32 limit overflow their norm.
-        with np.errstate(over="ignore"):
-            norms = row_norms(self.head.weights)
-        if not np.isfinite(norms).all():
-            raise ValueError("head row norm overflows float32")
+        norms = _checked_head_norms(self.remover, self.head)
         norms.flags.writeable = False
         self.head_row_norms = norms
 
@@ -246,9 +256,10 @@ def train_one_model(
                 check_rows("encode_prompt_rows", v, (len(index), C))
                 y = index // K
                 removed, cache = remover_forward_cached(v, remover)
-                # One check of the gate output per batch; R(0) = 0, so a zero or
-                # non-finite prompt row fails it too, and is named here.
-                if not usable_rows("remover_forward_cached", removed, v.shape).all():
+                # One norm pass and one check of the gate output per batch; R(0) = 0,
+                # so a zero or non-finite prompt row fails it too, and is named here.
+                norms = l2_norms(removed)
+                if not usable(norms).all():
                     bad = unusable_row("encode_prompt_rows", v, v.shape)
                     if bad is None:
                         raise TrainingDivergedError(epoch, batch_idx, "non-finite gate output")
@@ -257,7 +268,7 @@ def train_one_model(
                     raise TrainingDivergedError(epoch, batch_idx, f"encode_prompt_rows row {row} "
                                                 f"is {kind} (class {task.class_names[m]!r}, "
                                                 f"style {i})")
-                breakdown = loss_gradients(removed, probe, head, y, config.arcface)
+                breakdown = loss_gradients(removed, probe, head, y, config.arcface, norms)
                 loss_u, loss_c = breakdown.loss_uncertainty, breakdown.loss_classification
                 if not (np.isfinite(loss_u) and np.isfinite(loss_c)):
                     raise TrainingDivergedError(epoch, batch_idx,
@@ -271,18 +282,20 @@ def train_one_model(
                 sum_u += loss_u * len(y)
                 sum_c += loss_c * len(y)
 
+            # No batch check sees the weights an epoch's last SGD step leaves.
+            try:
+                _checked_head_norms(remover, head)
+            except ValueError as exc:
+                raise TrainingDivergedError(epoch, None, f"non-finite weights ({exc})") from exc
             metrics.append(EpochMetrics(epoch=epoch, loss_uncertainty=sum_u / n_samples,
                                         loss_classification=sum_c / n_samples,
                                         wall_time_s=time.perf_counter() - start))
 
-    try:  # no per-batch check sees the weights the last SGD step leaves
-        checkpoint = Checkpoint(
-            remover=remover, head=head, template_pattern=template.pattern,
-            class_names=task.class_names, dim_token=D, backend_tag=backend_tag,
-            seed=config.seed, config_snapshot=config_snapshot or {},
-        )
-    except ValueError as exc:
-        raise TrainingDivergedError(config.epochs - 1, None, f"non-finite weights ({exc})") from exc
+    checkpoint = Checkpoint(
+        remover=remover, head=head, template_pattern=template.pattern,
+        class_names=task.class_names, dim_token=D, backend_tag=backend_tag,
+        seed=config.seed, config_snapshot=config_snapshot or {},
+    )
     return TrainResult(checkpoint=checkpoint, metrics=metrics)
 
 

@@ -195,6 +195,26 @@ class TestBatchedEncode:
             backend.encode_style_prompts(rng.standard_normal((4, 31)))
 
 
+class TestStyleProjection:
+    @pytest.mark.parametrize("dims", [(64, 32), (65, 32), (1024, 512)],
+                             ids=["even", "odd", "paper-width"])
+    def test_half_width_product_matches_the_full_one(self, rng, dims):
+        # V's first C//2 rows are zero, so only the style block is multiplied:
+        # its columns are the full product's bits, and the others exactly 0.
+        C, D = dims
+        backend = ToyBackend(ToyBackendSpec(dim_joint=C, dim_token=D), NAMES)
+        styles = rng.standard_normal((80, D)).astype(np.float32)
+        styles[3] = 0.0
+        terms = backend._style_terms(styles)
+        block = C // 2
+        assert not backend._V[:block].any()
+        assert terms.shape == (80, C) and (terms[:, :block] == 0).all()
+        norms = np.linalg.norm(styles, axis=1, keepdims=True)
+        unit = np.divide(styles, norms, out=np.zeros_like(styles), where=norms >= 1e-12)
+        full = backend.STYLE_STRENGTH * (unit @ backend._V.T)
+        assert terms[:, block:].tobytes() == full[:, block:].tobytes()
+
+
 class TestContentCache:
     """Memoized content vectors change no output and cannot be written through."""
 

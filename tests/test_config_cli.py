@@ -857,21 +857,22 @@ class TestCliErrors:
         assert not list(out.glob("*.ckpt"))
 
     def test_gate_overflow_of_a_diverging_run_exits_3(self, workspace, capsys):
-        # The learning rate is finite in float32, so the run starts; its gate's
-        # second product then overflows, which is the typed divergence below,
-        # not a RuntimeWarning (this suite turns one into an error).
+        # The learning rate is finite in float32, so the run starts; its first
+        # step overflows the head's row norms, which the end of epoch 0 refuses
+        # by the typed divergence below, before epoch 1's gate overflows, and
+        # not by a RuntimeWarning (this suite turns one into an error).
         cfg_path, _, out = workspace
         cfg_path.write_text(cfg_path.read_text().replace(
             "epochs: 3", "epochs: 2\n  learning_rate: 1.0e+30"))
         capsys.readouterr()
         assert main(["train", "--config", str(cfg_path)]) == 3
         assert capsys.readouterr().err == ("numeric failure: non-finite weights (head row norm "
-                                           "overflows float32) at epoch 1\n")
+                                           "overflows float32) at epoch 0\n")
         assert not list(out.glob("*.ckpt"))
 
     @pytest.mark.parametrize("setting, epochs, message", [
-        ("learning_rate: 3.0e+38", 2, r"non-finite weights \(array 'W2' holds NaN or inf\) "
-                                      r"at epoch 1"),
+        ("learning_rate: 3.0e+38", 2, r"non-finite weights \(head row norm overflows float32\) "
+                                      r"at epoch 0"),
         ("arcface_scale: 1.0e+38", 1, r"non-finite loss: L_U=-[0-9.e-]+, L_C=inf "
                                       r"at epoch 0, batch 0"),
     ], ids=["learning_rate", "arcface_scale"])

@@ -15,6 +15,7 @@ from dpstyler.core import (
     atomic_write,
     cosine_similarity,
     l2_normalize,
+    l2_norms,
     softmax,
 )
 from dpstyler.trainer import CheckpointError
@@ -56,6 +57,28 @@ class TestL2Normalize:
             alone, as_row = l2_normalize(v), l2_normalize(v[None])[0]
             assert alone.dtype == as_row.dtype == dtype
             np.testing.assert_array_equal(alone.view(np.uint8), as_row.view(np.uint8))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_norms_are_linalg_norm_bitwise(self, rng, dtype):
+        # The training step's one norm pass must be the norm it replaced, to the bit,
+        # for a (B, C) batch, a (C,) vector, and rows whose norm overflows.
+        x = (rng.standard_normal((128, 1024)) * 32).astype(dtype)
+        x[3] = np.finfo(dtype).max / 4
+        with np.errstate(over="ignore"):
+            for got, want in (
+                (l2_norms(x), np.linalg.norm(x, axis=1)),
+                (l2_norms(x, keepdims=True), np.linalg.norm(x, axis=-1, keepdims=True)),
+                (l2_norms(x[0]), np.linalg.norm(x[0], axis=-1)),
+            ):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            assert np.isinf(l2_norms(x)[3])
+
+    def test_in_place_normalize_matches_the_copy(self, rng):
+        x = rng.standard_normal((64, 1024)).astype(np.float32)
+        want = l2_normalize(x)
+        got = l2_normalize(x, out=x)
+        assert got is x and got.tobytes() == want.tobytes()
 
     def test_unit_norm_and_idempotent(self, rng):
         for _ in range(20):

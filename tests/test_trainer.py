@@ -1,14 +1,19 @@
 """Training loop, SGD updates, and binary checkpoint persistence."""
 import dataclasses
+import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dpstyler
 import dpstyler.styles as styles_mod
 import dpstyler.trainer as trainer_mod
 from dpstyler.backends import ToyBackend, ToyBackendSpec
@@ -87,10 +92,12 @@ class TestSgdStep:
         param, grad, vel = (rng.standard_normal((3, 4)).astype(np.float32) for _ in range(3))
         expected_vel = 0.9 * vel - 0.01 * grad
         expected_param = param + expected_vel
+        grad_before = grad.copy()
         p, v = sgd_step(param, grad, 0.01, 0.9, vel)
         assert p is param and v is vel
         np.testing.assert_array_equal(param, expected_param)
         np.testing.assert_array_equal(vel, expected_vel)
+        assert grad.tobytes() == grad_before.tobytes()  # the gradient is only read
 
 
 class TestTrainOneModel:
@@ -269,6 +276,19 @@ class TestTrainOneModel:
                             lexicon=lexicon_for(StyleGenConfig(), backend))
         assert (info.value.epoch, info.value.batch) == (0, 0)
 
+    def test_diverged_weights_are_dated_by_their_epoch(self, task, templates):
+        # A rate of 1e20 overflows the head's row norms in epoch 0.  The later
+        # losses stay finite (every cosine against an inf row is 0), so only
+        # the end-of-epoch weight check can date it; the run has 6 epochs.
+        backend = ToyBackend(ToyBackendSpec(), task.class_names)
+        cfg = dataclasses.replace(e2e_train_config(epochs=6), learning_rate=1e20)
+        assert (backend.dim_joint, task.num_classes, cfg.num_styles) == (64, 5, 8)
+        with pytest.raises(TrainingDivergedError, match=r"^non-finite weights \(head row norm "
+                                                        r"overflows float32\) at epoch 0$") as info:
+            train_one_model(task, backend, templates[0], cfg,
+                            lexicon=lexicon_for(cfg.style_gen, backend))
+        assert (info.value.epoch, info.value.batch) == (0, None)
+
     @pytest.mark.parametrize("value, kind", [(np.nan, "non-finite"), (0.0, "zero")],
                              ids=["nan", "zero"])
     def test_non_finite_style_prompts_diverge(self, task, templates, value, kind):
@@ -394,6 +414,35 @@ class TestFusedTrainingStep:
                     params[j] = params[j] + velocities[j]
         for trained, reference in zip((got.remover.W1, got.remover.W2, got.head.weights), params):
             np.testing.assert_allclose(trained, reference, rtol=0, atol=1e-6)
+
+
+_PACS_WIDTH_RUN = """
+import sys
+from dpstyler.backends import ToyBackend, ToyBackendSpec
+from dpstyler.core import PromptTemplate, TaskDefinition
+from dpstyler.styles import StyleGenConfig
+from dpstyler.trainer import TrainConfig, save_checkpoint, train_one_model
+task = TaskDefinition(tuple(f"class{m}" for m in range(7)))
+backend = ToyBackend(ToyBackendSpec(dim_joint=1024, dim_token=512), task.class_names)
+cfg = TrainConfig(epochs=2, seed=1, style_gen=StyleGenConfig(num_styles=8, strategy="random"))
+result = train_one_model(task, backend, PromptTemplate("a [class] in a S* style"), cfg)
+save_checkpoint(result.checkpoint, sys.argv[1])
+"""
+
+
+class TestBlasThreads:
+    def test_checkpoint_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # A PACS-width model (C=1024, D=512, M=7, K=8, 2 epochs) trained at 1 and
+        # at 2 OpenBLAS threads, which split each product's work differently.
+        src = str(Path(dpstyler.__file__).parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            path = tmp_path / f"threads{threads}.ckpt"
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            subprocess.run([sys.executable, "-c", _PACS_WIDTH_RUN, str(path)], env=env,
+                           check=True, timeout=120)
+            digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+        assert digests[0] == digests[1]
 
 
 class TestDomainUncertaintyEffect:

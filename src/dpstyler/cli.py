@@ -32,6 +32,7 @@ from .evaluation import (
     load_manifest,
     zeroshot_predictor,
 )
+from .styles import lexicon_for
 from .trainer import (
     TrainingDivergedError,
     load_checkpoint,
@@ -95,32 +96,37 @@ def _report_pass(cfg: RunConfig, backend, manifest, predict, name: str, tag: str
         json.dump(report.to_dict(), fh, indent=2)
 
 
+def _write_metrics(path, metrics, fault=None) -> None:
+    """Write one JSON row per ``EpochMetrics``, then ``fault``'s row if any, atomically."""
+    with atomic_write(path) as fh:
+        for row in metrics:
+            fh.write(row.to_json() + "\n")
+        if fault is not None:
+            fh.write(json.dumps(fault) + "\n")
+
+
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     backend = cfg.build_backend()
-    lexicon = cfg.build_lexicon(backend)
+    lexicon = lexicon_for(cfg.train.style_gen, backend, cfg.lexicon_path)
     os.makedirs(cfg.output_dir, exist_ok=True)
     snapshot = cfg.raw
     for template in cfg.templates:
-        result = train_one_model(
-            cfg.task,
-            backend,
-            template,
-            cfg.train,
-            lexicon=lexicon,
-            backend_tag=cfg.backend_variant,
-            config_snapshot=snapshot,
-        )
-        stem = f"{template.id}-{cfg.fingerprint}"
-        ckpt_path = os.path.join(cfg.output_dir, f"{stem}.ckpt")
-        save_checkpoint(result.checkpoint, ckpt_path)
-        with atomic_write(os.path.join(cfg.output_dir, f"{stem}.metrics.jsonl")) as fh:
-            for row in result.metrics:
-                fh.write(row.to_json() + "\n")
+        stem = os.path.join(cfg.output_dir, f"{template.id}-{cfg.fingerprint}")
+        try:
+            result = train_one_model(cfg.task, backend, template, cfg.train, lexicon=lexicon,
+                                     backend_tag=cfg.backend_variant, config_snapshot=snapshot)
+        except TrainingDivergedError as exc:  # keep the epochs that completed, then the fault
+            fault = {"epoch": exc.epoch, "batch": exc.batch, "fault": str(exc)}
+            _write_metrics(f"{stem}.metrics.jsonl", exc.metrics, fault)
+            print(f"diverged {template.pattern!r}: metrics -> {stem}.metrics.jsonl")
+            raise
+        save_checkpoint(result.checkpoint, f"{stem}.ckpt")
+        _write_metrics(f"{stem}.metrics.jsonl", result.metrics)
         final = result.metrics[-1]
         print(
             f"trained {template.pattern!r}: L_total {final.loss_total:.4f} "
-            f"-> {ckpt_path}"
+            f"-> {stem}.ckpt"
         )
     return EXIT_OK
 

@@ -86,7 +86,8 @@ class RunConfig:
         return ToyBackend(self.backend_spec, self.task.class_names)
 
     def build_lexicon(self, backend: EncoderBackend):
-        """The (L, D) lexicon at ``styles.lexicon``, or None for a strategy that reads none."""
+        """The (L, D) lexicon at ``styles.lexicon``, or None for a strategy that reads none.
+        Only perfbench calls it; ROADMAP item 11b deletes it for ``styles.lexicon_for``."""
         return lexicon_for(self.train.style_gen, backend, self.lexicon_path)
 
 

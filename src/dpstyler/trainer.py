@@ -3,10 +3,10 @@
 Each epoch: draw that epoch's style bank, encode its K style prompts (the
 domain probe), then run SGD with momentum over shuffled batches of the
 M*K (class, style) prompts, updating only the removal gate and the
-classifier head, and last check the weights the epoch leaves.  The
-encoder is frozen, so each batch's prompts are encoded by one backend
-call when the batch is reached: every pair is encoded exactly once per
-epoch, and no (M, K, C) feature grid is held.
+classifier head, and last build a ``Checkpoint``, which checks the
+weights.  The encoder is frozen, so each batch's prompts are encoded by
+one backend call when the batch is reached: every pair is encoded
+exactly once per epoch, and no (M, K, C) feature grid is held.
 
 A full run is a deterministic function of (task, backend seed, config),
 with ``config.seed`` seeding every draw, the style bank's too, and the
@@ -50,13 +50,15 @@ CHECKPOINT_VERSION = 2
 
 class TrainingDivergedError(RuntimeError):
     """Raised when a loss, feature or weight turns non-finite, or a style or
-    training prompt encodes to a zero or non-finite row; carries (epoch, batch or None)."""
+    training prompt encodes to a zero or non-finite row; carries (epoch, batch or None)
+    and, from ``train_one_model``, the ``EpochMetrics`` of the epochs that completed."""
 
     def __init__(self, epoch: int, batch: int | None, what: str):
         where = f"epoch {epoch}" if batch is None else f"epoch {epoch}, batch {batch}"
         super().__init__(f"{what} at {where}")
         self.epoch = epoch
         self.batch = batch
+        self.metrics: list[EpochMetrics] = []
 
 
 class CheckpointError(InputError):
@@ -93,30 +95,18 @@ class TrainConfig:
         return self.style_gen.num_styles
 
 
-def _checked_head_norms(remover: StyleRemoverParams, head: ClassifierHead) -> np.ndarray:
-    """The head's row norms; ``ValueError`` unless W1, W2 and the head are finite
-    and every head row norm is nonzero and finite in float32."""
-    for name, arr in zip(("W1", "W2", "head"), (remover.W1, remover.W2, head.weights)):
-        if not np.isfinite(arr).all():
-            raise ValueError(f"array {name!r} holds NaN or inf")
-    # Finite rows near the float32 limit overflow their norm.
-    with np.errstate(over="ignore"):
-        norms = row_norms(head.weights)
-    if not np.isfinite(norms).all():
-        raise ValueError("head row norm overflows float32")
-    return norms
-
-
 @dataclass
 class Checkpoint:
     """One trained (remover, head) pair with its provenance.
 
-    Built by training, in code or by ``load_checkpoint``, it raises
-    ``ValueError`` unless the gate has a hidden unit, the arrays have the
-    ``_layout`` shapes of (dim_joint, ratio, class count), every weight is
-    finite and every head row norm is nonzero and finite in float32.  It
-    keeps those norms, read-only, as ``head_row_norms`` for scoring: do
-    not write to ``head.weights`` in place after construction.
+    Built by training at every epoch end, in code or by ``load_checkpoint``,
+    it raises ``ValueError`` unless the gate has a hidden unit, the arrays
+    have the ``_layout`` shapes of (dim_joint, ratio, class count), every
+    weight is finite and every head row norm is nonzero and finite in
+    float32.  It keeps those norms, read-only, as ``head_row_norms`` for
+    scoring: do not write to ``head.weights`` in place after construction.
+    Training does so only to the checkpoints it has not returned, each
+    epoch's being dropped when the next is built.
     """
 
     remover: StyleRemoverParams
@@ -140,7 +130,14 @@ class Checkpoint:
             if arr.shape != shape:
                 raise ValueError(f"array {name!r} has shape {arr.shape}, expected {shape} "
                                  f"for C={C}, r={ratio}, M={M}")
-        norms = _checked_head_norms(self.remover, self.head)
+        for name, arr in zip(("W1", "W2", "head"), arrays):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"array {name!r} holds NaN or inf")
+        # Finite rows near the float32 limit overflow their norm.
+        with np.errstate(over="ignore"):
+            norms = row_norms(self.head.weights)
+        if not np.isfinite(norms).all():
+            raise ValueError("head row norm overflows float32")
         norms.flags.writeable = False
         self.head_row_norms = norms
 
@@ -223,9 +220,9 @@ def train_one_model(
     backend_tag: str = "toy",
     config_snapshot: dict | None = None,
 ) -> TrainResult:
-    """Train remover + head for one prompt template; returns the checkpoint.
+    """Train remover + head for one prompt template; returns the last epoch's checkpoint.
 
-    ``lexicon``, the (L, D) array ``RunConfig.build_lexicon`` reads, is the only word
+    ``lexicon``, the (L, D) array ``styles.lexicon_for`` reads, is the only word
     list the run mixes: None means none, and a lexicon strategy is refused at epoch 0.
     """
     C, D, K = backend.dim_joint, backend.dim_token, config.num_styles
@@ -240,62 +237,64 @@ def train_one_model(
     # Overflow inside a step is an outcome, which the checks below refuse.  A with
     # block: NumPy 1.x makes a decorating errstate one instance that all calls share.
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(config.epochs):
-            start = time.perf_counter()
-            styles = refresh_bank(config.style_gen, D, config.seed, epoch, lexicon)
-            probe = encode_probe(backend, styles, epoch)
-            flat = build_prompt_set(task, K, config.seed, epoch)
+        try:
+            for epoch in range(config.epochs):
+                start = time.perf_counter()
+                styles = refresh_bank(config.style_gen, D, config.seed, epoch, lexicon)
+                probe = encode_probe(backend, styles, epoch)
+                flat = build_prompt_set(task, K, config.seed, epoch)
 
-            sum_u = sum_c = 0.0
-            n_samples = len(flat)
-            for batch_idx, start_idx in enumerate(range(0, n_samples, config.batch_size)):
-                index = flat[start_idx : start_idx + config.batch_size]
-                # Raw encoder scale: the losses are cosine-based and normalize
-                # internally, while the gate sees the encoder's native magnitudes.
-                v = backend.encode_prompt_rows(template.pattern, task.class_names, styles, index)
-                check_rows("encode_prompt_rows", v, (len(index), C))
-                y = index // K
-                removed, cache = remover_forward_cached(v, remover)
-                # One norm pass and one check of the gate output per batch; R(0) = 0,
-                # so a zero or non-finite prompt row fails it too, and is named here.
-                norms = l2_norms(removed)
-                if not usable(norms).all():
-                    bad = unusable_row("encode_prompt_rows", v, v.shape)
-                    if bad is None:
-                        raise TrainingDivergedError(epoch, batch_idx, "non-finite gate output")
-                    row, kind = bad
-                    m, i = divmod(int(index[row]), K)
-                    raise TrainingDivergedError(epoch, batch_idx, f"encode_prompt_rows row {row} "
-                                                f"is {kind} (class {task.class_names[m]!r}, "
-                                                f"style {i})")
-                breakdown = loss_gradients(removed, probe, head, y, config.arcface, norms)
-                loss_u, loss_c = breakdown.loss_uncertainty, breakdown.loss_classification
-                if not (np.isfinite(loss_u) and np.isfinite(loss_c)):
-                    raise TrainingDivergedError(epoch, batch_idx,
-                                                f"non-finite loss: L_U={loss_u}, L_C={loss_c}")
-                _, d_w1, d_w2 = remover_weight_grads(cache, remover, breakdown.d_features)
-                for param, grad, vel in (
-                    (remover.W1, d_w1, vel_w1), (remover.W2, d_w2, vel_w2),
-                    (head.weights, breakdown.d_head, vel_head),
-                ):
-                    sgd_step(param, grad, config.learning_rate, config.momentum, vel)
-                sum_u += loss_u * len(y)
-                sum_c += loss_c * len(y)
+                sum_u = sum_c = 0.0
+                n_samples = len(flat)
+                for batch_idx, start_idx in enumerate(range(0, n_samples, config.batch_size)):
+                    index = flat[start_idx : start_idx + config.batch_size]
+                    # Raw encoder scale: the losses are cosine-based and normalize
+                    # internally, while the gate sees the encoder's native magnitudes.
+                    v = backend.encode_prompt_rows(template.pattern, task.class_names, styles, index)
+                    check_rows("encode_prompt_rows", v, (len(index), C))
+                    y = index // K
+                    removed, cache = remover_forward_cached(v, remover)
+                    # One norm pass and one check of the gate output per batch; R(0) = 0,
+                    # so a zero or non-finite prompt row fails it too, and is named here.
+                    norms = l2_norms(removed)
+                    if not usable(norms).all():
+                        bad = unusable_row("encode_prompt_rows", v, v.shape)
+                        if bad is None:
+                            raise TrainingDivergedError(epoch, batch_idx, "non-finite gate output")
+                        row, kind = bad
+                        m, i = divmod(int(index[row]), K)
+                        raise TrainingDivergedError(epoch, batch_idx, f"encode_prompt_rows row "
+                                                    f"{row} is {kind} (class "
+                                                    f"{task.class_names[m]!r}, style {i})")
+                    breakdown = loss_gradients(removed, probe, head, y, config.arcface, norms)
+                    loss_u, loss_c = breakdown.loss_uncertainty, breakdown.loss_classification
+                    if not (np.isfinite(loss_u) and np.isfinite(loss_c)):
+                        raise TrainingDivergedError(epoch, batch_idx, f"non-finite loss: "
+                                                    f"L_U={loss_u}, L_C={loss_c}")
+                    _, d_w1, d_w2 = remover_weight_grads(cache, remover, breakdown.d_features)
+                    for param, grad, vel in (
+                        (remover.W1, d_w1, vel_w1), (remover.W2, d_w2, vel_w2),
+                        (head.weights, breakdown.d_head, vel_head),
+                    ):
+                        sgd_step(param, grad, config.learning_rate, config.momentum, vel)
+                    sum_u += loss_u * len(y)
+                    sum_c += loss_c * len(y)
 
-            # No batch check sees the weights an epoch's last SGD step leaves.
-            try:
-                _checked_head_norms(remover, head)
-            except ValueError as exc:
-                raise TrainingDivergedError(epoch, None, f"non-finite weights ({exc})") from exc
-            metrics.append(EpochMetrics(epoch=epoch, loss_uncertainty=sum_u / n_samples,
-                                        loss_classification=sum_c / n_samples,
-                                        wall_time_s=time.perf_counter() - start))
-
-    checkpoint = Checkpoint(
-        remover=remover, head=head, template_pattern=template.pattern,
-        class_names=task.class_names, dim_token=D, backend_tag=backend_tag,
-        seed=config.seed, config_snapshot=config_snapshot or {},
-    )
+                try:  # no batch check sees the weights an epoch's last SGD step leaves
+                    checkpoint = Checkpoint(
+                        remover=remover, head=head, template_pattern=template.pattern,
+                        class_names=task.class_names, dim_token=D, backend_tag=backend_tag,
+                        seed=config.seed, config_snapshot=config_snapshot or {},
+                    )
+                except ValueError as exc:
+                    raise TrainingDivergedError(epoch, None,
+                                                f"non-finite weights ({exc})") from exc
+                metrics.append(EpochMetrics(epoch=epoch, loss_uncertainty=sum_u / n_samples,
+                                            loss_classification=sum_c / n_samples,
+                                            wall_time_s=time.perf_counter() - start))
+        except TrainingDivergedError as exc:
+            exc.metrics = metrics
+            raise
     return TrainResult(checkpoint=checkpoint, metrics=metrics)
 
 

@@ -842,7 +842,47 @@ class TestCliErrors:
         assert main(["train", "--config", str(cfg_path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numeric failure:") and "Traceback" not in err
-        assert list(out.iterdir()) == []  # no checkpoint, no metrics.jsonl
+        # No checkpoint; a metrics.jsonl holding only the fault row, as no epoch completed.
+        [metrics] = out.iterdir()
+        assert metrics.name.endswith(".metrics.jsonl")
+        assert [json.loads(line) for line in metrics.read_text().splitlines()] == [
+            {"epoch": 0, "batch": 0, "fault": err.removeprefix("numeric failure: ").rstrip("\n")}]
+
+    def test_diverged_template_leaves_its_completed_epochs(self, workspace, capsys,
+                                                           monkeypatch):
+        # 3 templates x 3 epochs: the 5th probe is the second template's epoch 1.
+        from dpstyler.backends import ToyBackend
+        from dpstyler.config import RunConfig
+
+        class FifthProbeNanBackend(ToyBackend):
+            calls = 0
+
+            def encode_style_prompts(self, styles):
+                self.calls += 1
+                rows = super().encode_style_prompts(styles)
+                return np.full_like(rows, np.nan) if self.calls == 5 else rows
+
+        monkeypatch.setattr(RunConfig, "build_backend", lambda cfg: FifthProbeNanBackend(
+            cfg.backend_spec, cfg.task.class_names))
+        cfg_path, _, out = workspace
+        cfg = load_run_config(cfg_path)
+        first, second, third = (f"{t.id}-{cfg.fingerprint}" for t in cfg.templates)
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg_path)]) == 3
+        captured = capsys.readouterr()
+        fault = "encode_style_prompts row 0 is non-finite at epoch 1"
+        assert captured.err == f"numeric failure: {fault}\n"
+        assert captured.out.splitlines()[-1].endswith(f"-> {out / second}.metrics.jsonl")
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [f"{first}.ckpt", f"{first}.metrics.jsonl", f"{second}.metrics.jsonl"])
+
+        def rows(stem):
+            lines = (out / f"{stem}.metrics.jsonl").read_text().splitlines()
+            return [json.loads(line) for line in lines]
+        assert [row["epoch"] for row in rows(first)] == [0, 1, 2]
+        [epoch_0, fault_row] = rows(second)
+        assert epoch_0["epoch"] == 0 and "fault" not in epoch_0
+        assert fault_row == {"epoch": 1, "batch": None, "fault": fault}
 
     def test_last_step_overflow_exits_3(self, workspace, capsys):
         # One epoch of one batch: no forward pass sees the weights the only

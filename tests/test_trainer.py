@@ -312,6 +312,45 @@ class TestTrainOneModel:
                             lexicon=lexicon_for(StyleGenConfig(), backend))
         assert (info.value.epoch, info.value.batch) == (1, None)
 
+    def test_divergence_carries_the_completed_epochs(self, task, templates):
+        # The 3rd probe (epoch 2's) is NaN.  The error keeps the two epochs
+        # before it, which are the clean 2-epoch run's, bit for bit.
+        class ThirdProbeNanBackend(ToyBackend):
+            calls = 0
+
+            def encode_style_prompts(self, styles):
+                self.calls += 1
+                rows = super().encode_style_prompts(styles)
+                return np.full_like(rows, np.nan) if self.calls == 3 else rows
+
+        clean = ToyBackend(ToyBackendSpec(), task.class_names)
+        lexicon = lexicon_for(StyleGenConfig(), clean)
+        expected = train_one_model(task, clean, templates[0], e2e_train_config(epochs=2),
+                                   lexicon=lexicon).metrics
+        backend = ThirdProbeNanBackend(ToyBackendSpec(), task.class_names)
+        with pytest.raises(TrainingDivergedError, match=r" at epoch 2$") as info:
+            train_one_model(task, backend, templates[0], e2e_train_config(epochs=3),
+                            lexicon=lexicon)
+
+        def losses(rows):
+            return [(m.epoch, m.loss_uncertainty, m.loss_classification) for m in rows]
+        assert losses(info.value.metrics) == losses(expected) and len(expected) == 2
+
+    def test_one_checkpoint_is_built_per_epoch(self, task, templates, monkeypatch):
+        # Each epoch's end builds the Checkpoint that checks its weights; the
+        # run returns the last one and builds none after its loop.
+        built = []
+        post_init = trainer_mod.Checkpoint.__post_init__
+
+        def counting(self):
+            post_init(self)
+            built.append(self)
+        monkeypatch.setattr(trainer_mod.Checkpoint, "__post_init__", counting)
+        backend = ToyBackend(ToyBackendSpec(), task.class_names)
+        result = train_one_model(task, backend, templates[0], e2e_train_config(epochs=3),
+                                 lexicon=lexicon_for(StyleGenConfig(), backend))
+        assert len(built) == 3 and built[-1] is result.checkpoint
+
     def test_probe_is_float32_unit_rows(self, task):
         backend = ToyBackend(ToyBackendSpec(), task.class_names)
         styles = refresh_bank(StyleGenConfig(num_styles=6, strategy="random"), 32, 0, 0)
